@@ -20,6 +20,7 @@ from .errors import (
     InvalidCorrelation,
     InvalidScenario,
     InvalidShape,
+    NoConvergence,
 )
 from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams
 from .texture import Method, gamma_texture_rule
@@ -172,6 +173,9 @@ def _bench_vmax(params, rule, ctx) -> float:
     lo, hi = 1.0 + params.S, 2.0 * (1.0 + params.S)
     while texture.compound_survival(hi, params, "eff-sdp", rule, ctx) > 1e-3:
         hi *= 1.5
+        if hi > texture.V_SEARCH_MAX:
+            raise NoConvergence("eff-sdp survival stays above 1e-3 up to "
+                                f"v={texture.V_SEARCH_MAX:g}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if texture.compound_survival(mid, params, "eff-sdp", rule, ctx) > 1e-3:

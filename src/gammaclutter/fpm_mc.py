@@ -73,9 +73,10 @@ def _rng(seed: int, stream: int = 0) -> Generator:
                             counter=[0, 0, 0, int(stream)]))
 
 
-def _clutter_speckle(rng, n, M, spec_c, eig_c):
-    """(n, 2, M) unit-variance correlated clutter quadrature components."""
-    H = rng.standard_normal((n, 2, M))
+def _color(H, spec_c, eig_c):
+    """Colour white unit-variance components H (..., M) with the clutter
+    correlation: the AR(1) recursion for Gauss-Markov rows, the loading
+    matrix otherwise."""
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
         if rho == 0.0:
@@ -83,10 +84,15 @@ def _clutter_speckle(rng, n, M, spec_c, eig_c):
         X = np.empty_like(H)
         X[..., 0] = H[..., 0]
         fac = math.sqrt(1.0 - rho * rho)
-        for m in range(1, M):
+        for m in range(1, H.shape[-1]):
             X[..., m] = rho * X[..., m - 1] + fac * H[..., m]
         return X
     return H @ loading_matrix(eig_c)
+
+
+def _clutter_speckle(rng, n, M, spec_c, eig_c):
+    """(n, 2, M) unit-variance correlated clutter quadrature components."""
+    return _color(rng.standard_normal((n, 2, M)), spec_c, eig_c)
 
 
 def _target_quadrature(rng, n, M, kappa, L_s):
@@ -169,28 +175,13 @@ def _antithetic_block(rng, half, params, ctx, target_rotation="limit"):
         if Hn is not None:
             total += math.sqrt(1.0 - q) * flip * Hn
         if Hc is not None:
-            X = _colored(flip * Hc, params, ctx)
+            X = _color(flip * Hc, params.spec_c, ctx.eig_c)
             total += np.sqrt(q * U)[:, None, None] * X
         if S > 0.0:
             Y = flip * signs * mag
             total += math.sqrt(S) * (Y @ ctx.fp_loading(target_rotation))
         out.append(np.sum(total * total, axis=(1, 2)) / (2.0 * M))
     return np.concatenate(out)
-
-
-def _colored(H, params, ctx):
-    spec_c = params.spec_c
-    if spec_c.kind == "gauss-markov":
-        rho = spec_c.rho
-        if rho == 0.0:
-            return H
-        X = np.empty_like(H)
-        X[..., 0] = H[..., 0]
-        fac = math.sqrt(1.0 - rho * rho)
-        for m in range(1, H.shape[-1]):
-            X[..., m] = rho * X[..., m - 1] + fac * H[..., m]
-        return X
-    return H @ loading_matrix(ctx.eig_c)
 
 
 def simulate_gaussian_target_channel(config: McConfig,

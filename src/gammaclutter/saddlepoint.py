@@ -18,11 +18,35 @@ recovered by damped complex Newton on the upper branch.  For power levels
 below the mean the same machinery runs on the positive saddle of the CDF
 phase (ln(-s) -> ln(s)) and the complement is returned.
 
-Large pulse counts are kept cheap by collapsing the many small-coefficient
-log terms of tau into machine-exact power-sum series (TauEvaluator), so an
-exact-phase Newton costs O(few logs + series) per node instead of O(M).
-A Pade-compressed tau phase (explicit extreme poles, diagonal approximant
-of the residual series, exact-phase validation) is also provided.
+A texture-averaged curve needs one inversion per (power level, texture
+node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
+
+- Every MGF becomes a zero-padded row of a pole table,
+  ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s), which
+  holds the rational form (beta = 0) and the steady form alike.
+- The saddle bracket search and the bisection-safeguarded Newton run on
+  all pairs at once; a pair leaves the active set when it converges.
+- Each pair's phase becomes a row
+  tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z).
+  For large pulse counts the many small c_j of a row are collapsed into a
+  60-term power series, exact to rounding for |z| <= z_top and evaluated
+  with a table of powers of z; an element beyond z_top uses the full row.
+- The tau-Newton runs on all (pair, tau node) elements with per-element
+  backtracking; an element it cannot solve is continued in tau on its own.
+
+Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
+zero.  Pairs run in blocks of at most _BLOCK_ELEMENTS table entries, so
+the working arrays stay small however many pairs a call has.  ln(1 - c z)
+is computed in real arithmetic as ln|1 - c z| + i arg(1 - c z): about
+ten times cheaper than numpy's complex log of 1 - c z (26 vs 244 ns per
+element on a 2-vCPU Xeon), on the same principal branch and with the same
+signed zeros.
+
+``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
+of the same engine; ``tau_phase`` and its derivative keep the exact log
+form as the reference.  A Pade-compressed tau phase (explicit extreme
+poles, diagonal approximant of the residual series, exact-phase
+validation) is also provided; no production path uses it.
 """
 
 from __future__ import annotations
@@ -41,6 +65,13 @@ from .mgf_core import RationalMgf, SteadyMgf
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
 NEWTON_MAX_ITER = 60
+# Power-series collapse of small tau coefficients: rows with at least
+# _BULK_MIN_TERMS log terms, coefficients below _BULK_RATIO / z_top.
+_BULK_MIN_TERMS = 24
+_BULK_RATIO = 0.5
+_BULK_TERMS = 60
+# Entries (pair x tau node x table column) of one block's working arrays.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class Side(Enum):
@@ -71,6 +102,395 @@ def _gl_half_nodes(order: int):
     # Weight sqrt(tau) e^{-tau} on [0, inf); alpha = 1/2 generalized Laguerre.
     t, w = roots_genlaguerre(order, 0.5)
     return t, w
+
+
+def _kept_nodes(order: int):
+    t, w = _gl_half_nodes(order)
+    keep = w > 1e-24 * w.max()
+    return t[keep], w[keep]
+
+
+def _at(exc, pair):
+    """Tag a numerical failure with the batch index of its pair."""
+    exc.pair = int(pair)
+    return exc
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _one_minus(c, x, y):
+    """1 - c z for z = x + i y, as real part, imaginary part and squared
+    modulus.  0.0 - c y gives the imaginary part numpy's complex product
+    gives, signed zero included."""
+    xp = 1.0 - c * x
+    yp = 0.0 - c * y
+    return xp, yp, xp * xp + yp * yp
+
+
+def _log1m(xp, yp, d):
+    """Real and imaginary parts of ln(1 - c z) from ``_one_minus``."""
+    return 0.5 * np.log(d), np.arctan2(yp, xp)
+
+
+def _mgf_terms(mgf):
+    """(a, alpha, beta) with ln M(s) = sum alpha ln(1 + a s) + beta s/(1 + a s)."""
+    if isinstance(mgf, SteadyMgf):
+        return mgf.a, np.full(mgf.a.size, -1.0), -mgf.S * mgf.b
+    k = mgf.kappa
+    if k == 1:
+        return mgf.a, -mgf.wa, np.zeros(mgf.a.size)
+    return (np.concatenate((mgf.a, mgf.aq)),
+            np.concatenate((-k * mgf.wa, (k - 1) * mgf.wq)),
+            np.zeros(mgf.a.size + mgf.aq.size))
+
+
+class _PoleTable:
+    """Zero-padded (a, alpha, beta) rows of a block of pairs; pair i uses
+    ``mgfs[rows[i]]``."""
+
+    def __init__(self, mgfs, rows):
+        uniq, inv = np.unique(rows, return_inverse=True)
+        picked = [mgfs[j] for j in uniq]
+        terms = [_mgf_terms(m) for m in picked]
+        tab = np.zeros((3, uniq.size, max(x[0].size for x in terms)))
+        for i, x in enumerate(terms):
+            for dst, src in zip(tab, x):
+                dst[i, :src.size] = src
+        self.a, self.alpha, self.beta = tab[:, inv]
+        self.has_beta = bool(self.beta.any())
+        self.mean = np.array([m.mean for m in picked])[inv]
+        self.a_max = np.array([m.a_max for m in picked])[inv]
+        self.bulk = np.array([isinstance(m, RationalMgf)
+                              and m.a.size + 1 >= _BULK_MIN_TERMS
+                              for m in picked])[inv]
+
+    def derivatives(self, i, s):
+        """d ln M / ds and d^2 ln M / ds^2 of pairs i at real s."""
+        a = self.a[i]
+        inv = 1.0 / (1.0 + a * s[:, None])
+        t = a * inv
+        al = self.alpha[i]
+        d1, d2 = _rowdot(al, t), -_rowdot(al, t * t)
+        if self.has_beta:
+            be = self.beta[i] * inv * inv
+            d1 += be.sum(axis=1)
+            d2 -= 2.0 * _rowdot(be, t)
+        return d1, d2
+
+    def log_mgf(self, s):
+        """ln M of every pair at real s."""
+        d = 1.0 + self.a * s[:, None]
+        val = _rowdot(self.alpha, np.log(d))
+        if self.has_beta:
+            val += _rowdot(self.beta, s[:, None] / d)
+        return val
+
+
+def _solve_saddles(v, tab):
+    """Real saddle of each pair's survival phase (v >= mean) or CDF phase.
+
+    The phase derivative f(s) = d ln M/ds - 1/s + v is strictly increasing
+    on each branch (the MGF is log-convex), so a bracket search followed by
+    Newton with a bisection safeguard converges; both run on the pairs not
+    yet done.  Returns s0, r2, the phase at s0 and the left-tail mask.
+    """
+    left = v < tab.mean
+    lo = np.where(left, 1e-12, -(1.0 - 1e-12) / tab.a_max)
+    hi = np.where(left, 1.0, 0.5 * lo)
+
+    def f(i, s):
+        d1, d2 = tab.derivatives(i, s)
+        return d1 - 1.0 / s + v[i], d2 + 1.0 / (s * s)
+
+    with np.errstate(over="ignore"):
+        act = np.arange(v.size)
+        for _ in range(2000):
+            act = act[~(f(act, hi[act])[0] > 0.0)]
+            if act.size == 0:
+                break
+            lo[act] = hi[act]
+            hi[act] *= np.where(left[act], 2.0, 0.5)
+            far = act[hi[act] > 1e15]
+            if far.size:
+                raise _at(NoConvergence(
+                    "left-tail saddle beyond search range; v is at the "
+                    "lower support bound"), far[0])
+        else:
+            raise _at(NoConvergence("right-tail saddle bracket not found"),
+                      act[0])
+
+        x = 0.5 * (lo + hi)
+        tol = 1e-11 * np.maximum(1.0, np.abs(v))
+        act = np.arange(v.size)
+        for _ in range(SADDLE_MAX_ITER):
+            xa = x[act]
+            fx, fp = f(act, xa)
+            neg = fx < 0.0
+            lo[act[neg]] = xa[neg]
+            hi[act[~neg]] = xa[~neg]
+            la, ha = lo[act], hi[act]
+            x_new = xa - fx / fp
+            x_new = np.where((la < x_new) & (x_new < ha), x_new,
+                             0.5 * (la + ha))
+            done = (np.abs(fx) < tol[act]) | (x_new == xa)
+            x[act] = np.where(done, xa, x_new)
+            act = act[~done]
+            if act.size == 0:
+                break
+        else:
+            raise _at(NoConvergence(
+                f"saddle iteration stalled at v={v[act[0]]}"), act[0])
+
+        _, d2 = tab.derivatives(slice(None), x)
+    r2 = (d2 + 1.0 / (x * x)) / (v * v)
+    phase0 = tab.log_mgf(x) - np.log(np.abs(x)) + x * v
+    return x, r2, phase0, left
+
+
+def _tau_terms(z, p, lam, c, w, g):
+    """tau and tau' at z (one element per entry of p) from explicit rows."""
+    c, w = c[p], w[p]
+    x, y = z.real[:, None], z.imag[:, None]
+    xp, yp, d = _one_minus(c, x, y)
+    lr, li = _log1m(xp, yp, d)
+    wc = w * c / d
+    tau = lam[p] * z + _rowdot(w, lr) + 1j * _rowdot(w, li)
+    dtau = lam[p] - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
+    if g is not None:
+        # g z / (1 - c z) and its derivative g / (1 - c z)^2
+        g = g[p] / d
+        tau -= _rowdot(g, x * xp + y * yp) + 1j * _rowdot(g, y * xp - x * yp)
+        g /= d
+        dtau -= _rowdot(g, xp * xp - yp * yp) - 2j * _rowdot(g, xp * yp)
+    return tau, dtau
+
+
+class _TauRows:
+    """tau(z) = Phi(s0) - Phi(s0 - z/v) and tau'(z) for a block of pairs:
+
+        tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z)
+
+    with c_j = a_j / (v (1 + a_j s0)), w_j = -alpha_j,
+    g_j = -beta_j / (v (1 + a_j s0)^2), plus c = 1/(s0 v) with w = 1 from
+    ln(-+s); zero poles are linear in z and folded into lam.
+    """
+
+    def __init__(self, v, tab, s0, r2, t_top):
+        d0 = 1.0 + tab.a * s0[:, None]
+        c = tab.a / (v[:, None] * d0)
+        g = -tab.beta / (v[:, None] * d0 * d0)
+        lin = tab.a == 0.0
+        self.lam = 1.0 - np.where(lin, g, 0.0).sum(axis=1)
+        g[lin] = 0.0
+        one = np.ones((v.size, 1))
+        self.full = (np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1),
+                     np.concatenate((one, -tab.alpha), axis=1),
+                     np.concatenate((0.0 * one, g), axis=1)
+                     if tab.has_beta else None)
+        self.width = self.full[0].shape[1]
+        self.bulk = tab.bulk
+        self.has_bulk = bool(self.bulk.any())
+        if not self.has_bulk:
+            return
+        self.z_top = 1.5 * t_top + 8.0 / np.sqrt(r2) + 8.0
+        c, w, g = self.full
+        c_split = np.where(self.bulk, _BULK_RATIO / self.z_top, 0.0)
+        small = np.abs(c) < c_split[:, None]
+        if g is not None:
+            small &= g == 0.0
+        # sum_small w ln(1 - c z) = -sum_k q_k z^k / k, q_k = sum w c^k
+        cs = np.where(small, c, 0.0)
+        acc = np.where(small, w, 0.0) * cs
+        q = np.empty((v.size, _BULK_TERMS))
+        for k in range(_BULK_TERMS):
+            q[:, k] = acc.sum(axis=1)
+            acc *= cs
+        self.poly = -q / np.arange(1, _BULK_TERMS + 1)   # tau: z * z^(k-1)
+        self.dpoly = -q                                  # tau': z^(k-1)
+        keep = ~small
+        order = np.argsort(small, axis=1, kind="stable")
+        order = order[:, :keep.sum(axis=1).max()]
+        self.near = tuple(
+            None if x is None
+            else np.take_along_axis(np.where(keep, x, 0.0), order, axis=1)
+            for x in self.full)
+        self.width = order.shape[1]
+
+    def _near(self, z, p):
+        tau, dtau = _tau_terms(z, p, self.lam, *self.near)
+        zk = np.empty((z.size, _BULK_TERMS), dtype=complex)
+        zk[:, 0] = 1.0
+        zk[:, 1:] = z[:, None]
+        zk = np.cumprod(zk, axis=1)                    # z^0 .. z^59
+        tau += z * _rowdot(self.poly[p], zk)
+        dtau += _rowdot(self.dpoly[p], zk)
+        return tau, dtau
+
+    def __call__(self, z, p):
+        """tau and tau' at elements z of block pairs p."""
+        if not self.has_bulk:
+            return _tau_terms(z, p, self.lam, *self.full)
+        near = self.bulk[p] & (np.abs(z) <= self.z_top[p])
+        if near.all():
+            return self._near(z, p)
+        tau, dtau = np.empty_like(z), np.empty_like(z)
+        far = ~near
+        tau[far], dtau[far] = _tau_terms(z[far], p[far], self.lam, *self.full)
+        if near.any():
+            tau[near], dtau[near] = self._near(z[near], p[near])
+        return tau, dtau
+
+
+def _newton_tols(taus, z):
+    # Absolute floor plus roundoff allowance for large |z| evaluations.
+    return 1e-13 * np.maximum(1.0, taus) + 2e-14 * np.abs(z)
+
+
+def _newton(taus, z0, ev, p):
+    """Damped Newton for tau(z) = taus on the Im z > 0 branch.
+
+    Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau'.  A
+    sweep works on the unconverged elements only, and each step halving
+    (at most 30 trials) only on the elements whose trial left the upper
+    half plane or raised |residual|.  Returns z and the converged mask.
+    """
+    z = np.array(z0, dtype=complex)
+    tau, dtau = ev(z, p)
+    resid = tau - taus
+    for _ in range(NEWTON_MAX_ITER):
+        act = np.flatnonzero(np.abs(resid) > _newton_tols(taus, z))
+        if act.size == 0:
+            break
+        za, ra, ta, pa = z[act], resid[act], taus[act], p[act]
+        da = dtau[act]
+        step = -ra / np.where(np.abs(da) < 1e-300, 1e-300, da)
+        z_try = za + step
+        r_try, d_try = ev(z_try, pa)
+        r_try -= ta
+        bad = np.flatnonzero((z_try.imag <= 0.0)
+                             | (np.abs(r_try) > np.abs(ra)))
+        scale = 1.0
+        for _ in range(29):
+            if bad.size == 0:
+                break
+            scale *= 0.5
+            zb = za[bad] + scale * step[bad]
+            rb, db = ev(zb, pa[bad])
+            rb -= ta[bad]
+            z_try[bad], r_try[bad], d_try[bad] = zb, rb, db
+            bad = bad[(zb.imag <= 0.0) | (np.abs(rb) > np.abs(ra[bad]))]
+        ok = np.ones(act.size, dtype=bool)
+        ok[bad] = False
+        done = act[ok]
+        z[done], resid[done], dtau[done] = z_try[ok], r_try[ok], d_try[ok]
+    return z, np.abs(resid) <= _newton_tols(taus, z)
+
+
+def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
+    """Continuation in tau for one element of pair p, bisecting the step
+    on Newton failure."""
+    t, z = t_from, z_from
+    pa = np.array([p])
+    pending = [float(t_target)]
+    steps = 0
+    while pending:
+        tt = pending[-1]
+        guesses = []
+        if t > 0.0:
+            guesses += [z * (tt / t), z * math.sqrt(tt / t)]
+        guesses.append(1j * math.sqrt(2.0 * tt / r2))
+        for gz in guesses:
+            zz, ok = _newton(np.array([tt]), np.array([gz]), ev, pa)
+            if ok[0]:
+                z, t = complex(zz[0]), tt
+                pending.pop()
+                break
+        else:
+            steps += 1
+            if steps > budget or tt - t < 1e-12 * max(1.0, tt):
+                raise NoConvergence(f"tau continuation stalled near tau={tt}")
+            pending.append(0.5 * (t + tt))
+    return z
+
+
+def _invert_nodes(ev, t, r2, pairs, z0=None):
+    """z(tau) at every (pair, node t) element, shape (pairs, nodes).
+
+    Newton runs on all elements at once; a pair's failed node is continued
+    from the node before it.
+    """
+    n = t.size
+    p = np.repeat(pairs, n)
+    taus = np.tile(t, pairs.size)
+    if z0 is None:
+        z0 = 1j * np.sqrt(2.0 * taus / r2[p])
+    z, ok = _newton(taus, z0, ev, p)
+    z, ok = z.reshape(pairs.size, n), ok.reshape(pairs.size, n)
+    for i in np.flatnonzero(~ok.all(axis=1)):
+        z_prev, t_prev = 0j, 0.0
+        for j in range(n):
+            if not ok[i, j]:
+                try:
+                    z[i, j] = _march_to(ev, pairs[i], r2[pairs[i]],
+                                        float(t[j]), z_prev, t_prev)
+                except NoConvergence as exc:
+                    raise _at(exc, pairs[i])
+            z_prev, t_prev = complex(z[i, j]), float(t[j])
+    return z
+
+
+def _survival_block(v, tab, integrator, t, w):
+    s0, r2, phase0, left = _solve_saddles(v, tab)
+    with np.errstate(under="ignore"):
+        if integrator == "sp":
+            val = np.exp(phase0) / (v * np.sqrt(2.0 * math.pi * r2))
+        else:
+            ev = _TauRows(v, tab, s0, r2, float(t[-1]))
+            per = max(1, _BLOCK_ELEMENTS // (t.size * ev.width))
+            corr = np.empty(v.size)
+            for start in range(0, v.size, per):
+                pairs = np.arange(start, min(start + per, v.size))
+                z = _invert_nodes(ev, t, r2, pairs)
+                corr[pairs] = (z.imag / np.sqrt(t)) @ w
+            val = np.exp(phase0) / (math.pi * v) * corr
+    return _assemble(val, left)
+
+
+def _assemble(val, left):
+    """Survival from the tail integral: the complement on the left tail."""
+    return np.clip(np.where(left, 1.0 - val, val), 0.0, 1.0)
+
+
+def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
+                   order: int = DEFAULT_TAU_ORDER) -> np.ndarray:
+    """Survival at every pair (v[i], mgfs[rows[i]]) in one batched pass.
+
+    ``integrator`` is "sdp" (steepest-descent path, numerically exact) or
+    "sp" (basic saddle-point approximation).  Survival is exactly 1 at or
+    below an MGF's support shift.  A NoConvergence carries the index i of
+    its pair as ``exc.pair``.
+    """
+    mgfs = [_as_mgf(m) for m in mgfs]
+    v = np.asarray(v, dtype=float)
+    rows = np.asarray(rows, dtype=int)
+    shift = np.array([support_shift(m) for m in mgfs])
+    out = np.ones(v.size)
+    live = np.flatnonzero(v > shift[rows] * (1.0 + 1e-12))
+    if live.size == 0:
+        return out
+    width = 1 + max(_mgf_terms(m)[0].size for m in mgfs)
+    per = max(1, _BLOCK_ELEMENTS // width)
+    t, w = _kept_nodes(order)
+    for start in range(0, live.size, per):
+        blk = live[start:start + per]
+        try:
+            out[blk] = _survival_block(v[blk], _PoleTable(mgfs, rows[blk]),
+                                       integrator, t, w)
+        except NoConvergence as exc:
+            raise _at(exc, blk[exc.pair])
+    return out
 
 
 @dataclass
@@ -113,72 +533,17 @@ def phase(s, v: float, mgf, side: Side = Side.RIGHT_TAIL):
 
 
 def solve_saddle(v: float, mgf) -> SaddleState:
-    """Locate the real saddle of the survival/CDF phase and bundle path data.
-
-    The phase derivative f(s) = d ln M/ds - 1/s + v is strictly increasing on
-    each branch (the MGF is log-convex), so a bracketed Newton iteration with
-    bisection safeguard always converges.
-    """
+    """Locate the real saddle of the survival/CDF phase and bundle path data
+    for the exact reference phase ``tau_phase``."""
     if v <= 0.0:
         raise DegenerateV(f"power level v {v} must be positive")
     mgf = _as_mgf(mgf)
-    mean = mgf.mean
-    side = Side.RIGHT_TAIL if v >= mean else Side.LEFT_TAIL
-
-    def f(s):
-        return mgf.dlog(s) - 1.0 / s + v
-
-    if side is Side.RIGHT_TAIL:
-        lo = -(1.0 - 1e-12) / mgf.a_max
-        hi = 0.5 * lo
-        for _ in range(2000):
-            if f(hi) > 0.0:
-                break
-            lo = hi
-            hi *= 0.5
-        else:
-            raise NoConvergence("right-tail saddle bracket not found")
-    else:
-        lo = 1e-12
-        hi = 1.0
-        with np.errstate(over="ignore"):
-            for _ in range(60):
-                if f(hi) > 0.0:
-                    break
-                lo = hi
-                hi *= 2.0
-                if hi > 1e15:
-                    raise NoConvergence(
-                        "left-tail saddle beyond search range; v is at the "
-                        "lower support bound")
-            else:
-                raise NoConvergence("left-tail saddle bracket not found")
-
-    x = 0.5 * (lo + hi)
-    tol = 1e-11 * max(1.0, abs(v))
-    for _ in range(SADDLE_MAX_ITER):
-        fx = f(x)
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        if abs(fx) < tol:
-            break
-        fp = mgf.d2log(x) + 1.0 / (x * x)
-        step = fx / fp
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    else:
-        raise NoConvergence(f"saddle iteration stalled at v={v}")
-
-    s0 = x
-    r2 = (mgf.d2log(s0) + 1.0 / (s0 * s0)) / (v * v)
-    phase0 = float(mgf.log_mgf(s0)) - math.log(abs(s0)) + s0 * v
-    state = SaddleState(side, v, s0, r2, phase0, mean, mgf)
+    tab = _PoleTable([mgf], np.zeros(1, dtype=int))
+    s0, r2, phase0, left = _solve_saddles(np.array([float(v)]), tab)
+    s0 = float(s0[0])
+    side = Side.LEFT_TAIL if left[0] else Side.RIGHT_TAIL
+    state = SaddleState(side, v, s0, float(r2[0]), float(phase0[0]),
+                        mgf.mean, mgf)
 
     if isinstance(mgf, RationalMgf):
         c = np.where(mgf.a > 0.0, mgf.a / (v * (1.0 + mgf.a * s0)), 0.0)
@@ -233,214 +598,28 @@ def _tau_prime(z, state: SaddleState):
     return val
 
 
-class TauEvaluator:
-    """Exact tau/tau' with the small-coefficient bulk collapsed to power sums.
-
-    ln(1 - c z) terms with |c| below ratio/z_top are exactly representable by
-    their combined power-sum series over the inversion range |z| <= z_top,
-    leaving only the few large coefficients as true complex logs.  This keeps
-    large-M evaluations at O(#big + terms) instead of O(M) logarithms.
-    """
-
-    __slots__ = ("state", "z_top", "big_c", "big_wc", "big_cq", "big_wq",
-                 "poly", "dpoly")
-
-    def __init__(self, state: SaddleState, z_top: float, ratio: float = 0.5,
-                 terms: int = 60):
-        self.state = state
-        self.z_top = z_top
-        c_split = ratio / z_top
-        k = np.arange(1, terms + 1)
-
-        def split(vals, wts):
-            bulk = np.abs(vals) < c_split
-            p = (wts[bulk, None] * vals[bulk, None] ** k).sum(axis=0)
-            return vals[~bulk], wts[~bulk], p
-
-        kap = state.kappa
-        self.big_c, self.big_wc, p_c = split(state.c, state.wc)
-        self.big_cq, self.big_wq, p_q = split(state.cq, state.wq)
-        q_k = kap * p_c - (kap - 1) * p_q
-        # tau_bulk(z) = -sum_k q_k z^k / k ; derivative -sum_k q_k z^(k-1)
-        self.poly = -q_k / k
-        self.dpoly = -q_k
-
-    def _horner(self, coef, z):
-        out = np.zeros_like(z)
-        for a in coef[::-1]:
-            out = out * z + a
-        return out
-
-    def value(self, z, _state=None):
-        z = np.asarray(z, dtype=complex)
-        if np.max(np.abs(z)) > self.z_top:
-            return tau_phase(z, self.state)
-        kap = self.state.kappa
-        val = z + z * self._horner(self.poly, z)
-        val += kap * (np.log(1.0 - np.multiply.outer(z, self.big_c))
-                      @ self.big_wc)
-        if kap != 1:
-            val -= (kap - 1) * (np.log(1.0 - np.multiply.outer(z, self.big_cq))
-                                @ self.big_wq)
-        return val
-
-    def derivative(self, z, _state=None):
-        z = np.asarray(z, dtype=complex)
-        if np.max(np.abs(z)) > self.z_top:
-            return _tau_prime(z, self.state)
-        kap = self.state.kappa
-        val = 1.0 + self._horner(self.dpoly, z)
-        val -= kap * ((self.big_c / (1.0 - np.multiply.outer(z, self.big_c)))
-                      @ self.big_wc)
-        if kap != 1:
-            val += (kap - 1) * ((self.big_cq /
-                                 (1.0 - np.multiply.outer(z, self.big_cq)))
-                                @ self.big_wq)
-        return val
-
-
-def _exact_tau_fns(state: SaddleState, t_top: float):
-    """Pick the exact-phase evaluator pair for the node range [0, t_top]."""
-    if state.c is None or state.c.size < 24:
-        return tau_phase, _tau_prime
-    z_top = 1.5 * t_top + 8.0 / math.sqrt(state.r2) + 8.0
-    te = TauEvaluator(state, z_top)
-    return te.value, te.derivative
-
-
-def _kept_nodes(order: int):
-    t, w = _gl_half_nodes(order)
-    keep = w > 1e-24 * w.max()
-    return t[keep], w[keep]
-
-
-def _newton_tols(taus, z):
-    # Absolute floor plus roundoff allowance for large |z| evaluations.
-    return 1e-13 * np.maximum(1.0, taus) + 2e-14 * np.abs(z)
-
-
-def _newton_batch(taus, state, tau_fn, tau_prime_fn, z0):
-    """Damped Newton for tau(z) = tau on the Im z > 0 branch; only still-
-    active nodes are evaluated each sweep."""
-    z = np.array(z0, dtype=complex)
-    resid = tau_fn(z, state) - taus
-    for _ in range(NEWTON_MAX_ITER):
-        act = np.flatnonzero(np.abs(resid) > _newton_tols(taus, z))
-        if act.size == 0:
-            break
-        za, ra, ta = z[act], resid[act], taus[act]
-        d = tau_prime_fn(za, state)
-        d = np.where(np.abs(d) < 1e-300, 1e-300, d)
-        step = -ra / d
-        scale = np.ones(act.size)
-        for _ in range(30):
-            z_try = za + scale * step
-            r_try = tau_fn(z_try, state) - ta
-            bad = (z_try.imag <= 0.0) | (np.abs(r_try) > np.abs(ra))
-            if not bad.any():
-                break
-            scale = np.where(bad, 0.5 * scale, scale)
-        ok = (z_try.imag > 0.0) & (np.abs(r_try) <= np.abs(ra))
-        z[act[ok]] = z_try[ok]
-        resid[act[ok]] = r_try[ok]
-    return z, np.abs(resid) <= _newton_tols(taus, z)
-
-
-def _march_to(state, t_target, tau_fn, tau_prime_fn, z_from=0j, t_from=0.0,
-              budget=400):
-    """Adaptive continuation in tau with bisected steps on Newton failure."""
-    t, z = t_from, z_from
-    pending = [float(t_target)]
-    steps = 0
-    while pending:
-        tt = pending[-1]
-        guesses = []
-        if t > 0.0:
-            guesses += [z * (tt / t), z * math.sqrt(tt / t)]
-        guesses.append(1j * math.sqrt(2.0 * tt / state.r2))
-        solved = False
-        for gz in guesses:
-            zz, ok = _newton_batch(np.array([tt]), state, tau_fn,
-                                   tau_prime_fn, np.array([gz]))
-            if ok[0]:
-                z, t = complex(zz[0]), tt
-                pending.pop()
-                solved = True
-                break
-        if not solved:
-            steps += 1
-            if steps > budget or tt - t < 1e-12 * max(1.0, tt):
-                raise NoConvergence(f"tau continuation stalled near tau={tt}")
-            pending.append(0.5 * (t + tt))
-    return z
+def _state_ev(state: SaddleState, fn=tau_phase, dfn=_tau_prime):
+    """Element evaluator (tau, tau') over one state's phase functions."""
+    return lambda z, p: (fn(z, state), dfn(z, state))
 
 
 def invert_tau(tau, state: SaddleState):
     """Root z of tau(z) = tau on the steepest-descent branch (Im z > 0)."""
     if tau == 0.0:
         return 0.0 + 0.0j
-    taus = np.array([float(tau)])
-    z0 = 1j * np.sqrt(2.0 * taus / state.r2)
-    z, ok = _newton_batch(taus, state, tau_phase, _tau_prime, z0)
-    if ok[0]:
-        return complex(z[0])
-    return _march_to(state, float(tau), tau_phase, _tau_prime)
-
-
-def _invert_nodes(state, taus, tau_fn=tau_phase, tau_prime_fn=_tau_prime,
-                  z_init=None):
-    """Invert tau at all quadrature nodes; continuation fallback on failure."""
-    if z_init is None:
-        z_init = 1j * np.sqrt(2.0 * taus / state.r2)
-    z, ok = _newton_batch(taus, state, tau_fn, tau_prime_fn, z_init)
-    if ok.all():
-        return z
-    z_prev = 0.0 + 0.0j
-    t_prev = 0.0
-    for i, t in enumerate(taus):
-        if ok[i]:
-            z_prev, t_prev = complex(z[i]), float(t)
-            continue
-        z_prev = _march_to(state, float(t), tau_fn, tau_prime_fn,
-                           z_from=z_prev, t_from=t_prev)
-        t_prev = float(t)
-        z[i] = z_prev
-    return z
-
-
-def _assemble(state: SaddleState, correction: float) -> float:
-    with np.errstate(under="ignore"):
-        val = math.exp(state.phase0) / (math.pi * state.v) * correction
-    if state.side is Side.LEFT_TAIL:
-        val = 1.0 - val
-    return min(max(val, 0.0), 1.0)
+    z = _invert_nodes(_state_ev(state), np.array([float(tau)]),
+                      np.array([state.r2]), np.zeros(1, dtype=int))
+    return complex(z[0, 0])
 
 
 def survival_sdp(v: float, coeffs, order: int = DEFAULT_TAU_ORDER) -> float:
     """Steepest-descent-path survival: numerically exact for the given MGF."""
-    mgf = _as_mgf(coeffs)
-    if v <= support_shift(mgf) * (1.0 + 1e-12):
-        return 1.0
-    state = solve_saddle(v, mgf)
-    t, w = _kept_nodes(order)
-    tau_fn, tau_pr = _exact_tau_fns(state, float(t[-1]))
-    z = _invert_nodes(state, t, tau_fn, tau_pr)
-    corr = float(np.dot(w, z.imag / np.sqrt(t)))
-    return _assemble(state, corr)
+    return float(survival_pairs([v], [coeffs], [0], "sdp", order)[0])
 
 
 def survival_sp(v: float, coeffs) -> float:
     """Basic saddle-point approximation e^{Phi(s0)} / (v sqrt(2 pi r2))."""
-    mgf = _as_mgf(coeffs)
-    if v <= support_shift(mgf) * (1.0 + 1e-12):
-        return 1.0
-    state = solve_saddle(v, mgf)
-    with np.errstate(under="ignore"):
-        val = math.exp(state.phase0) / (state.v * math.sqrt(2.0 * math.pi
-                                                            * state.r2))
-    if state.side is Side.LEFT_TAIL:
-        val = 1.0 - val
-    return min(max(val, 0.0), 1.0)
+    return float(survival_pairs([v], [coeffs], [0], "sp")[0])
 
 
 @dataclass
@@ -595,18 +774,20 @@ def pade_survival(v: float, coeffs, quad_order: int = DEFAULT_TAU_ORDER) -> floa
     except PadePoleOnPath:
         return survival_sdp(v, mgf, quad_order)
     t, w = _kept_nodes(quad_order)
-    z = _invert_nodes(state, t, tau_fn=pp.value, tau_prime_fn=pp.derivative)
+    r2, pair = np.array([state.r2]), np.zeros(1, dtype=int)
+    z = _invert_nodes(_state_ev(state, pp.value, pp.derivative), t, r2,
+                      pair)[0]
     tol = 1e-8 * np.maximum(1.0, t)
     est = np.abs(pp.residual(z, 3) - pp.residual(z, 2))
     bad = est > 0.2 * tol
     if bad.any():
-        tau_fn, tau_pr = _exact_tau_fns(state, float(t[-1]))
-        resid = np.abs(tau_fn(z[bad], state) - t[bad])
+        resid = np.abs(tau_phase(z[bad], state) - t[bad])
         really_bad = resid > tol[bad]
         if really_bad.any():
             idx = np.flatnonzero(bad)[really_bad]
-            z_fix = _invert_nodes(state, t[idx], tau_fn, tau_pr,
-                                  z_init=z[idx])
-            z[idx] = z_fix
+            z[idx] = _invert_nodes(_state_ev(state), t[idx], r2, pair,
+                                   z0=z[idx])[0]
     corr = float(np.dot(w, z.imag / np.sqrt(t)))
-    return _assemble(state, corr)
+    with np.errstate(under="ignore"):
+        val = math.exp(state.phase0) / (math.pi * state.v) * corr
+    return float(_assemble(val, state.side is Side.LEFT_TAIL))

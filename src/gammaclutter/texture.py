@@ -17,7 +17,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import saddlepoint
-from .errors import ContourTooClose, InvalidShape, OrderTooLarge
+from .errors import (
+    ContourTooClose,
+    GammaClutterError,
+    InvalidShape,
+    NoConvergence,
+    OrderTooLarge,
+)
 from .mgf_core import (
     ScenarioContext,
     ScenarioParams,
@@ -29,6 +35,10 @@ from .mgf_core import (
 MAX_ORDER = 256
 HEAVY_TAIL_NU = 0.5
 HEAVY_TAIL_ORDER = 128
+# Largest power level an expanding tail search may reach.
+V_SEARCH_MAX = 1e6
+# Step halvings of the contour oracle's trapezoid rule.
+_ORACLE_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -117,22 +127,34 @@ def _node_mgfs(params, method, rule, ctx, fresh_eigen=False):
             for u in rule.nodes]
 
 
-def _node_survival(v, params, method, rule, ctx, order, mgfs=None):
-    """Speckle survival at each texture node."""
+def _node_survival(v_grid, params, method, rule, ctx, order, mgfs=None):
+    """Speckle survival at every (power level, texture node) pair.
+
+    Returns an array of shape (len(v_grid), rule.order) from one batched
+    inversion.  Without hoisted ``mgfs`` each power level builds its own
+    node MGFs, so the effective model decomposes its aggregated matrix once
+    per pair.
+    """
+    v_grid = np.asarray(v_grid, dtype=float)
+    n = rule.order
     if mgfs is None:
-        mgfs = _node_mgfs(params, method, rule, ctx, fresh_eigen=True)
-    out = np.empty(rule.order)
-    for i, (u, mgf) in enumerate(zip(rule.nodes, mgfs)):
-        try:
-            if method.integrator == "sp":
-                out[i] = saddlepoint.survival_sp(v, mgf)
-            else:
-                out[i] = saddlepoint.survival_sdp(v, mgf, order)
-        except Exception as exc:
+        mgfs = [m for _ in v_grid for m in
+                _node_mgfs(params, method, rule, ctx, fresh_eigen=True)]
+        rows = np.arange(v_grid.size * n)
+    else:
+        rows = np.tile(np.arange(n), v_grid.size)
+    v = np.repeat(v_grid, n)
+    try:
+        vals = saddlepoint.survival_pairs(v, mgfs, rows, method.integrator,
+                                          order)
+    except GammaClutterError as exc:
+        i = getattr(exc, "pair", None)
+        if i is not None:
             exc.args = (f"{exc.args[0] if exc.args else exc} "
-                        f"[at power level v={v}, texture node u={u}]",)
-            raise
-    return out
+                        f"[at power level v={v[i]}, texture node "
+                        f"u={rule.nodes[i % n]}]",)
+        raise
+    return vals.reshape(v_grid.size, n)
 
 
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
@@ -149,34 +171,32 @@ def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
         rule = gamma_texture_rule(params.nu, texture_order)
     if ctx is None:
         ctx = ScenarioContext(params)
-    vals = _node_survival(v, params, method, rule, ctx, tau_order)
+    vals = _node_survival([v], params, method, rule, ctx, tau_order)[0]
     return float(min(max(np.dot(rule.weights, vals), 0.0), 1.0))
 
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
                    rule=None, ctx=None, texture_order=32,
                    tau_order=saddlepoint.DEFAULT_TAU_ORDER) -> np.ndarray:
-    """compound_survival over a grid, reusing the per-node working set."""
+    """compound_survival over a grid, in one batched inversion."""
     if isinstance(method, str):
         method = Method.parse(method)
     if rule is None:
         rule = gamma_texture_rule(params.nu, texture_order)
     if ctx is None:
         ctx = ScenarioContext(params)
+    v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
+    out = np.ones(v_grid.size)
+    pos = v_grid > 0.0
     # The effective model re-solves its per-node eigenproblem at every
     # power level (the cost the commuting approximations exist to avoid);
-    # their u-independent working sets are hoisted out of the loop.
+    # their u-independent working sets are built once.
     hoisted = None
     if params.steady or method.scheme is not Scheme.EFFECTIVE:
         hoisted = _node_mgfs(params, method, rule, ctx)
-    out = np.empty(len(np.atleast_1d(v_grid)))
-    for i, v in enumerate(np.asarray(v_grid, dtype=float)):
-        if v <= 0.0:
-            out[i] = 1.0
-            continue
-        vals = _node_survival(float(v), params, method, rule, ctx,
-                              tau_order, hoisted)
-        out[i] = min(max(float(np.dot(rule.weights, vals)), 0.0), 1.0)
+    vals = _node_survival(v_grid[pos], params, method, rule, ctx, tau_order,
+                          hoisted)
+    out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out
 
 
@@ -240,7 +260,7 @@ def bromwich_oracle(v: float, params: ScenarioParams, u: float,
 
     h_step = math.pi / (20.0 * (1.0 + v + abs(c)))
     prev = None
-    for _ in range(12):
+    for _ in range(_ORACLE_HALVINGS):
         total = 0.5 * envelope(np.array([0.0]))[0].real
         t0 = h_step
         chunk = 4096
@@ -264,7 +284,8 @@ def bromwich_oracle(v: float, params: ScenarioParams, u: float,
             return float(min(max(est, 0.0), 1.0))
         prev = est
         h_step *= 0.5
-    return float(min(max(prev, 0.0), 1.0))
+    raise NoConvergence(f"contour oracle at v={v}, u={u} did not reach "
+                        f"tol={tol} in {_ORACLE_HALVINGS} step halvings")
 
 
 class SurvivalInterpolator:
@@ -304,8 +325,9 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     hi = 1.0 + params.S
     while compound_survival(hi, params, method, rule, ctx) > sf_floor:
         hi *= 1.4
-        if hi > 1e6:
-            break
+        if hi > V_SEARCH_MAX:
+            raise NoConvergence(f"survival stays above sf_floor={sf_floor} "
+                                f"up to v={V_SEARCH_MAX:g}")
     grid = np.linspace(0.0, hi, n_points)
     vals = survival_curve(grid[1:], params, method, rule, ctx)
     log_sf = np.concatenate(([0.0], np.log(np.clip(vals, 1e-300, 1.0))))

@@ -116,3 +116,13 @@ def test_exit_codes(tmp_path):
     scen3 = write_scenario(tmp_path)
     assert cli.main(["survival", "--scenario", scen3,
                      "--methods", "bogus-sdp"]) == cli.EXIT_CONFIG
+
+
+def test_bench_vmax_raises_beyond_search_range():
+    from gammaclutter.errors import NoConvergence
+    from gammaclutter.mgf_core import ScenarioContext, scenario
+    from gammaclutter.texture import gamma_texture_rule
+    # exponential survival with mean 2e5: still e^-4.5 at v = 9e5
+    p = scenario(M=1, kappa=1, S=2e5, q=0.0, nu=np.inf)
+    with pytest.raises(NoConvergence):
+        cli._bench_vmax(p, gamma_texture_rule(p.nu), ScenarioContext(p))

@@ -6,7 +6,7 @@ from scipy.special import gammaincc
 
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
-from gammaclutter.errors import DegenerateV
+from gammaclutter.errors import DegenerateV, NoConvergence
 
 
 def fig_scenario():
@@ -188,3 +188,127 @@ def test_steady_phase_survival_matches_closed_form():
     for v in (1.0, 4.6, 5.5, 8.0, 12.0):
         want = mc.effsw0_survival(v, S, M)
         assert sp.survival_sdp(v, co) == pytest.approx(want, abs=1e-10)
+
+
+def test_log_kernel_matches_numpy_complex_log():
+    # real z beyond a pole (1 - c z < 0) with both signed zeros, c = 0,
+    # negative c (the right-tail 1/(s0 v) term) and generic points
+    zs = np.array([2.5 + 0.0j, complex(2.5, -0.0), -3.0 + 0.0j,
+                   complex(-3.0, -0.0), 0.3 + 0.8j, 1.7 - 0.2j, -0.4 - 2.5j,
+                   1e-9j, 40.0 + 3.0j])
+    cs = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.3, 0.01, 3.0])
+    x, y = zs.real[:, None], zs.imag[:, None]
+    lr, li = sp._log1m(*sp._one_minus(cs, x, y))
+    ref = np.log(1.0 - np.multiply.outer(zs, cs))
+    assert np.max(np.abs(lr - ref.real)) <= 1e-15
+    assert np.max(np.abs(li - ref.imag)) <= 1e-15
+    assert np.array_equal(np.signbit(li), np.signbit(ref.imag))
+
+
+def _mixed_batch():
+    """(v, mgf) pairs over kappa 1, 2, inf, M 1..100, q 0 and 1, all three
+    schemes and both tails; the rows differ in width, so padding is used."""
+    pairs = []
+    for M, kappa, q, scheme in ((1, 1, 0.0, mc.Scheme.EFFECTIVE),
+                                (2, 2, 1.0, mc.Scheme.DMG),
+                                (10, 2, 1.0, mc.Scheme.EFFECTIVE),
+                                (10, math.inf, 0.0, mc.Scheme.DIAGONAL),
+                                (10, math.inf, 1.0, mc.Scheme.EFFECTIVE),
+                                (100, 2, 1.0, mc.Scheme.EFFECTIVE),
+                                (100, 1, 0.0, mc.Scheme.DIAGONAL)):
+        p = mc.scenario(M=M, kappa=kappa, S=3.0, q=q, nu=2.0,
+                        rho_c=0.75, rho_s=0.9)
+        if p.steady:
+            mgf = mc.steady_coeffs(p, 1.3, scheme).as_mgf()
+        else:
+            mgf = mc.speckle_coeffs(p, 1.3, scheme).as_mgf()
+        for frac in (0.6, 0.95, 1.4, 2.5):     # both sides of the mean
+            pairs.append((frac * mgf.mean, mgf))
+    return pairs
+
+
+@pytest.mark.parametrize("integrator", ["sdp", "sp"])
+def test_batch_equals_one_pair_calls(integrator):
+    pairs = _mixed_batch()
+    mgfs = [m for _, m in pairs]
+    v = np.array([x for x, _ in pairs])
+    got = sp.survival_pairs(v, mgfs, np.arange(len(pairs)), integrator)
+    one = sp.survival_sdp if integrator == "sdp" else sp.survival_sp
+    want = np.array([one(x, m) for x, m in pairs])
+    assert np.all((got > 0.0) & (got < 1.0))
+    assert np.max(np.abs(got - want)) <= 1e-14
+    # the same pairs reversed, and with each MGF given once for its 4 v
+    rev = sp.survival_pairs(v[::-1], mgfs[::-1], np.arange(len(pairs)),
+                            integrator)
+    assert np.max(np.abs(rev[::-1] - want)) <= 1e-14
+    shared = sp.survival_pairs(v, mgfs[::4],
+                               np.repeat(np.arange(len(pairs) // 4), 4),
+                               integrator)
+    assert np.max(np.abs(shared - want)) <= 1e-14
+
+
+def test_march_fallback_inside_batch_matches(monkeypatch):
+    pairs = _mixed_batch()
+    mgfs = [m for _, m in pairs]
+    v = np.array([x for x, _ in pairs])
+    rows = np.arange(len(pairs))
+    want = sp.survival_pairs(v, mgfs, rows)
+    calls = []
+    march = sp._march_to
+    monkeypatch.setattr(sp, "_march_to",
+                        lambda *a, **k: calls.append(1) or march(*a, **k))
+    monkeypatch.setattr(sp, "NEWTON_MAX_ITER", 3)
+    got = sp.survival_pairs(v, mgfs, rows)
+    assert len(calls) > 100
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_batch_failure_names_its_pair(monkeypatch):
+    pairs = _mixed_batch()
+    monkeypatch.setattr(sp, "SADDLE_MAX_ITER", 0)
+    with pytest.raises(NoConvergence) as err:
+        sp.survival_pairs([x for x, _ in pairs], [m for _, m in pairs],
+                          np.arange(len(pairs)))
+    assert err.value.pair == 0
+
+
+def test_tau_rows_match_exact_phase_near_and_far():
+    # M=100 takes the power-series bulk for |z| <= z_top and the full row
+    # beyond it; the steady row carries the g z / (1 - c z) terms
+    for M, kappa in ((100, 2), (100, 1), (10, math.inf)):
+        p = mc.scenario(M=M, kappa=kappa, S=3.0, q=0.8, nu=2.0,
+                        rho_c=0.75, rho_s=0.9)
+        co = (mc.steady_coeffs(p, 0.7) if p.steady
+              else mc.speckle_coeffs(p, 0.7))
+        mgf = co.as_mgf()
+        for v in (0.7 * mgf.mean, 1.6 * mgf.mean):
+            st = sp.solve_saddle(v, mgf)
+            tab = sp._PoleTable([mgf], np.zeros(1, dtype=int))
+            s0, r2, _, _ = sp._solve_saddles(np.array([v]), tab)
+            t_top = float(sp._kept_nodes(sp.DEFAULT_TAU_ORDER)[0][-1])
+            rows = sp._TauRows(np.array([v]), tab, s0, r2, t_top)
+            assert rows.has_bulk == (M == 100)
+            top = rows.z_top[0] if rows.has_bulk else 10.0
+            z = np.array([0.3j, 0.4 * top * (0.2 + 1j), 0.9 * top * 1j,
+                          1.5 * top * (0.1 + 1j), 3.0 * top * 1j])
+            tau, dtau = rows(z, np.zeros(z.size, dtype=int))
+            ref, dref = sp.tau_phase(z, st), sp._tau_prime(z, st)
+            assert np.all(np.abs(tau - ref) <= 1e-12 * np.maximum(1.0, abs(ref)))
+            assert np.all(np.abs(dtau - dref)
+                          <= 1e-12 * np.maximum(1.0, abs(dref)))
+
+
+def test_newton_step_halving_recovers_poor_starts():
+    # full Newton steps from these starts leave the upper half plane or
+    # raise the residual; only the step halving brings them in
+    p = fig_scenario()
+    st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0).as_mgf())
+    t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
+    ev = sp._state_ev(st)
+    leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
+    want = np.array([sp.invert_tau(float(x), st) for x in t])
+    for scale, re in ((0.05, 0.0), (0.2, 1.0), (3.0, -1.0)):
+        z0 = scale * (re + 1j) * leading
+        z, ok = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
+        assert ok.all() and np.all(z.imag > 0.0)
+        assert np.max(np.abs(z - want)) <= 1e-10 * np.max(np.abs(want))

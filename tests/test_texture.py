@@ -6,7 +6,7 @@ import pytest
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.errors import InvalidShape, OrderTooLarge
+from gammaclutter.errors import InvalidShape, NoConvergence, OrderTooLarge
 
 from oracles import gamma_moment
 
@@ -140,3 +140,60 @@ def test_survival_interpolator_accuracy():
     v = np.linspace(0, 30, 500)
     out = sf(v)
     assert np.all(np.diff(out) <= 1e-12)
+
+
+def test_survival_curve_equals_per_level_calls():
+    p = mc.scenario(M=12, kappa=3, S=2.0, q=0.8, nu=3.0,
+                    rho_c=0.6, rho_s=0.9)
+    rule = tx.gamma_texture_rule(p.nu, 8)
+    grid = np.array([0.0, 0.7, 2.0, 3.0, 5.5, 9.0])
+    for method in ("eff-sdp", "dmg-sp", "diag-sdp"):
+        curve = tx.survival_curve(grid, p, method, rule, mc.ScenarioContext(p))
+        single = [tx.compound_survival(v, p, method, rule,
+                                       mc.ScenarioContext(p)) for v in grid]
+        assert np.max(np.abs(curve - single)) <= 1e-14
+        assert tx.survival_curve([0.0, -1.0], p, method, rule).tolist() == \
+            [1.0, 1.0]
+
+
+def test_curve_march_fallback_matches(monkeypatch):
+    p = mc.scenario(M=10, kappa=2, S=3.0, q=0.7, nu=2.0,
+                    rho_c=0.6, rho_s=0.9)
+    rule = tx.gamma_texture_rule(p.nu, 4)
+    grid = np.array([0.5, 2.0, 4.0, 9.0])
+    want = tx.survival_curve(grid, p, "eff-sdp", rule, mc.ScenarioContext(p))
+    calls = []
+    march = sp._march_to
+    monkeypatch.setattr(sp, "_march_to",
+                        lambda *a, **k: calls.append(1) or march(*a, **k))
+    monkeypatch.setattr(sp, "NEWTON_MAX_ITER", 3)
+    got = tx.survival_curve(grid, p, "eff-sdp", rule, mc.ScenarioContext(p))
+    assert len(calls) > 100
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_failure_names_power_level_and_node(monkeypatch):
+    p = mc.scenario(M=6, kappa=2, S=2.0, q=0.9, nu=2.0,
+                    rho_c=0.5, rho_s=0.7)
+    rule = tx.gamma_texture_rule(p.nu, 4)
+    monkeypatch.setattr(sp, "SADDLE_MAX_ITER", 0)
+    with pytest.raises(NoConvergence,
+                       match=rf"v=4\.0, texture node u={rule.nodes[0]}\]"):
+        tx.survival_curve([4.0, 6.0], p, "eff-sdp", rule)
+
+
+def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
+    # three halvings cannot bring successive estimates within 1e-30; the
+    # default twelve would take minutes to find that out
+    p = mc.scenario(M=4, kappa=3, S=0.0, q=0.0, nu=np.inf)
+    monkeypatch.setattr(tx, "_ORACLE_HALVINGS", 3)
+    with pytest.raises(NoConvergence, match="3 step halvings"):
+        tx.bromwich_oracle(1.0, p, 1.0, tol=1e-30)
+
+
+def test_survival_interpolator_raises_beyond_search_range():
+    # S = 50 dB: the exponential survival is still e^-7.5 at v = 7.5e5,
+    # the last level the expanding search reaches below 1e6
+    p = mc.scenario(M=1, kappa=1, S=1e5, q=0.0, nu=np.inf)
+    with pytest.raises(NoConvergence):
+        tx.survival_interpolator(p, "eff-sp")
