@@ -37,7 +37,6 @@ from .gof_stats import (
     ks_ensemble,
     ks_report,
     ks_statistic,
-    perturb_sf,
     power_study,
 )
 from .mgf_core import (
@@ -64,8 +63,6 @@ from .mgf_core import (
 from .saddlepoint import (
     SaddleState,
     Side,
-    invert_tau,
-    pade_survival,
     phase,
     solve_saddle,
     survival_sdp,

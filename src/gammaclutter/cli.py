@@ -22,14 +22,11 @@ from .errors import (
     InvalidShape,
     NoConvergence,
 )
-from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams
+from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams, scenario
 from .texture import Method, gamma_texture_rule
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-BENCH_METHODS = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp",
-                 "diag-sdp", "diag-sp")
 
 
 def _fmt(x: float) -> str:
@@ -189,11 +186,11 @@ def _bench_vmax(params, rule, ctx) -> float:
 
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
-    times = {m: [] for m in BENCH_METHODS}
-    abs_dev = {m: [] for m in BENCH_METHODS}
-    rel_dev = {m: [] for m in BENCH_METHODS}
+    names = [m.name for m in texture.ALL_METHODS]
+    times = {m: [] for m in names}
+    abs_dev = {m: [] for m in names}
+    rel_dev = {m: [] for m in names}
     for _ in range(args.draws):
-        from .mgf_core import scenario
         params = scenario(M=args.M, kappa=2,
                           S=rng.uniform(1.0, 10.0),
                           q=rng.uniform(0.5, 1.0),
@@ -204,7 +201,7 @@ def cmd_bench(args) -> int:
         grid = np.linspace(0.0, _bench_vmax(params, rule, ctx),
                            args.grid_points + 1)[1:]
         ref = None
-        for m in BENCH_METHODS:
+        for m in names:
             ctx_timed = ScenarioContext(params)   # pay eigen cost per method
             t0 = time.perf_counter()
             curve = texture.survival_curve(grid, params, m, rule, ctx_timed)
@@ -219,7 +216,7 @@ def cmd_bench(args) -> int:
     lines = [f"# bench: draws={args.draws} M={args.M} grid={args.grid_points} "
              f"seed={args.seed}",
              "method,mean_time_s,max_abs_dev,max_rel_dev"]
-    for m in BENCH_METHODS:
+    for m in names:
         t = float(np.mean(times[m]))
         ad = float(np.mean(abs_dev[m])) if abs_dev[m] else float("nan")
         rd = float(np.mean(rel_dev[m])) if rel_dev[m] else float("nan")

@@ -172,14 +172,8 @@ def eigen_decompose(matrix: np.ndarray,
 
 
 def eigen_system(spec: CorrelationSpec) -> EigenSystem:
-    """Build and decompose in one step, routing degenerate specs exactly."""
-    if spec.is_identity:
-        return EigenSystem(np.ones(spec.M), np.eye(spec.M), spec,
-                           is_identity=True)
-    if spec.is_all_ones:
-        vals = np.zeros(spec.M)
-        vals[-1] = float(spec.M)
-        return EigenSystem(vals, _fix_signs(_helmert(spec.M)), spec)
+    """Build and decompose in one step; degenerate specs build the exact
+    identity or all-ones matrix, which ``eigen_decompose`` routes exactly."""
     return eigen_decompose(build_matrix(spec), spec)
 
 

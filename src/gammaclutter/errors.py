@@ -41,14 +41,6 @@ class DegenerateV(GammaClutterError):
     """Power level v <= 0 passed to a saddle-point routine."""
 
 
-class BranchJump(GammaClutterError):
-    """Complex Newton iterate crossed the real axis and could not recover."""
-
-
-class PadePoleOnPath(GammaClutterError):
-    """Pade approximant of the tau residual has a pole inside the inversion range."""
-
-
 class InvalidShape(GammaClutterError):
     """Texture shape parameter must be positive."""
 

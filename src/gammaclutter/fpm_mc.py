@@ -20,7 +20,6 @@ identical no matter how streams are distributed over threads.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +29,12 @@ from .corrmodel import loading_matrix
 from .errors import InvalidScenario
 from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams
 
-_MAGIC = b"FPMC"
-_VERSION = 1
-
 
 @dataclass(frozen=True)
 class McConfig:
     n_samples: int
     seed: int
     params: ScenarioParams
-    antithetic: bool = False
     # loading convention for a degenerate (uncorrelated) target spectrum:
     # "limit" (vanishing-correlation eigenbasis), "identity", or "clutter"
     target_rotation: str = "limit"
@@ -47,8 +42,6 @@ class McConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise InvalidScenario("n_samples must be >= 1")
-        if self.antithetic and self.n_samples % 2 != 0:
-            raise InvalidScenario("antithetic pairing needs even n_samples")
         if self.target_rotation not in ("limit", "identity", "clutter"):
             raise InvalidScenario(
                 f"unknown target rotation '{self.target_rotation}'")
@@ -73,10 +66,9 @@ def _rng(seed: int, stream: int = 0) -> Generator:
                             counter=[0, 0, 0, int(stream)]))
 
 
-def _color(H, spec_c, eig_c):
-    """Colour white unit-variance components H (..., M) with the clutter
-    correlation: the AR(1) recursion for Gauss-Markov rows, the loading
-    matrix otherwise."""
+def _clutter_speckle(rng, n, M, spec_c, eig_c):
+    """(n, 2, M) unit-variance correlated clutter quadrature components."""
+    H = rng.standard_normal((n, 2, M))
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
         if rho == 0.0:
@@ -84,15 +76,10 @@ def _color(H, spec_c, eig_c):
         X = np.empty_like(H)
         X[..., 0] = H[..., 0]
         fac = math.sqrt(1.0 - rho * rho)
-        for m in range(1, H.shape[-1]):
+        for m in range(1, M):
             X[..., m] = rho * X[..., m - 1] + fac * H[..., m]
         return X
     return H @ loading_matrix(eig_c)
-
-
-def _clutter_speckle(rng, n, M, spec_c, eig_c):
-    """(n, 2, M) unit-variance correlated clutter quadrature components."""
-    return _color(rng.standard_normal((n, 2, M)), spec_c, eig_c)
 
 
 def _target_quadrature(rng, n, M, kappa, L_s):
@@ -140,48 +127,10 @@ def simulate_returns(config: McConfig, stream: int = 0,
         ctx = ScenarioContext(config.params)
     rng = _rng(config.seed, stream)
     n = config.n_samples
-    if config.antithetic:
-        half = n // 2
-        z = _antithetic_block(rng, half, config.params, ctx,
-                              config.target_rotation)
-    else:
-        z = _draw_block(rng, n, config.params, ctx, gaussian_target,
-                        config.target_rotation)
+    z = _draw_block(rng, n, config.params, ctx, gaussian_target,
+                    config.target_rotation)
     z.sort()
     return EmpiricalDistribution(z, n)
-
-
-def _antithetic_block(rng, half, params, ctx, target_rotation="limit"):
-    """Mirror the sign-symmetric draws (normals, Rademacher) in pairs.
-
-    The texture and gamma magnitudes are shared within a pair; only the
-    signed components flip, which preserves every marginal distribution.
-    """
-    M, S, q, nu = params.M, params.S, params.q, params.nu
-    U = np.ones(half) if nu == math.inf else rng.standard_gamma(nu, half) / nu
-    Hn = rng.standard_normal((half, 2, M)) if q < 1.0 else None
-    Hc = rng.standard_normal((half, 2, M)) if q > 0.0 else None
-    if S > 0.0:
-        signs = 2.0 * rng.integers(0, 2, size=(half, 2, M)).astype(float) - 1.0
-        if params.kappa == KAPPA_INF:
-            mag = np.ones((half, 2, M))
-        else:
-            mag = np.sqrt(rng.standard_gamma(params.kappa / 2.0,
-                                             (half, 2, M))
-                          * (2.0 / params.kappa))
-    out = []
-    for flip in (1.0, -1.0):
-        total = np.zeros((half, 2, M))
-        if Hn is not None:
-            total += math.sqrt(1.0 - q) * flip * Hn
-        if Hc is not None:
-            X = _color(flip * Hc, params.spec_c, ctx.eig_c)
-            total += np.sqrt(q * U)[:, None, None] * X
-        if S > 0.0:
-            Y = flip * signs * mag
-            total += math.sqrt(S) * (Y @ ctx.fp_loading(target_rotation))
-        out.append(np.sum(total * total, axis=(1, 2)) / (2.0 * M))
-    return np.concatenate(out)
 
 
 def simulate_gaussian_target_channel(config: McConfig,
@@ -202,25 +151,3 @@ def empirical_survival(dist: EmpiricalDistribution, v) -> float | np.ndarray:
     out = (dist.n - idx) / dist.n
     return float(out) if np.ndim(v) == 0 else out
 
-
-def dump_samples(path, dist: EmpiricalDistribution, M: int, seed: int):
-    """Raw-sample dump: little-endian header (magic, version, n, M, seed)
-    followed by float64 samples."""
-    header = _MAGIC + struct.pack("<IQIQ", _VERSION, dist.n, M, seed)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(dist.sorted_samples.astype("<f8").tobytes())
-
-
-def load_samples(path):
-    """Read a dump back: returns (EmpiricalDistribution, meta dict)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, n, M, seed = struct.unpack("<IQIQ", fh.read(24))
-        if version != _VERSION:
-            raise ValueError(f"unsupported version {version}")
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-    dist = EmpiricalDistribution(np.sort(data), n)
-    return dist, {"version": version, "n": n, "M": M, "seed": seed}

@@ -179,10 +179,6 @@ class PerturbedSF:
         return np.asarray(self.sf(x), dtype=float) ** (1.0 + self.eps)
 
 
-def perturb_sf(sf, eps: float) -> PerturbedSF:
-    return PerturbedSF(sf, eps)
-
-
 def delta_max(eps: float) -> float:
     """Peak difference sup_x |sf - sf^(1+eps)| = eps (1/(1+eps))^(1+1/eps)."""
     if eps == 0.0:

@@ -218,11 +218,6 @@ class SpeckleCoefficients:
             raise InvalidScenario("speckle coefficients must be nonnegative")
 
     @property
-    def sum_rule_gap(self) -> float:
-        """sum(a - aq) minus S/kappa reconstructed from the coefficients."""
-        return float(np.sum(self.a - self.aq))
-
-    @property
     def mean(self) -> float:
         return float(self.kappa * self.a.sum() - (self.kappa - 1) * self.aq.sum())
 
@@ -305,11 +300,6 @@ def steady_coeffs(params: ScenarioParams, u: float,
     return SteadyCoefficients(a, b, S, float(u), scheme.value)
 
 
-def node_mean(params: ScenarioParams, u: float) -> float:
-    """Mean of the speckle distribution at texture value u: 1 - q + q u + S."""
-    return 1.0 - params.q + params.q * u + params.S
-
-
 def _log1p_outer(coef, s):
     """log(1 + coef_m * s) summed over m, for scalar or array s."""
     s = np.asarray(s)
@@ -356,13 +346,6 @@ class RationalMgf:
             val += (k - 1) * np.dot(self.wq, self.aq / (1.0 + self.aq * s))
         return val
 
-    def d2log(self, s):
-        k = self.kappa
-        val = k * np.dot(self.wa, (self.a / (1.0 + self.a * s)) ** 2)
-        if k != 1:
-            val -= (k - 1) * np.dot(self.wq, (self.aq / (1.0 + self.aq * s)) ** 2)
-        return val
-
 
 class SteadyMgf:
     """ln M(s) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)]."""
@@ -391,12 +374,6 @@ class SteadyMgf:
         with np.errstate(over="ignore"):
             d = 1.0 + self.a * s
             return float(-np.sum(self.a / d) - self.S * np.sum(self.b / d ** 2))
-
-    def d2log(self, s):
-        with np.errstate(over="ignore"):
-            d = 1.0 + self.a * s
-            return float(np.sum((self.a / d) ** 2)
-                         + 2.0 * self.S * np.sum(self.b * self.a / d ** 3))
 
 
 def mgf_eval(coeffs, s):

@@ -44,9 +44,7 @@ signed zeros.
 
 ``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
 of the same engine; ``tau_phase`` and its derivative keep the exact log
-form as the reference.  A Pade-compressed tau phase (explicit extreme
-poles, diagonal approximant of the residual series, exact-phase
-validation) is also provided; no production path uses it.
+form as the reference.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_genlaguerre
 
-from .errors import DegenerateV, NoConvergence, PadePoleOnPath
+from .errors import DegenerateV, NoConvergence
 from .mgf_core import RationalMgf, SteadyMgf
 
 DEFAULT_TAU_ORDER = 48
@@ -98,14 +96,9 @@ def support_shift(mgf) -> float:
 
 
 @lru_cache(maxsize=16)
-def _gl_half_nodes(order: int):
+def _kept_nodes(order: int):
     # Weight sqrt(tau) e^{-tau} on [0, inf); alpha = 1/2 generalized Laguerre.
     t, w = roots_genlaguerre(order, 0.5)
-    return t, w
-
-
-def _kept_nodes(order: int):
-    t, w = _gl_half_nodes(order)
     keep = w > 1e-24 * w.max()
     return t[keep], w[keep]
 
@@ -415,7 +408,7 @@ def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
     return z
 
 
-def _invert_nodes(ev, t, r2, pairs, z0=None):
+def _invert_nodes(ev, t, r2, pairs):
     """z(tau) at every (pair, node t) element, shape (pairs, nodes).
 
     Newton runs on all elements at once; a pair's failed node is continued
@@ -424,9 +417,7 @@ def _invert_nodes(ev, t, r2, pairs, z0=None):
     n = t.size
     p = np.repeat(pairs, n)
     taus = np.tile(t, pairs.size)
-    if z0 is None:
-        z0 = 1j * np.sqrt(2.0 * taus / r2[p])
-    z, ok = _newton(taus, z0, ev, p)
+    z, ok = _newton(taus, 1j * np.sqrt(2.0 * taus / r2[p]), ev, p)
     z, ok = z.reshape(pairs.size, n), ok.reshape(pairs.size, n)
     for i in np.flatnonzero(~ok.all(axis=1)):
         z_prev, t_prev = 0j, 0.0
@@ -598,18 +589,9 @@ def _tau_prime(z, state: SaddleState):
     return val
 
 
-def _state_ev(state: SaddleState, fn=tau_phase, dfn=_tau_prime):
-    """Element evaluator (tau, tau') over one state's phase functions."""
-    return lambda z, p: (fn(z, state), dfn(z, state))
-
-
-def invert_tau(tau, state: SaddleState):
-    """Root z of tau(z) = tau on the steepest-descent branch (Im z > 0)."""
-    if tau == 0.0:
-        return 0.0 + 0.0j
-    z = _invert_nodes(_state_ev(state), np.array([float(tau)]),
-                      np.array([state.r2]), np.zeros(1, dtype=int))
-    return complex(z[0, 0])
+def _state_ev(state: SaddleState):
+    """Element evaluator (tau, tau') over one state's exact phase."""
+    return lambda z, p: (tau_phase(z, state), _tau_prime(z, state))
 
 
 def survival_sdp(v: float, coeffs, order: int = DEFAULT_TAU_ORDER) -> float:
@@ -620,174 +602,3 @@ def survival_sdp(v: float, coeffs, order: int = DEFAULT_TAU_ORDER) -> float:
 def survival_sp(v: float, coeffs) -> float:
     """Basic saddle-point approximation e^{Phi(s0)} / (v sqrt(2 pi r2))."""
     return float(survival_pairs([v], [coeffs], [0], "sp")[0])
-
-
-@dataclass
-class PadePhase:
-    """Compressed tau phase: explicit logs plus a diagonal Pade residual."""
-
-    state: SaddleState
-    c0: float
-    cbar: float
-    cqbar: float
-    c_top: float
-    cq_top: float
-    w_pool: float
-    num: np.ndarray      # residual numerator coefficients (z^2, z^3)
-    den: np.ndarray      # residual denominator [1, d1, d2, d3]
-    num2: np.ndarray = None   # lower-order (2,2) variant for error estimates
-    den2: np.ndarray = None
-
-    def residual(self, z, order=3):
-        z = np.asarray(z, dtype=complex)
-        if order == 3:
-            num = z * z * (self.num[0] + self.num[1] * z)
-            den = 1.0 + z * (self.den[1] + z * (self.den[2]
-                                                + z * self.den[3]))
-        else:
-            num = z * z * self.num2[0]
-            den = 1.0 + z * (self.den2[1] + z * self.den2[2])
-        return num / den
-
-    def value(self, z, _state=None):
-        z = np.asarray(z, dtype=complex)
-        k = self.state.kappa
-        w = self.w_pool
-        val = z + np.log(1.0 - self.c0 * z)
-        val += k * (w * np.log(1.0 - self.cbar * z)
-                    + np.log(1.0 - self.c_top * z))
-        val -= (k - 1) * (w * np.log(1.0 - self.cqbar * z)
-                          + np.log(1.0 - self.cq_top * z))
-        z2 = z * z
-        num = z2 * (self.num[0] + self.num[1] * z)
-        den = 1.0 + z * (self.den[1] + z * (self.den[2] + z * self.den[3]))
-        return val + num / den
-
-    def derivative(self, z, _state=None):
-        z = np.asarray(z, dtype=complex)
-        k = self.state.kappa
-        w = self.w_pool
-        val = 1.0 - self.c0 / (1.0 - self.c0 * z)
-        val -= k * (w * self.cbar / (1.0 - self.cbar * z)
-                    + self.c_top / (1.0 - self.c_top * z))
-        val += (k - 1) * (w * self.cqbar / (1.0 - self.cqbar * z)
-                          + self.cq_top / (1.0 - self.cq_top * z))
-        num = z * z * (self.num[0] + self.num[1] * z)
-        dnum = z * (2.0 * self.num[0] + 3.0 * self.num[1] * z)
-        den = 1.0 + z * (self.den[1] + z * (self.den[2] + z * self.den[3]))
-        dden = self.den[1] + z * (2.0 * self.den[2] + 3.0 * self.den[3] * z)
-        return val + (dnum * den - num * dden) / (den * den)
-
-
-def _split_top(values, weights):
-    """Remove one multiplicity unit of the largest coefficient from the pool."""
-    top = values[-1]
-    w = weights.copy()
-    w[-1] -= 1.0
-    pool_w = w.sum()
-    pool_mean = float(np.dot(w, values) / pool_w) if pool_w > 0 else 0.0
-    return top, pool_mean, pool_w, w
-
-
-def _pade_22(rho):
-    if abs(rho[0]) < 1e-290:
-        return np.zeros(1), np.array([1.0, 0.0, 0.0])
-    d1 = -rho[1] / rho[0]
-    d2 = -(rho[2] + d1 * rho[1]) / rho[0]
-    return np.array([rho[0]]), np.array([1.0, d1, d2])
-
-
-def _pade_residual(rbar):
-    """Diagonal (3,3) and (2,2) Pade of -sum rbar_n z^n / n from n = 2..6."""
-    rho = np.array([-rbar[n] / n for n in range(2, 7)])
-    scale = np.max(np.abs(rho))
-    if scale < 1e-290:
-        zero = (np.zeros(2), np.array([1.0, 0.0, 0.0, 0.0]),
-                np.zeros(1), np.array([1.0, 0.0, 0.0]))
-        return zero
-    num2, den2 = _pade_22(rho)
-    A = np.array([[rho[1], rho[0], 0.0],
-                  [rho[2], rho[1], rho[0]],
-                  [rho[3], rho[2], rho[1]]])
-    rhs = -rho[2:5]
-    try:
-        d = np.linalg.solve(A, rhs)
-        if not np.all(np.isfinite(d)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # degenerate system: the (2,2) form is already exact (geometric tail)
-        return (np.array([num2[0], 0.0]),
-                np.array([1.0, den2[1], den2[2], 0.0]), num2, den2)
-    num = np.array([rho[0], rho[1] + d[0] * rho[0]])
-    return num, np.array([1.0, d[0], d[1], d[2]]), num2, den2
-
-
-def build_pade_phase(state: SaddleState) -> PadePhase:
-    """Assemble the accelerated tau phase; raises PadePoleOnPath when the
-    approximant's poles intrude on the inversion range."""
-    if state.c is None:
-        raise PadePoleOnPath("Pade compression requires the rational MGF")
-    k = state.kappa
-    c_top, cbar, w_pool, wc_pool = _split_top(state.c[1:], state.wc[1:])
-    cq_top, cqbar, wq_pool, wq_pool_w = _split_top(state.cq[1:], state.wq[1:])
-    rbar = {}
-    for n in range(2, 7):
-        rbar[n] = (k * (np.dot(wc_pool, state.c[1:] ** n)
-                        - w_pool * cbar ** n)
-                   - (k - 1) * (np.dot(wq_pool_w, state.cq[1:] ** n)
-                                - wq_pool * cqbar ** n))
-    num, den, num2, den2 = _pade_residual(rbar)
-    if np.any(den[1:] != 0.0):
-        poly = np.trim_zeros(den[::-1], "f")    # descending powers
-        roots = np.roots(poly) if poly.size > 1 else np.array([])
-        if roots.size:
-            # Real-axis poles mirror the true log branch points and never
-            # meet the upper-half descent path; reject only poles near the
-            # path (well off the real axis within the node range) or inside
-            # its initial vertical segment.
-            t_max = _gl_half_nodes(DEFAULT_TAU_ORDER)[0][-1]
-            reach = 1.5 * t_max + 10.0 / math.sqrt(state.r2)
-            absr = np.abs(roots)
-            on_path = (np.abs(roots.imag) > 0.1 * absr) & (absr < reach)
-            too_central = absr < 2.0 / math.sqrt(state.r2)
-            if np.any(on_path | too_central):
-                raise PadePoleOnPath("Pade residual pole inside inversion range")
-    return PadePhase(state, state.c[0], cbar, cqbar, c_top, cq_top, w_pool,
-                     num, den, num2, den2)
-
-
-def pade_survival(v: float, coeffs, quad_order: int = DEFAULT_TAU_ORDER) -> float:
-    """SDP survival with Pade-accelerated inversion and guarded accuracy.
-
-    The inversion runs on the compressed phase; its truncation error is
-    estimated per node from the (3,3) vs (2,2) approximant difference, and
-    only flagged nodes are validated and re-polished on the exact phase.
-    Falls back to the full-series inversion when the approximant misbehaves,
-    so the result tracks survival_sdp to well below 1e-6.
-    """
-    mgf = _as_mgf(coeffs)
-    if not isinstance(mgf, RationalMgf):
-        return survival_sdp(v, mgf, quad_order)
-    state = solve_saddle(v, mgf)
-    try:
-        pp = build_pade_phase(state)
-    except PadePoleOnPath:
-        return survival_sdp(v, mgf, quad_order)
-    t, w = _kept_nodes(quad_order)
-    r2, pair = np.array([state.r2]), np.zeros(1, dtype=int)
-    z = _invert_nodes(_state_ev(state, pp.value, pp.derivative), t, r2,
-                      pair)[0]
-    tol = 1e-8 * np.maximum(1.0, t)
-    est = np.abs(pp.residual(z, 3) - pp.residual(z, 2))
-    bad = est > 0.2 * tol
-    if bad.any():
-        resid = np.abs(tau_phase(z[bad], state) - t[bad])
-        really_bad = resid > tol[bad]
-        if really_bad.any():
-            idx = np.flatnonzero(bad)[really_bad]
-            z[idx] = _invert_nodes(_state_ev(state), t[idx], r2, pair,
-                                   z0=z[idx])[0]
-    corr = float(np.dot(w, z.imag / np.sqrt(t)))
-    with np.errstate(under="ignore"):
-        val = math.exp(state.phase0) / (math.pi * state.v) * corr
-    return float(_assemble(val, state.side is Side.LEFT_TAIL))

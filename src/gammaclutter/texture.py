@@ -39,6 +39,8 @@ HEAVY_TAIL_ORDER = 128
 V_SEARCH_MAX = 1e6
 # Step halvings of the contour oracle's trapezoid rule.
 _ORACLE_HALVINGS = 12
+_METHOD_NAMES = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp", "diag-sdp",
+                 "diag-sp")
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,7 @@ class Method:
                 raise KeyError(integ)
         except (ValueError, KeyError):
             raise ValueError(f"unknown method '{name}'; expected one of "
-                             "eff-sdp, eff-sp, dmg-sdp, dmg-sp, diag-sdp, "
-                             "diag-sp") from None
+                             f"{', '.join(_METHOD_NAMES)}") from None
         return Method(scheme, integ)
 
     @property
@@ -77,9 +78,7 @@ class Method:
         return f"{self.scheme.value}-{self.integrator}"
 
 
-ALL_METHODS = tuple(Method.parse(n) for n in
-                    ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp",
-                     "diag-sdp", "diag-sp"))
+ALL_METHODS = tuple(Method.parse(n) for n in _METHOD_NAMES)
 
 
 def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
@@ -198,22 +197,6 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
                           hoisted)
     out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out
-
-
-def check_texture_order(params, method="eff-sdp", probes=(0.5, 2.0, 6.0),
-                        order: int = 32, tol: float = 1e-8):
-    """Order-doubling check: returns (converged order, max probe change)."""
-    ctx = ScenarioContext(params)
-    while True:
-        lo = survival_curve(probes, params, method,
-                            rule=gamma_texture_rule(params.nu, order), ctx=ctx)
-        hi = survival_curve(probes, params, method,
-                            rule=gamma_texture_rule(params.nu, 2 * order),
-                            ctx=ctx)
-        delta = float(np.max(np.abs(hi - lo)))
-        if delta < tol or 2 * order >= MAX_ORDER or params.nu == math.inf:
-            return order, delta
-        order *= 2
 
 
 def bromwich_oracle(v: float, params: ScenarioParams, u: float,

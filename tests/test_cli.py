@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from gammaclutter import cli
+from gammaclutter import cli, texture
 
 
 def write_scenario(tmp_path, **overrides):
@@ -97,7 +97,7 @@ def test_bench_command_small(tmp_path):
     lines = [l for l in out.read_text().splitlines() if l]
     assert lines[1].split(",")[0] == "method"
     body = [l.split(",") for l in lines[2:]]
-    assert [r[0] for r in body] == list(cli.BENCH_METHODS)
+    assert [r[0] for r in body] == [m.name for m in texture.ALL_METHODS]
     # deviations exist for every non-reference method
     for r in body[1:]:
         assert float(r[2]) < 0.2

@@ -46,12 +46,30 @@ def test_eigen_identity_convention():
     assert es.is_identity
     assert np.array_equal(es.eigenvalues, np.ones(4))
     assert np.array_equal(es.rotation, np.eye(4))
+    # eigen_system routes identity specs through the same exact branch
+    for spec in (cm.CorrelationSpec.gauss_markov(0.0, 4),
+                 cm.CorrelationSpec.toeplitz([1, 0, 0, 0])):
+        got = cm.eigen_system(spec)
+        want = cm.eigen_decompose(cm.build_matrix(spec))
+        assert got.is_identity and want.is_identity
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.rotation, np.eye(4))
 
 
 def test_eigen_all_ones_rank_one():
     es = cm.eigen_decompose(np.ones((4, 4)))
     assert np.allclose(es.eigenvalues, [0, 0, 0, 4], atol=1e-14)
     assert np.allclose(es.rotation[-1], np.full(4, 0.5), atol=1e-14)
+    # eigen_system routes all-ones specs through the same exact branch
+    for spec in (cm.CorrelationSpec.gauss_markov(1.0, 4),
+                 cm.CorrelationSpec.toeplitz([1, 1, 1, 1])):
+        got = cm.eigen_system(spec)
+        want = cm.eigen_decompose(cm.build_matrix(spec))
+        assert not got.is_identity and not want.is_identity
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.rotation, want.rotation)
+        assert np.array_equal(got.eigenvalues, [0.0, 0.0, 0.0, 4.0])
 
 
 def test_eigen_vs_characteristic_polynomial_oracle():

@@ -131,28 +131,6 @@ def test_compound_factorization_variance():
     assert abs(dist.variance - rep.variance) < 3.0 * se_var
 
 
-def test_antithetic_preserves_mean():
-    p = mc.scenario(M=4, kappa=2, S=2.0, q=0.5, nu=2.0,
-                    rho_c=0.3, rho_s=0.6)
-    dist = fp.simulate_returns(fp.McConfig(100000, 21, p, antithetic=True))
-    assert abs(dist.mean - 3.0) < 0.05
-    with pytest.raises(InvalidScenario):
-        fp.McConfig(101, 1, p, antithetic=True)
-
-
-def test_dump_and_load_round_trip(tmp_path):
-    p = mc.scenario(M=3, kappa=2, S=1.0, q=0.4, nu=5.0,
-                    rho_c=0.2, rho_s=0.5)
-    dist = fp.simulate_returns(fp.McConfig(64, 5, p))
-    path = tmp_path / "samples.fpmc"
-    fp.dump_samples(path, dist, M=3, seed=5)
-    raw = path.read_bytes()
-    assert raw[:4] == b"FPMC"
-    back, meta = fp.load_samples(path)
-    assert np.array_equal(back.sorted_samples, dist.sorted_samples)
-    assert meta == {"version": 1, "n": 64, "M": 3, "seed": 5}
-
-
 def test_target_rotation_conventions_differ_only_when_degenerate():
     # non-degenerate target: rotation option is inert
     p = mc.scenario(M=4, kappa=3, S=2.0, q=0.5, nu=np.inf,

@@ -96,7 +96,7 @@ def test_perturbation_identities():
 
     # extremum of sf - sf^(1+eps) sits where sf = (1/(1+eps))^(1/eps)
     sf = lambda x: np.exp(-np.asarray(x, dtype=float))
-    g = gs.perturb_sf(sf, eps)
+    g = gs.PerturbedSF(sf, eps)
     xs = np.linspace(0.0, 12.0, 200001)
     diff = sf(xs) - g(xs)
     x_star = xs[np.argmax(diff)]

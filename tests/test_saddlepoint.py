@@ -15,6 +15,13 @@ def fig_scenario():
                        rho_c=0.75, rho_s=0.95)
 
 
+def _invert(tau, st):
+    """Root z of tau(z) = tau on the steepest-descent branch (Im z > 0)."""
+    z = sp._invert_nodes(sp._state_ev(st), np.array([tau]), np.array([st.r2]),
+                         np.zeros(1, dtype=int))
+    return complex(z[0, 0])
+
+
 def test_single_pole_saddle_quadratic_oracle():
     # M=1, kappa=1, S=0, q=0: v = 1/s + 1/(1+s)  =>  v s^2 + (v-2) s - 1 = 0
     p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
@@ -68,8 +75,8 @@ def test_tau_at_zero_and_small_tau_leading_order():
     p = fig_scenario()
     co = mc.speckle_coeffs(p, 1.0)
     st = sp.solve_saddle(10.0, co.as_mgf())
-    assert sp.invert_tau(0.0, st) == 0.0
-    z = sp.invert_tau(1e-6, st)
+    assert _invert(0.0, st) == 0.0
+    z = _invert(1e-6, st)
     z0 = 1j * math.sqrt(2e-6 / st.r2)
     assert abs(z - z0) < 0.1 * abs(z)
 
@@ -82,7 +89,7 @@ def test_tau_round_trip_on_quadrature_nodes():
     st = sp.solve_saddle(12.0, co.as_mgf())
     t, _ = roots_genlaguerre(64, 0.5)
     for tau in t:
-        z = sp.invert_tau(float(tau), st)
+        z = _invert(float(tau), st)
         assert abs(sp.tau_phase(z, st) - tau) < 1e-10 * max(1.0, tau)
         assert z.imag > 0
 
@@ -130,43 +137,6 @@ def test_sp_worst_near_mean_and_single_pulse_form():
     for v in (2.0, 4.0):
         # basic SP error of the unit exponential is ~8% at these levels
         assert sp.survival_sp(v, co1) == pytest.approx(math.exp(-v), rel=0.1)
-
-
-def test_pade_matches_exact_inversion():
-    p = fig_scenario()
-    ctx = mc.ScenarioContext(p)
-    for u in (0.4, 1.0, 2.0):
-        co = mc.speckle_coeffs(p, u, ctx=ctx)
-        for v in (1.5, 6.0, 12.0, 20.0):
-            a = sp.pade_survival(v, co)
-            b = sp.survival_sdp(v, co)
-            assert abs(a - b) < 1e-6
-            if b > 1e-6:
-                assert abs(a - b) < 1e-9
-
-
-def test_pade_residual_vanishes_for_dmg_spectra():
-    p = fig_scenario()
-    co = mc.speckle_coeffs(p, 1.0, scheme=mc.Scheme.DMG)
-    mgf = co.as_mgf()
-    assert mgf.a.size <= 3          # compressed two-pole structure
-    st = sp.solve_saddle(9.0, mgf)
-    pp = sp.build_pade_phase(st)
-    assert np.allclose(pp.num, 0.0, atol=1e-18)
-    # the compressed phase then reproduces the exact tau identically
-    for z in (0.2 + 0.3j, 1.5j, 2.0 + 0.1j):
-        assert abs(pp.value(z) - sp.tau_phase(z, st)) < 1e-12
-
-
-def test_pade_collapses_for_equal_clutter_coefficients():
-    # uncorrelated clutter: all aq equal -> single explicit log on the q side
-    p = mc.scenario(M=8, kappa=3, S=4.0, q=0.6, nu=np.inf, rho_s=0.9)
-    co = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(8.0, co.as_mgf())
-    pp = sp.build_pade_phase(st)
-    assert pp.cqbar == pytest.approx(pp.cq_top, rel=1e-12)
-    for z in (0.5j, 0.3 + 0.8j):
-        assert abs(pp.value(z) - sp.tau_phase(z, st)) < 1e-10
 
 
 def test_sdp_invariant_under_node_doubling():
@@ -306,7 +276,7 @@ def test_newton_step_halving_recovers_poor_starts():
     t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
     ev = sp._state_ev(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
-    want = np.array([sp.invert_tau(float(x), st) for x in t])
+    want = np.array([_invert(float(x), st) for x in t])
     for scale, re in ((0.05, 0.0), (0.2, 1.0), (3.0, -1.0)):
         z0 = scale * (re + 1j) * leading
         z, ok = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
