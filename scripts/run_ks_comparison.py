@@ -3,7 +3,6 @@
 analytic survival method; emits the ensemble JSON (bands + curves)."""
 
 import argparse
-import json
 import sys
 
 import gammaclutter as gc

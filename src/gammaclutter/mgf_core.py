@@ -13,6 +13,9 @@ target (kappa -> inf) swaps the rational form for
 
     ln M(s; u) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)].
 
+One class, ``PoleMgf``, holds both as the pole row
+ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s).
+
 Three coefficient schemes are supported: the full effective model (fresh
 aggregated eigenvalues per texture node), the commuting "diagonal"
 approximation, and the simplified one-spike DMG spectra.
@@ -221,11 +224,17 @@ class SpeckleCoefficients:
     def mean(self) -> float:
         return float(self.kappa * self.a.sum() - (self.kappa - 1) * self.aq.sum())
 
-    def as_mgf(self) -> "RationalMgf":
+    def as_mgf(self) -> "PoleMgf":
+        """Equal coefficients merged with integer weights; the DMG spectra
+        reduce to two distinct poles this way."""
         a, wa = np.unique(self.a, return_counts=True)
+        k = self.kappa
+        if k == 1:
+            return PoleMgf(a, -wa, np.zeros(a.size))
         aq, wq = np.unique(self.aq, return_counts=True)
-        return RationalMgf(a, wa.astype(float), aq, wq.astype(float),
-                           self.kappa)
+        return PoleMgf(np.concatenate((a, aq)),
+                       np.concatenate((-k * wa, (k - 1) * wq)),
+                       np.zeros(a.size + aq.size))
 
 
 @dataclass(frozen=True)
@@ -242,8 +251,8 @@ class SteadyCoefficients:
     def mean(self) -> float:
         return float(self.a.sum() + self.S)
 
-    def as_mgf(self) -> "SteadyMgf":
-        return SteadyMgf(self.a, self.b, self.S)
+    def as_mgf(self) -> "PoleMgf":
+        return PoleMgf(self.a, np.full(self.a.size, -1.0), -self.S * self.b)
 
 
 def speckle_coeffs(params: ScenarioParams, u: float,
@@ -300,80 +309,39 @@ def steady_coeffs(params: ScenarioParams, u: float,
     return SteadyCoefficients(a, b, S, float(u), scheme.value)
 
 
-def _log1p_outer(coef, s):
-    """log(1 + coef_m * s) summed over m, for scalar or array s."""
-    s = np.asarray(s)
-    z = 1.0 + np.multiply.outer(s, coef)
-    if np.any(np.abs(z) < 1e-300):
-        raise PoleHit("MGF evaluated at a pole")
-    return np.log(z)
+class PoleMgf:
+    """ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s).
 
-
-class RationalMgf:
-    """prod (1 + aq s)^(kappa-1) / prod (1 + a s)^kappa with multiplicities.
-
-    Coefficient vectors may be compressed (equal entries merged with integer
-    weights); the DMG spectra reduce to two distinct poles this way.
+    A term with alpha_j < 0 is a pole of M, one with alpha_j > 0 a zero.
+    The rational form has beta = 0; the steady form has alpha = -1 and
+    beta = -S b.
     """
 
-    __slots__ = ("a", "wa", "aq", "wq", "kappa", "a_max")
+    __slots__ = ("a", "alpha", "beta", "a_max")
 
-    def __init__(self, a, wa, aq, wq, kappa):
+    def __init__(self, a, alpha, beta):
         self.a = np.asarray(a, dtype=float)
-        self.wa = np.asarray(wa, dtype=float)
-        self.aq = np.asarray(aq, dtype=float)
-        self.wq = np.asarray(wq, dtype=float)
-        self.kappa = kappa
-        self.a_max = float(self.a.max())
+        self.alpha = np.asarray(alpha, dtype=float)
+        self.beta = np.asarray(beta, dtype=float)
+        self.a_max = float(self.a[self.alpha < 0.0].max())
 
     @property
     def mean(self) -> float:
-        k = self.kappa
-        return float(k * np.dot(self.wa, self.a)
-                     - (k - 1) * np.dot(self.wq, self.aq))
+        return float(-np.dot(self.alpha, self.a) - self.beta.sum())
 
     def log_mgf(self, s):
-        k = self.kappa
-        val = -k * _log1p_outer(self.a, s) @ self.wa
-        if k != 1:
-            val = val + (k - 1) * (_log1p_outer(self.aq, s) @ self.wq)
-        return val
-
-    def dlog(self, s):
-        k = self.kappa
-        val = -k * np.dot(self.wa, self.a / (1.0 + self.a * s))
-        if k != 1:
-            val += (k - 1) * np.dot(self.wq, self.aq / (1.0 + self.aq * s))
-        return val
-
-
-class SteadyMgf:
-    """ln M(s) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)]."""
-
-    __slots__ = ("a", "b", "S", "a_max")
-
-    def __init__(self, a, b, S):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        self.S = float(S)
-        self.a_max = float(self.a.max())
-
-    @property
-    def mean(self) -> float:
-        return float(self.a.sum() + self.S * self.b.sum())
-
-    def log_mgf(self, s):
-        s_arr = np.asarray(s)
-        denom = 1.0 + np.multiply.outer(s_arr, self.a)
-        if np.any(np.abs(denom) < 1e-300):
+        s = np.asarray(s)
+        d = 1.0 + np.multiply.outer(s, self.a)
+        if np.any(np.abs(d) < 1e-300):
             raise PoleHit("MGF evaluated at a pole")
-        frac = np.multiply.outer(s_arr, self.b) / denom
-        return -np.log(denom).sum(axis=-1) - self.S * frac.sum(axis=-1)
+        frac = np.multiply.outer(s, self.beta) / d
+        return np.log(d) @ self.alpha + frac.sum(axis=-1)
 
     def dlog(self, s):
         with np.errstate(over="ignore"):
             d = 1.0 + self.a * s
-            return float(-np.sum(self.a / d) - self.S * np.sum(self.b / d ** 2))
+            return float(np.dot(self.alpha, self.a / d)
+                         + np.sum(self.beta / d ** 2))
 
 
 def mgf_eval(coeffs, s):

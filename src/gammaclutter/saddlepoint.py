@@ -21,16 +21,18 @@ phase (ln(-s) -> ln(s)) and the complement is returned.
 A texture-averaged curve needs one inversion per (power level, texture
 node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
 
-- Every MGF becomes a zero-padded row of a pole table,
+- MGFs arrive in row form (``mgf_core.PoleMgf``),
   ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s), which
-  holds the rational form (beta = 0) and the steady form alike.
+  holds the rational form (beta = 0) and the steady form alike; each
+  becomes a zero-padded row of a pole table.
 - The saddle bracket search and the bisection-safeguarded Newton run on
   all pairs at once; a pair leaves the active set when it converges.
 - Each pair's phase becomes a row
   tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z).
-  For large pulse counts the many small c_j of a row are collapsed into a
-  60-term power series, exact to rounding for |z| <= z_top and evaluated
-  with a table of powers of z; an element beyond z_top uses the full row.
+  A row with no beta terms and many poles has its small c_j collapsed
+  into a 60-term power series, exact to rounding for |z| <= z_top and
+  evaluated with a table of powers of z; an element beyond z_top uses the
+  full row.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
   backtracking; an element it cannot solve is continued in tau on its own.
 
@@ -43,8 +45,9 @@ element on a 2-vCPU Xeon), on the same principal branch and with the same
 signed zeros.
 
 ``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
-of the same engine; ``tau_phase`` and its derivative keep the exact log
-form as the reference.
+of the same engine.  ``solve_saddle`` builds its own tau row, and
+``tau_phase`` and its derivative evaluate it in the exact log form as the
+reference.
 """
 
 from __future__ import annotations
@@ -58,13 +61,14 @@ import numpy as np
 from scipy.special import roots_genlaguerre
 
 from .errors import DegenerateV, NoConvergence
-from .mgf_core import RationalMgf, SteadyMgf
+from .mgf_core import PoleMgf
 
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
 NEWTON_MAX_ITER = 60
-# Power-series collapse of small tau coefficients: rows with at least
-# _BULK_MIN_TERMS log terms, coefficients below _BULK_RATIO / z_top.
+# Power-series collapse of small tau coefficients: rows without beta terms
+# and with at least _BULK_MIN_TERMS pole log terms (ln(-+s) included),
+# coefficients below _BULK_RATIO / z_top.
 _BULK_MIN_TERMS = 24
 _BULK_RATIO = 0.5
 _BULK_TERMS = 60
@@ -78,21 +82,17 @@ class Side(Enum):
 
 
 def _as_mgf(obj):
-    if isinstance(obj, (RationalMgf, SteadyMgf)):
-        return obj
-    return obj.as_mgf()
+    return obj if isinstance(obj, PoleMgf) else obj.as_mgf()
 
 
 def support_shift(mgf) -> float:
     """Deterministic offset of the distribution's lower support bound.
 
     Zero-eigenvalue poles of the steady-target MGF contribute pure
-    exp(-S b s) factors, i.e. an additive constant; survival is exactly 1
+    exp(beta s) factors, i.e. an additive constant; survival is exactly 1
     at or below the total shift.
     """
-    if isinstance(mgf, SteadyMgf):
-        return float(mgf.S * mgf.b[mgf.a == 0.0].sum())
-    return 0.0
+    return float(-mgf.beta[mgf.a == 0.0].sum())
 
 
 @lru_cache(maxsize=16)
@@ -127,18 +127,6 @@ def _log1m(xp, yp, d):
     return 0.5 * np.log(d), np.arctan2(yp, xp)
 
 
-def _mgf_terms(mgf):
-    """(a, alpha, beta) with ln M(s) = sum alpha ln(1 + a s) + beta s/(1 + a s)."""
-    if isinstance(mgf, SteadyMgf):
-        return mgf.a, np.full(mgf.a.size, -1.0), -mgf.S * mgf.b
-    k = mgf.kappa
-    if k == 1:
-        return mgf.a, -mgf.wa, np.zeros(mgf.a.size)
-    return (np.concatenate((mgf.a, mgf.aq)),
-            np.concatenate((-k * mgf.wa, (k - 1) * mgf.wq)),
-            np.zeros(mgf.a.size + mgf.aq.size))
-
-
 class _PoleTable:
     """Zero-padded (a, alpha, beta) rows of a block of pairs; pair i uses
     ``mgfs[rows[i]]``."""
@@ -146,18 +134,18 @@ class _PoleTable:
     def __init__(self, mgfs, rows):
         uniq, inv = np.unique(rows, return_inverse=True)
         picked = [mgfs[j] for j in uniq]
-        terms = [_mgf_terms(m) for m in picked]
-        tab = np.zeros((3, uniq.size, max(x[0].size for x in terms)))
-        for i, x in enumerate(terms):
-            for dst, src in zip(tab, x):
+        tab = np.zeros((3, uniq.size, max(m.a.size for m in picked)))
+        for i, m in enumerate(picked):
+            for dst, src in zip(tab, (m.a, m.alpha, m.beta)):
                 dst[i, :src.size] = src
         self.a, self.alpha, self.beta = tab[:, inv]
         self.has_beta = bool(self.beta.any())
         self.mean = np.array([m.mean for m in picked])[inv]
         self.a_max = np.array([m.a_max for m in picked])[inv]
-        self.bulk = np.array([isinstance(m, RationalMgf)
-                              and m.a.size + 1 >= _BULK_MIN_TERMS
-                              for m in picked])[inv]
+        self.bulk = np.array([
+            not m.beta.any()
+            and np.count_nonzero(m.alpha < 0.0) + 1 >= _BULK_MIN_TERMS
+            for m in picked])[inv]
 
     def derivatives(self, i, s):
         """d ln M / ds and d^2 ln M / ds^2 of pairs i at real s."""
@@ -471,7 +459,7 @@ def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
     live = np.flatnonzero(v > shift[rows] * (1.0 + 1e-12))
     if live.size == 0:
         return out
-    width = 1 + max(_mgf_terms(m)[0].size for m in mgfs)
+    width = 1 + max(m.a.size for m in mgfs)
     per = max(1, _BLOCK_ELEMENTS // width)
     t, w = _kept_nodes(order)
     for start in range(0, live.size, per):
@@ -486,34 +474,24 @@ def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
 
 @dataclass
 class SaddleState:
-    """Saddle point and derived path data for one (v, texture-node) pair."""
+    """Saddle point and exact tau row of one (v, texture-node) pair:
+
+        tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z)
+
+    with the ln(-+s) term (c = 1/(s0 v), w = 1) first in the row.
+    """
 
     side: Side
-    v: float
     s0: float
     r2: float
-    phase0: float
-    mean: float
-    mgf: object
-    c: np.ndarray | None = None     # rational: pole coefficients, index 0 first
-    wc: np.ndarray | None = None
-    cq: np.ndarray | None = None
-    wq: np.ndarray | None = None
-    kappa: int = 0
-    # steady-target pieces: tau(z) = lam z + ln(1 - c0 z)
-    #                              + sum [ln(1 - cs z) - gs z / (1 - cs z)]
-    c0: float = 0.0
-    cs: np.ndarray | None = None
-    gs: np.ndarray | None = None
-    lam: float = 1.0
+    c: np.ndarray
+    w: np.ndarray
+    g: np.ndarray
+    lam: float
 
     @property
     def r1(self) -> float:
-        if self.c is not None:
-            k = self.kappa
-            return float(k * np.dot(self.wc, self.c)
-                         - (k - 1) * np.dot(self.wq, self.cq))
-        return float((1.0 - self.lam) + self.c0 + np.sum(self.cs + self.gs))
+        return float((1.0 - self.lam) + np.dot(self.w, self.c) + self.g.sum())
 
 
 def phase(s, v: float, mgf, side: Side = Side.RIGHT_TAIL):
@@ -530,63 +508,33 @@ def solve_saddle(v: float, mgf) -> SaddleState:
         raise DegenerateV(f"power level v {v} must be positive")
     mgf = _as_mgf(mgf)
     tab = _PoleTable([mgf], np.zeros(1, dtype=int))
-    s0, r2, phase0, left = _solve_saddles(np.array([float(v)]), tab)
+    s0, r2, _, left = _solve_saddles(np.array([float(v)]), tab)
     s0 = float(s0[0])
     side = Side.LEFT_TAIL if left[0] else Side.RIGHT_TAIL
-    state = SaddleState(side, v, s0, float(r2[0]), float(phase0[0]),
-                        mgf.mean, mgf)
-
-    if isinstance(mgf, RationalMgf):
-        c = np.where(mgf.a > 0.0, mgf.a / (v * (1.0 + mgf.a * s0)), 0.0)
-        cq = np.where(mgf.aq > 0.0, mgf.aq / (v * (1.0 + mgf.aq * s0)), 0.0)
-        c0 = 1.0 / (s0 * v)
-        state.c = np.concatenate(([c0], c))
-        state.wc = np.concatenate(([1.0], mgf.wa))
-        state.cq = np.concatenate(([c0], cq))
-        state.wq = np.concatenate(([1.0], mgf.wq))
-        state.kappa = mgf.kappa
-    else:
-        # Zero-eigenvalue poles carry exactly linear tau terms; fold them
-        # into the linear coefficient to avoid catastrophic cancellation.
-        g = mgf.S * mgf.b / (v * (1.0 + mgf.a * s0) ** 2)
-        nz = mgf.a > 0.0
-        state.c0 = 1.0 / (s0 * v)
-        state.cs = mgf.a[nz] / (v * (1.0 + mgf.a[nz] * s0))
-        state.gs = g[nz]
-        state.lam = 1.0 - float(g[~nz].sum())
-    return state
+    d0 = 1.0 + mgf.a * s0
+    g = -mgf.beta / (v * d0 * d0)
+    # Zero-eigenvalue poles carry exactly linear tau terms; fold them
+    # into the linear coefficient to avoid catastrophic cancellation.
+    nz = mgf.a > 0.0
+    c = np.concatenate(([1.0 / (s0 * v)], mgf.a[nz] / (v * d0[nz])))
+    w = np.concatenate(([1.0], -mgf.alpha[nz]))
+    return SaddleState(side, s0, float(r2[0]), c, w,
+                       np.concatenate(([0.0], g[nz])),
+                       1.0 - float(g[~nz].sum()))
 
 
 def tau_phase(z, state: SaddleState):
     """tau(z) = Phi(s0) - Phi(s0 - z/v), exact log form, upper branch."""
     z = np.asarray(z, dtype=complex)
-    if state.c is not None:
-        k = state.kappa
-        val = z + k * (np.log(1.0 - np.multiply.outer(z, state.c)) @ state.wc)
-        if k != 1:
-            val -= (k - 1) * (np.log(1.0 - np.multiply.outer(z, state.cq))
-                              @ state.wq)
-        return val
-    one_m = 1.0 - np.multiply.outer(z, state.cs)
-    val = state.lam * z + np.log(1.0 - state.c0 * z) + np.log(one_m).sum(axis=-1)
-    val -= (np.multiply.outer(z, state.gs) / one_m).sum(axis=-1)
-    return val
+    one_m = 1.0 - np.multiply.outer(z, state.c)
+    return (state.lam * z + np.log(one_m) @ state.w
+            - (np.multiply.outer(z, state.g) / one_m).sum(axis=-1))
 
 
 def _tau_prime(z, state: SaddleState):
-    z = np.asarray(z, dtype=complex)
-    if state.c is not None:
-        k = state.kappa
-        val = 1.0 - k * ((state.c / (1.0 - np.multiply.outer(z, state.c)))
-                         @ state.wc)
-        if k != 1:
-            val += (k - 1) * ((state.cq / (1.0 - np.multiply.outer(z, state.cq)))
-                              @ state.wq)
-        return val
-    one_m = 1.0 - np.multiply.outer(z, state.cs)
-    val = state.lam - state.c0 / (1.0 - state.c0 * z)
-    val = val - (state.cs / one_m).sum(axis=-1) - (state.gs / one_m ** 2).sum(axis=-1)
-    return val
+    one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), state.c)
+    return (state.lam - (state.c / one_m) @ state.w
+            - (state.g / one_m ** 2).sum(axis=-1))
 
 
 def _state_ev(state: SaddleState):

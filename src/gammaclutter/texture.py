@@ -162,16 +162,8 @@ def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
                       texture_order: int = 32,
                       tau_order: int = saddlepoint.DEFAULT_TAU_ORDER) -> float:
     """Texture-averaged survival probability at power level v."""
-    if isinstance(method, str):
-        method = Method.parse(method)
-    if v <= 0.0:
-        return 1.0
-    if rule is None:
-        rule = gamma_texture_rule(params.nu, texture_order)
-    if ctx is None:
-        ctx = ScenarioContext(params)
-    vals = _node_survival([v], params, method, rule, ctx, tau_order)[0]
-    return float(min(max(np.dot(rule.weights, vals), 0.0), 1.0))
+    return float(survival_curve([v], params, method, rule, ctx,
+                                texture_order, tau_order)[0])
 
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",

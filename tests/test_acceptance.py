@@ -22,18 +22,15 @@ only the abstract, so which target family and loading the paper's
 small-correlation example used is an open question.
 """
 
-import math
 import time
 
 import numpy as np
-import pytest
 
 import gammaclutter as gc
 import gammaclutter.saddlepoint as sp
-from gammaclutter import detector, gof_stats, texture
+from gammaclutter import gof_stats, texture
 from gammaclutter.mgf_core import ScenarioContext, Scheme, speckle_coeffs
 from gammaclutter.texture import (
-    Method,
     compound_bromwich,
     gamma_texture_rule,
     survival_curve,

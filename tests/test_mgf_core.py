@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammaclutter.mgf_core as mc
-from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import decimal_rational_mgf, gm_matrix

@@ -45,17 +45,20 @@ def test_phase_is_minimum_along_real_axis():
 
 
 def test_saddle_residual_and_r1_across_grid():
-    p = fig_scenario()
-    ctx = mc.ScenarioContext(p)
-    for u in (0.3, 1.0, 2.5):
-        co = mc.speckle_coeffs(p, u, ctx=ctx)
-        mgf = co.as_mgf()
-        for v in np.linspace(0.2, 20.0, 40):
-            st = sp.solve_saddle(v, mgf)
-            resid = mgf.dlog(st.s0) - 1.0 / st.s0 + v
-            assert abs(resid) < 1e-10 * max(1.0, v)
-            assert abs(st.r1 - 1.0) < 1e-8
-            assert st.r2 > 0
+    # the steady target covers dlog's beta term and r1's g terms
+    steady = mc.scenario(M=10, kappa=math.inf, S=5.0, q=1.0, nu=2.0,
+                         rho_c=0.75, rho_s=0.95)
+    for p in (fig_scenario(), steady):
+        ctx = mc.ScenarioContext(p)
+        build = mc.steady_coeffs if p.steady else mc.speckle_coeffs
+        for u in (0.3, 1.0, 2.5):
+            mgf = build(p, u, ctx=ctx).as_mgf()
+            for v in np.linspace(0.2, 20.0, 40):
+                st = sp.solve_saddle(v, mgf)
+                resid = mgf.dlog(st.s0) - 1.0 / st.s0 + v
+                assert abs(resid) < 1e-10 * max(1.0, v)
+                assert abs(st.r1 - 1.0) < 1e-8
+                assert st.r2 > 0
 
 
 def test_saddle_side_selection():
@@ -244,9 +247,11 @@ def test_batch_failure_names_its_pair(monkeypatch):
 
 def test_tau_rows_match_exact_phase_near_and_far():
     # M=100 takes the power-series bulk for |z| <= z_top and the full row
-    # beyond it; the steady row carries the g z / (1 - c z) terms
-    for M, kappa in ((100, 2), (100, 1), (10, math.inf)):
-        p = mc.scenario(M=M, kappa=kappa, S=3.0, q=0.8, nu=2.0,
+    # beyond it; the steady S>0 row carries the g z / (1 - c z) terms, and
+    # the steady S=0 row has none, so it takes the bulk too
+    for M, kappa, S in ((100, 2, 3.0), (100, 1, 3.0), (10, math.inf, 3.0),
+                        (100, math.inf, 0.0)):
+        p = mc.scenario(M=M, kappa=kappa, S=S, q=0.8, nu=2.0,
                         rho_c=0.75, rho_s=0.9)
         co = (mc.steady_coeffs(p, 0.7) if p.steady
               else mc.speckle_coeffs(p, 0.7))
