@@ -33,7 +33,6 @@ from .gof_stats import (
     delta_max,
     dkw_epsilon,
     epsilon_from_delta,
-    kolmogorov_sf,
     ks_ensemble,
     ks_report,
     ks_statistic,
@@ -42,18 +41,16 @@ from .gof_stats import (
 from .mgf_core import (
     KAPPA_INF,
     MomentReport,
+    PoleMgf,
     ScenarioContext,
     ScenarioParams,
     Scheme,
-    SpeckleCoefficients,
     aggregated_corr,
     analytic_moments,
     cgf_moment_check,
     effsw0_survival,
-    mgf_eval,
     mgf_first_principles_steady,
     mgf_fully_correlated,
-    mgf_kappa_inf,
     scenario,
     speckle_coeffs,
     steady_coeffs,

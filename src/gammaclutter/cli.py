@@ -22,7 +22,7 @@ from .errors import (
     InvalidShape,
     NoConvergence,
 )
-from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams, scenario
+from .mgf_core import ScenarioContext, ScenarioParams, scenario
 from .texture import Method, gamma_texture_rule
 
 EXIT_CONFIG = 2
@@ -53,7 +53,6 @@ def load_scenario(path: str) -> dict:
     out["kappa"] = _parse_inf(raw["kappa"], "kappa")
     out["nu"] = _parse_inf(raw["nu"], "nu")
     out.setdefault("S", 0.0)
-    out.setdefault("q", 0.0)
     out.setdefault("pfa", 1e-6)
     out.setdefault("method", "eff-sdp")
     out.setdefault("texture_order", 32)
@@ -62,23 +61,15 @@ def load_scenario(path: str) -> dict:
 
 
 def scenario_params(cfg: dict, S=None) -> ScenarioParams:
-    M = int(cfg["M"])
+    spec_s = spec_c = None
     if "toeplitz_s" in cfg:
         spec_s = CorrelationSpec.toeplitz(cfg["toeplitz_s"])
-    else:
-        spec_s = CorrelationSpec.gauss_markov(float(cfg.get("rho_s", 0.0)), M)
     if "toeplitz_c" in cfg:
         spec_c = CorrelationSpec.toeplitz(cfg["toeplitz_c"])
-    else:
-        spec_c = CorrelationSpec.gauss_markov(float(cfg.get("rho_c", 0.0)), M)
-    kappa = cfg["kappa"]
-    if kappa != KAPPA_INF:
-        if float(kappa) != int(kappa):
-            raise ValueError(f"kappa must be an integer or 'inf', got {kappa}")
-        kappa = int(kappa)
-    s_val = float(cfg.get("S", 0.0) if S is None else S)
-    return ScenarioParams(M, kappa, s_val, float(cfg["q"]), float(cfg["nu"]),
-                          spec_s, spec_c)
+    return scenario(int(cfg["M"]), cfg["kappa"],
+                    cfg.get("S", 0.0) if S is None else S,
+                    cfg["q"], cfg["nu"], float(cfg.get("rho_s", 0.0)),
+                    float(cfg.get("rho_c", 0.0)), spec_s, spec_c)
 
 
 def _echo_lines(cfg: dict, extra: dict | None = None):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.special import kolmogi, kolmogorov, ndtri
 
 from .errors import InvalidScenario, NonMonotoneSF
 from .fpm_mc import EmpiricalDistribution, McConfig, simulate_returns
@@ -32,100 +33,13 @@ BAND_GRID_POINTS = 200
 CONSECUTIVE_EXITS = 4
 
 
-# --- Kolmogorov distribution -------------------------------------------------
-
-def kolmogorov_sf(x):
-    """Survival function of sup |Brownian bridge|: Q(x) = 2 sum (-1)^(k-1) e^(-2 k^2 x^2).
-
-    The theta-dual series is used for small x where the alternating series
-    converges slowly.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    out = np.ones_like(x_arr)
-    flat = x_arr.ravel()
-    res = np.empty_like(flat)
-    for i, xi in enumerate(flat):
-        res[i] = _kolm_sf_scalar(xi)
-    out = res.reshape(x_arr.shape)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def _kolm_sf_scalar(x: float) -> float:
-    if x <= 0.0:
-        return 1.0
-    if x < 0.75:
-        # 1 - (sqrt(2 pi)/x) sum e^{-(2k-1)^2 pi^2 / (8 x^2)}
-        tot = 0.0
-        for k in range(1, 40):
-            term = math.exp(-((2 * k - 1) ** 2) * math.pi ** 2 / (8.0 * x * x))
-            tot += term
-            if term < 1e-17 * max(tot, 1e-300):
-                break
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / x * tot))
-    tot = 0.0
-    for k in range(1, 200):
-        term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-        tot += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, tot))
-
-
-def kolmogorov_critical(alpha: float) -> float:
-    """x with Q(x) = alpha, by bisection on the series."""
-    lo, hi = 1e-6, 5.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _kolm_sf_scalar(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
+# --- DKW band ----------------------------------------------------------------
 
 def dkw_epsilon(n: int, alpha: float) -> float:
     """Finite-sample band half-width sqrt(ln(2/alpha) / (2n))."""
     if n < 1 or not 0.0 < alpha < 1.0:
         raise InvalidScenario("need n >= 1 and 0 < alpha < 1")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-
-
-def z_quantile(p: float) -> float:
-    """Standard normal quantile; rational approximation good to ~1.2e-9."""
-    if not 0.0 < p < 1.0:
-        raise InvalidScenario(f"quantile argument {p} outside (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        qv = math.sqrt(-2.0 * math.log(p))
-        num = ((((c[0] * qv + c[1]) * qv + c[2]) * qv + c[3]) * qv + c[4]) * qv + c[5]
-        den = (((d[0] * qv + d[1]) * qv + d[2]) * qv + d[3]) * qv + 1.0
-        x = num / den
-    elif p <= p_high:
-        qv = p - 0.5
-        r = qv * qv
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x = num * qv / den
-    else:
-        qv = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((c[0] * qv + c[1]) * qv + c[2]) * qv + c[3]) * qv + c[4]) * qv + c[5]
-        den = (((d[0] * qv + d[1]) * qv + d[2]) * qv + d[3]) * qv + 1.0
-        x = -num / den
-    # one Halley polish against the erfc-based CDF
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 # --- KS statistic -------------------------------------------------------------
@@ -159,10 +73,12 @@ class KSReport:
 
 def ks_report(samples: EmpiricalDistribution, sf,
               alphas=(0.1, 0.05, 0.01)) -> KSReport:
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise InvalidScenario(f"alphas {alphas} must lie in (0, 1)")
     d = ks_statistic(samples, sf)
     rootn = math.sqrt(samples.n)
-    reject = {a: d * rootn > kolmogorov_critical(a) for a in alphas}
-    return KSReport(d, samples.n, kolmogorov_sf(d * rootn),
+    reject = {a: bool(d * rootn > kolmogi(a)) for a in alphas}
+    return KSReport(d, samples.n, float(kolmogorov(d * rootn)),
                     dkw_epsilon(samples.n, 0.01), reject)
 
 
@@ -278,8 +194,11 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
 
     Returns the ensemble with its bootstrap band, Greenwood limits, the
     Kolmogorov theoretical curve (as function of the raw statistic), the DKW
-    tracking curve, and the rejection decision.
+    tracking curve, and the rejection decision.  ``alpha`` must lie in
+    (0, 1).
     """
+    if not 0.0 < alpha < 1.0:
+        raise InvalidScenario(f"alpha {alpha} outside (0, 1)")
     if threads and threads > 1:
         chunks = np.array_split(np.arange(K), threads)
         jobs = [(params, method_sf, int(ch[0]), int(ch[-1]) + 1, n, seed,
@@ -304,13 +223,13 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
     boot_lo = np.quantile(boot, alpha / 2.0, axis=0)
     boot_hi = np.quantile(boot, 1.0 - alpha / 2.0, axis=0)
 
-    z = z_quantile(1.0 - alpha / 2.0)
+    z = ndtri(1.0 - alpha / 2.0)
     se = np.sqrt(ens_sf * (1.0 - ens_sf) / K)
     green_lo = np.clip(ens_sf - z * se, 0.0, 1.0)
     green_hi = np.clip(ens_sf + z * se, 0.0, 1.0)
 
     rootn = math.sqrt(n)
-    kolm = kolmogorov_sf(grid * rootn)
+    kolm = kolmogorov(grid * rootn)
     dkw = np.minimum(1.0, 2.0 * np.exp(-2.0 * n * grid ** 2))
     rejected = rejection_scan(dkw, green_lo)
     return KSEnsemble(stats, grid, ens_sf, boot_lo, boot_hi, green_lo,

@@ -7,13 +7,14 @@ kappa and texture value u the speckle MGF is the rational form
 
     M(s; u) = prod_m [1 + aq_m(u) s]^(kappa-1) / prod_m [1 + a_m(u) s]^kappa
 
-with per-pulse coefficients built from the eigenvalues of the clutter
-correlation matrix and of the aggregated target/clutter matrix.  The steady
-target (kappa -> inf) swaps the rational form for
+with per-pulse coefficients (``pulse_coeffs``) built from the eigenvalues of
+the clutter correlation matrix and of the aggregated target/clutter matrix.
+The steady target (kappa -> inf) swaps the rational form for
 
     ln M(s; u) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)].
 
-One class, ``PoleMgf``, holds both as the pole row
+The builders ``speckle_coeffs`` and ``steady_coeffs`` return both as one
+pole row, ``PoleMgf``:
 ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s).
 
 Three coefficient schemes are supported: the full effective model (fresh
@@ -103,11 +104,7 @@ def scenario(M, kappa, S, q, nu, rho_s=0.0, rho_c=0.0,
 
 
 class ScenarioContext:
-    """Cached geometry for one scenario: matrices, spectra, looks, loadings.
-
-    The aggregated-matrix eigenvalues are cached per texture node, since a
-    survival curve revisits the same nodes for every power level.
-    """
+    """Cached geometry for one scenario: matrices, spectra, looks, loadings."""
 
     def __init__(self, params: ScenarioParams):
         self.params = params
@@ -124,7 +121,6 @@ class ScenarioContext:
         self._b_weights = None
         self._dmg_c = None
         self._dmg_s = None
-        self._sc_cache: dict[float, np.ndarray] = {}
 
     @property
     def loading_s(self) -> np.ndarray:
@@ -178,21 +174,17 @@ class ScenarioContext:
                                                     self.params.M)
         return self._dmg_s
 
-    def sc_eigenvalues(self, u: float, fresh: bool = False) -> np.ndarray:
+    def sc_eigenvalues(self, u: float) -> np.ndarray:
         """Ascending eigenvalues of the aggregated matrix C_sc(u).
 
-        ``fresh`` forces the decomposition to be recomputed; the survival
-        pipeline does this per call, which is the effective model's defining
-        extra cost relative to the commuting approximations.
+        Decomposed afresh on every call: the survival pipeline does this per
+        (power level, texture node) pair, which is the effective model's
+        defining extra cost relative to the commuting approximations.
         """
-        key = float(u)
-        got = None if fresh else self._sc_cache.get(key)
-        if got is None:
-            C = aggregated_corr(self.C_c, self.C_s, self.params.q, u,
-                                self.params.S, self.params.kappa)
-            got = np.linalg.eigvalsh(C)
-            np.clip(got, 0.0, None, out=got)
-            self._sc_cache[key] = got
+        C = aggregated_corr(self.C_c, self.C_s, self.params.q, u,
+                            self.params.S, self.params.kappa)
+        got = np.linalg.eigvalsh(C)
+        np.clip(got, 0.0, None, out=got)
         return got
 
 
@@ -206,60 +198,10 @@ def aggregated_corr(Cc, Cs, q, u, S, kappa) -> np.ndarray:
     return (w_c * np.asarray(Cc) + w_s * np.asarray(Cs)) / tot
 
 
-@dataclass(frozen=True)
-class SpeckleCoefficients:
-    """Per-pulse rational-MGF coefficients at one texture node (finite kappa)."""
-
-    a: np.ndarray
-    aq: np.ndarray
-    u: float
-    kappa: int
-    scheme: str = "eff"
-
-    def __post_init__(self):
-        if np.any(self.aq < -1e-15) or np.any(self.a <= -1e-15):
-            raise InvalidScenario("speckle coefficients must be nonnegative")
-
-    @property
-    def mean(self) -> float:
-        return float(self.kappa * self.a.sum() - (self.kappa - 1) * self.aq.sum())
-
-    def as_mgf(self) -> "PoleMgf":
-        """Equal coefficients merged with integer weights; the DMG spectra
-        reduce to two distinct poles this way."""
-        a, wa = np.unique(self.a, return_counts=True)
-        k = self.kappa
-        if k == 1:
-            return PoleMgf(a, -wa, np.zeros(a.size))
-        aq, wq = np.unique(self.aq, return_counts=True)
-        return PoleMgf(np.concatenate((a, aq)),
-                       np.concatenate((-k * wa, (k - 1) * wq)),
-                       np.zeros(a.size + aq.size))
-
-
-@dataclass(frozen=True)
-class SteadyCoefficients:
-    """Pole positions and weights of the steady-target (kappa=inf) MGF."""
-
-    a: np.ndarray
-    b: np.ndarray
-    S: float
-    u: float
-    scheme: str = "eff"
-
-    @property
-    def mean(self) -> float:
-        return float(self.a.sum() + self.S)
-
-    def as_mgf(self) -> "PoleMgf":
-        return PoleMgf(self.a, np.full(self.a.size, -1.0), -self.S * self.b)
-
-
-def speckle_coeffs(params: ScenarioParams, u: float,
-                   scheme: Scheme = Scheme.EFFECTIVE,
-                   ctx: ScenarioContext | None = None,
-                   fresh_eigen: bool = False) -> SpeckleCoefficients:
-    """Build (a_m(u), aq_m(u)) for a finite fluctuation class.
+def pulse_coeffs(params: ScenarioParams, u: float,
+                 scheme: Scheme = Scheme.EFFECTIVE,
+                 ctx: ScenarioContext | None = None):
+    """Per-pulse coefficients (a_m(u), aq_m(u)) of a finite fluctuation class.
 
     aq_m = [1 - q + q u gamma_c_m] / M always; the scheme decides how the
     target enters a_m: aggregated eigenvalues for the effective model, or an
@@ -282,17 +224,42 @@ def speckle_coeffs(params: ScenarioParams, u: float,
         if q * u == 0.0:
             gam_sc = gam_s
         else:
-            gam_sc = ctx.sc_eigenvalues(u, fresh=fresh_eigen)
+            gam_sc = ctx.sc_eigenvalues(u)
         a = (1.0 - q + (q * u + S / kap) * gam_sc) / M
     else:
         a = aq + S * gam_s / (kap * M)
-    return SpeckleCoefficients(a, aq, float(u), int(kap), scheme.value)
+    return a, aq
+
+
+def speckle_coeffs(params: ScenarioParams, u: float,
+                   scheme: Scheme = Scheme.EFFECTIVE,
+                   ctx: ScenarioContext | None = None) -> PoleMgf:
+    """Speckle MGF at texture value u as a pole row, for any kappa.
+
+    A steady target is built by ``steady_coeffs``.  For finite kappa, equal
+    coefficients are merged with integer weights; the DMG spectra reduce to
+    two distinct poles this way.
+    """
+    if params.steady:
+        return steady_coeffs(params, u, scheme, ctx)
+    a, aq = pulse_coeffs(params, u, scheme, ctx)
+    if np.any(aq < -1e-15) or np.any(a <= -1e-15):
+        raise InvalidScenario("speckle coefficients must be nonnegative")
+    a, wa = np.unique(a, return_counts=True)
+    k = params.kappa
+    if k == 1:
+        return PoleMgf(a, -wa, np.zeros(a.size))
+    aq, wq = np.unique(aq, return_counts=True)
+    return PoleMgf(np.concatenate((a, aq)),
+                   np.concatenate((-k * wa, (k - 1) * wq)),
+                   np.zeros(a.size + aq.size))
 
 
 def steady_coeffs(params: ScenarioParams, u: float,
                   scheme: Scheme = Scheme.EFFECTIVE,
-                  ctx: ScenarioContext | None = None) -> SteadyCoefficients:
-    """Pole/weight pairs of the kappa -> inf MGF for the chosen scheme."""
+                  ctx: ScenarioContext | None = None) -> PoleMgf:
+    """Steady-target (kappa -> inf) MGF at texture value u as a pole row:
+    poles a_m = [1 - q + q u gamma_c_m] / M, alpha = -1, beta = -S b_m."""
     if ctx is None:
         ctx = ScenarioContext(params)
     M, S, q = params.M, params.S, params.q
@@ -306,7 +273,7 @@ def steady_coeffs(params: ScenarioParams, u: float,
         gam_c = ctx.gamma_c
         b = ctx.b_weights
     a = (1.0 - q + q * u * gam_c) / M
-    return SteadyCoefficients(a, b, S, float(u), scheme.value)
+    return PoleMgf(a, np.full(a.size, -1.0), -S * b)
 
 
 class PoleMgf:
@@ -342,14 +309,6 @@ class PoleMgf:
             d = 1.0 + self.a * s
             return float(np.dot(self.alpha, self.a / d)
                          + np.sum(self.beta / d ** 2))
-
-
-def mgf_eval(coeffs, s):
-    """Value of the speckle MGF at (complex) s; exactly 1 at s = 0."""
-    if np.ndim(s) == 0 and s == 0:
-        return 1.0 + 0.0j if isinstance(s, complex) else 1.0
-    val = coeffs.as_mgf().log_mgf(s)
-    return np.exp(val)
 
 
 @dataclass(frozen=True)
@@ -389,10 +348,7 @@ def compound_log_mgf(params: ScenarioParams, s, rule,
         ctx = ScenarioContext(params)
     acc = 0.0
     for u, w in zip(rule.nodes, rule.weights):
-        if params.steady:
-            mgf = steady_coeffs(params, u, scheme, ctx).as_mgf()
-        else:
-            mgf = speckle_coeffs(params, u, scheme, ctx).as_mgf()
+        mgf = speckle_coeffs(params, u, scheme, ctx)
         acc = acc + w * np.exp(mgf.log_mgf(s))
     return np.log(acc)
 
@@ -423,13 +379,6 @@ def cgf_moment_check(params: ScenarioParams, order: int = 32,
     return mean, var
 
 
-def mgf_kappa_inf(params: ScenarioParams, u: float, s,
-                  ctx: ScenarioContext | None = None):
-    """Steady-target (kappa -> inf) effective MGF at texture value u."""
-    mgf = steady_coeffs(params, u, Scheme.EFFECTIVE, ctx).as_mgf()
-    return np.exp(mgf.log_mgf(s))
-
-
 def mgf_fully_correlated(params: ScenarioParams, u: float, s,
                          ctx: ScenarioContext | None = None):
     """Closed-form MGF for a fully correlated target (C_s all ones).
@@ -440,7 +389,7 @@ def mgf_fully_correlated(params: ScenarioParams, u: float, s,
     if not params.spec_s.is_all_ones:
         raise InvalidScenario("fully-correlated form requires C_s = all ones")
     if params.steady:
-        raise InvalidScenario("use mgf_kappa_inf for the steady target")
+        raise InvalidScenario("use steady_coeffs for the steady target")
     if ctx is None:
         ctx = ScenarioContext(params)
     aq = (1.0 - params.q + params.q * u * ctx.gamma_c) / params.M

@@ -21,9 +21,9 @@ phase (ln(-s) -> ln(s)) and the complement is returned.
 A texture-averaged curve needs one inversion per (power level, texture
 node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
 
-- MGFs arrive in row form (``mgf_core.PoleMgf``),
-  ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s), which
-  holds the rational form (beta = 0) and the steady form alike; each
+- Every MGF is a ``mgf_core.PoleMgf``, as the coefficient builders
+  return it: ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
+  which holds the rational form (beta = 0) and the steady form alike; each
   becomes a zero-padded row of a pole table.
 - The saddle bracket search and the bisection-safeguarded Newton run on
   all pairs at once; a pair leaves the active set when it converges.
@@ -61,7 +61,6 @@ import numpy as np
 from scipy.special import roots_genlaguerre
 
 from .errors import DegenerateV, NoConvergence
-from .mgf_core import PoleMgf
 
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
@@ -79,10 +78,6 @@ _BLOCK_ELEMENTS = 1 << 14
 class Side(Enum):
     RIGHT_TAIL = "right"   # s0 < 0, direct survival integral
     LEFT_TAIL = "left"     # s0 > 0, CDF integral, survival = 1 - value
-
-
-def _as_mgf(obj):
-    return obj if isinstance(obj, PoleMgf) else obj.as_mgf()
 
 
 def support_shift(mgf) -> float:
@@ -451,7 +446,6 @@ def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
     below an MGF's support shift.  A NoConvergence carries the index i of
     its pair as ``exc.pair``.
     """
-    mgfs = [_as_mgf(m) for m in mgfs]
     v = np.asarray(v, dtype=float)
     rows = np.asarray(rows, dtype=int)
     shift = np.array([support_shift(m) for m in mgfs])
@@ -496,7 +490,6 @@ class SaddleState:
 
 def phase(s, v: float, mgf, side: Side = Side.RIGHT_TAIL):
     """Helstrom phase ln M(s) - ln(-+s) + s v on the chosen branch."""
-    mgf = _as_mgf(mgf)
     sgn = -1.0 if side is Side.RIGHT_TAIL else 1.0
     return mgf.log_mgf(s) - np.log(sgn * s) + s * v
 
@@ -506,7 +499,6 @@ def solve_saddle(v: float, mgf) -> SaddleState:
     for the exact reference phase ``tau_phase``."""
     if v <= 0.0:
         raise DegenerateV(f"power level v {v} must be positive")
-    mgf = _as_mgf(mgf)
     tab = _PoleTable([mgf], np.zeros(1, dtype=int))
     s0, r2, _, left = _solve_saddles(np.array([float(v)]), tab)
     s0 = float(s0[0])
@@ -542,11 +534,11 @@ def _state_ev(state: SaddleState):
     return lambda z, p: (tau_phase(z, state), _tau_prime(z, state))
 
 
-def survival_sdp(v: float, coeffs, order: int = DEFAULT_TAU_ORDER) -> float:
+def survival_sdp(v: float, mgf, order: int = DEFAULT_TAU_ORDER) -> float:
     """Steepest-descent-path survival: numerically exact for the given MGF."""
-    return float(survival_pairs([v], [coeffs], [0], "sdp", order)[0])
+    return float(survival_pairs([v], [mgf], [0], "sdp", order)[0])
 
 
-def survival_sp(v: float, coeffs) -> float:
+def survival_sp(v: float, mgf) -> float:
     """Basic saddle-point approximation e^{Phi(s0)} / (v sqrt(2 pi r2))."""
-    return float(survival_pairs([v], [coeffs], [0], "sp")[0])
+    return float(survival_pairs([v], [mgf], [0], "sp")[0])

@@ -29,7 +29,6 @@ from .mgf_core import (
     ScenarioParams,
     Scheme,
     speckle_coeffs,
-    steady_coeffs,
 )
 
 MAX_ORDER = 256
@@ -111,38 +110,23 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     return TextureRule(vals / nu, weights, order, nu)
 
 
-def _node_mgfs(params, method, rule, ctx, fresh_eigen=False):
-    """Per-texture-node MGF evaluators (v-independent working set).
-
-    The full effective model decomposes the aggregated matrix at every node
-    when ``fresh_eigen`` is set (its defining per-call cost); the commuting
-    schemes always reuse the cached spectra.
-    """
-    if params.steady:
-        return [steady_coeffs(params, u, method.scheme, ctx).as_mgf()
-                for u in rule.nodes]
-    fresh = fresh_eigen and method.scheme is Scheme.EFFECTIVE
-    return [speckle_coeffs(params, u, method.scheme, ctx, fresh).as_mgf()
-            for u in rule.nodes]
-
-
-def _node_survival(v_grid, params, method, rule, ctx, order, mgfs=None):
+def _node_survival(v_grid, params, method, rule, ctx, order):
     """Speckle survival at every (power level, texture node) pair.
 
     Returns an array of shape (len(v_grid), rule.order) from one batched
-    inversion.  Without hoisted ``mgfs`` each power level builds its own
-    node MGFs, so the effective model decomposes its aggregated matrix once
-    per pair.
+    inversion.  The finite-kappa effective model builds its node MGFs once
+    per pair, so it decomposes its aggregated matrix at every power level
+    (the cost the commuting approximations exist to avoid); the other
+    schemes and the steady target build theirs once per node.
     """
     v_grid = np.asarray(v_grid, dtype=float)
     n = rule.order
-    if mgfs is None:
-        mgfs = [m for _ in v_grid for m in
-                _node_mgfs(params, method, rule, ctx, fresh_eigen=True)]
-        rows = np.arange(v_grid.size * n)
-    else:
-        rows = np.tile(np.arange(n), v_grid.size)
+    per_pair = method.scheme is Scheme.EFFECTIVE and not params.steady
+    mgfs = [speckle_coeffs(params, u, method.scheme, ctx)
+            for _ in range(v_grid.size if per_pair else 1)
+            for u in rule.nodes]
     v = np.repeat(v_grid, n)
+    rows = np.arange(v.size) % len(mgfs)
     try:
         vals = saddlepoint.survival_pairs(v, mgfs, rows, method.integrator,
                                           order)
@@ -179,14 +163,7 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
     pos = v_grid > 0.0
-    # The effective model re-solves its per-node eigenproblem at every
-    # power level (the cost the commuting approximations exist to avoid);
-    # their u-independent working sets are built once.
-    hoisted = None
-    if params.steady or method.scheme is not Scheme.EFFECTIVE:
-        hoisted = _node_mgfs(params, method, rule, ctx)
-    vals = _node_survival(v_grid[pos], params, method, rule, ctx, tau_order,
-                          hoisted)
+    vals = _node_survival(v_grid[pos], params, method, rule, ctx, tau_order)
     out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out
 
@@ -205,12 +182,7 @@ def bromwich_oracle(v: float, params: ScenarioParams, u: float,
     integration by parts of the oscillatory factor.  Independent of the
     steepest-descent machinery.
     """
-    if ctx is None:
-        ctx = ScenarioContext(params)
-    if params.steady:
-        mgf = steady_coeffs(params, u, scheme, ctx).as_mgf()
-    else:
-        mgf = speckle_coeffs(params, u, scheme, ctx).as_mgf()
+    mgf = speckle_coeffs(params, u, scheme, ctx)
     if v <= 0.0:
         return 1.0
     pole = -1.0 / mgf.a_max

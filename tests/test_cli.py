@@ -116,6 +116,9 @@ def test_exit_codes(tmp_path):
     scen3 = write_scenario(tmp_path)
     assert cli.main(["survival", "--scenario", scen3,
                      "--methods", "bogus-sdp"]) == cli.EXIT_CONFIG
+    assert cli.main(["compare", "--scenario", scen3, "--replicates", "4",
+                     "--samples", "50", "--threads", "1",
+                     "--alpha", "1.5"]) == cli.EXIT_CONFIG
 
 
 def test_bench_vmax_raises_beyond_search_range():

@@ -3,8 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov as scipy_kolmogorov
-from scipy.special import ndtri
+from scipy.special import kolmogi
 
 import gammaclutter.fpm_mc as fp
 import gammaclutter.gof_stats as gs
@@ -36,7 +35,7 @@ def test_ks_null_median_matches_kolmogorov():
         dist = fp.EmpiricalDistribution(x, n)
         stats.append(gs.ks_statistic(dist, lambda v: np.exp(-np.asarray(v))))
     med = np.median(np.array(stats)) * math.sqrt(n)
-    want = gs.kolmogorov_critical(0.5)
+    want = kolmogi(0.5)
     assert want == pytest.approx(0.82757, abs=1e-4)
     assert abs(med - want) < 0.06
 
@@ -52,23 +51,6 @@ def test_ks_invariant_under_monotone_transform():
     assert d1 == pytest.approx(d2, abs=1e-15)
 
 
-def test_kolmogorov_sf_values_and_monotonicity():
-    assert gs.kolmogorov_sf(0.0) == 1.0
-    assert gs.kolmogorov_sf(1e-9) == pytest.approx(1.0, abs=1e-15)
-    assert gs.kolmogorov_sf(3.0) == pytest.approx(2.0 * math.exp(-18.0),
-                                                  rel=1e-6)
-    xs = np.linspace(0.01, 3.0, 120)
-    vals = gs.kolmogorov_sf(xs)
-    assert np.all(np.diff(vals) <= 0)
-    assert np.max(np.abs(vals - scipy_kolmogorov(xs))) < 1e-12
-
-
-def test_kolmogorov_critical_alpha001():
-    x = gs.kolmogorov_critical(0.01)
-    assert x == pytest.approx(1.6276, abs=2e-4)
-    assert gs.kolmogorov_sf(x) == pytest.approx(0.01, abs=1e-9)
-
-
 def test_dkw_epsilon_values():
     assert gs.dkw_epsilon(10 ** 4, 0.01) == pytest.approx(
         math.sqrt(math.log(200.0) / 2e4), rel=1e-15)
@@ -79,13 +61,6 @@ def test_dkw_epsilon_values():
         0.5 * gs.dkw_epsilon(100, 0.05))
     with pytest.raises(InvalidScenario):
         gs.dkw_epsilon(0, 0.01)
-
-
-def test_z_quantile_matches_scipy():
-    for p in (1e-9, 1e-4, 0.025, 0.3, 0.5, 0.77, 0.995, 1 - 1e-7):
-        assert gs.z_quantile(p) == pytest.approx(float(ndtri(p)), abs=1e-9)
-    with pytest.raises(InvalidScenario):
-        gs.z_quantile(0.0)
 
 
 def test_perturbation_identities():
@@ -118,7 +93,10 @@ def test_ks_report_fields():
     assert 0.0 <= rep.statistic <= 1.0
     assert 0.0 <= rep.p_value <= 1.0
     assert rep.reject_at[0.01] == (
-        rep.statistic * math.sqrt(2000) > gs.kolmogorov_critical(0.01))
+        rep.statistic * math.sqrt(2000) > kolmogi(0.01))
+    with pytest.raises(InvalidScenario):
+        gs.ks_report(fp.EmpiricalDistribution(x, 2000),
+                     lambda v: np.exp(-np.asarray(v)), alphas=(0.01, 1.5))
 
 
 def test_ensemble_null_coverage_and_json():
@@ -165,6 +143,14 @@ def test_ensemble_threaded_matches_serial():
     b = gs.ks_ensemble(p, sf, K=24, n=500, seed=2, alpha=0.01, threads=2)
     assert np.array_equal(a.statistics, b.statistics)
     assert a.rejected == b.rejected
+
+
+def test_ensemble_rejects_alpha_outside_unit_interval():
+    # alpha >= 1 collapses or inverts the bands; alpha <= 0 has no quantile
+    p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    for alpha in (-0.1, 0.0, 1.0, 1.5):
+        with pytest.raises(InvalidScenario):
+            gs.ks_ensemble(p, ErlangSF(3), K=4, n=50, seed=2, alpha=alpha)
 
 
 def test_rejection_scan_consecutive_rule():

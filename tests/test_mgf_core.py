@@ -38,15 +38,15 @@ def test_aggregated_corr_limits():
 
 def test_speckle_coeffs_null_signal():
     p = mc.scenario(M=6, kappa=3, S=0.0, q=0.8, nu=2, rho_c=0.5, rho_s=0.7)
-    co = mc.speckle_coeffs(p, 1.2)
-    assert np.array_equal(co.a, co.aq)
+    a, aq = mc.pulse_coeffs(p, 1.2)
+    assert np.array_equal(a, aq)
 
 
 def test_speckle_coeffs_uncorrelated_white():
     p = mc.scenario(M=5, kappa=2, S=3.0, q=0.0, nu=np.inf)
-    co = mc.speckle_coeffs(p, 1.0)
-    assert np.allclose(co.aq, 0.2)
-    assert np.allclose(co.a, (1.0 + 1.5) / 5.0)
+    a, aq = mc.pulse_coeffs(p, 1.0)
+    assert np.allclose(aq, 0.2)
+    assert np.allclose(a, (1.0 + 1.5) / 5.0)
 
 
 def test_speckle_sum_rule_from_independent_matrices():
@@ -55,14 +55,14 @@ def test_speckle_sum_rule_from_independent_matrices():
     M, kap, S, q, u = 10, 2, 5.0, 1.0, 1.0
     Cc, Cs = gm_matrix(0.75, M), gm_matrix(0.95, M)
     p = mc.scenario(M=M, kappa=kap, S=S, q=q, nu=2, rho_c=0.75, rho_s=0.95)
-    co = mc.speckle_coeffs(p, u)
-    assert abs(np.sum(co.a - co.aq) - S / kap) < 1e-10
+    co_a, co_aq = mc.pulse_coeffs(p, u)
+    assert abs(np.sum(co_a - co_aq) - S / kap) < 1e-10
     gam_c = np.linalg.eigvalsh(Cc)
     gam_sc = np.linalg.eigvalsh((q * u * Cc + (S / kap) * Cs) / (q * u + S / kap))
     aq = (1 - q + q * u * gam_c) / M
     a = (1 - q + (q * u + S / kap) * gam_sc) / M
-    assert np.max(np.abs(a - co.a)) < 1e-12
-    assert np.max(np.abs(aq - co.aq)) < 1e-12
+    assert np.max(np.abs(a - co_a)) < 1e-12
+    assert np.max(np.abs(aq - co_aq)) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,25 +72,27 @@ def test_speckle_sum_rule_from_independent_matrices():
        u=st.floats(0.05, 4.0))
 def test_sum_rule_randomized(M, kap, S, q, rc, rs, u):
     p = mc.scenario(M=M, kappa=kap, S=S, q=q, nu=2, rho_c=rc, rho_s=rs)
-    co = mc.speckle_coeffs(p, u)
-    assert abs(np.sum(co.a - co.aq) - S / kap) < 1e-10
+    a, aq = mc.pulse_coeffs(p, u)
+    assert abs(np.sum(a - aq) - S / kap) < 1e-10
 
 
 def test_mgf_eval_normalization_and_kappa1():
     p = mc.scenario(M=4, kappa=1, S=2.0, q=0.6, nu=2, rho_c=0.4, rho_s=0.8)
-    co = mc.speckle_coeffs(p, 0.9)
-    assert mc.mgf_eval(co, 0.0) == 1.0
+    mgf = mc.speckle_coeffs(p, 0.9)
+    assert np.exp(mgf.log_mgf(0.0)) == 1.0
     s = 1.7
-    direct = np.prod(1.0 / (1.0 + co.a * s))
-    assert mc.mgf_eval(co, s) == pytest.approx(direct, rel=1e-14)
+    a, _ = mc.pulse_coeffs(p, 0.9)
+    direct = np.prod(1.0 / (1.0 + a * s))
+    assert np.exp(mgf.log_mgf(s)) == pytest.approx(direct, rel=1e-14)
 
 
 def test_mgf_eval_against_decimal_oracle():
     p = mc.scenario(M=2, kappa=2, S=1.5, q=0.5, nu=np.inf,
                     rho_c=0.3, rho_s=0.9)
-    co = mc.speckle_coeffs(p, 1.0)
-    want = decimal_rational_mgf(co.a, co.aq, 2, 1.0)
-    assert mc.mgf_eval(co, 1.0) == pytest.approx(want, rel=1e-13)
+    a, aq = mc.pulse_coeffs(p, 1.0)
+    want = decimal_rational_mgf(a, aq, 2, 1.0)
+    mgf = mc.speckle_coeffs(p, 1.0)
+    assert np.exp(mgf.log_mgf(1.0)) == pytest.approx(want, rel=1e-13)
 
 
 def test_analytic_moments_special_cases():
@@ -161,7 +163,8 @@ def test_mgf_kappa_inf_normalization_and_steady_weights():
     p = mc.scenario(M=6, kappa=np.inf, S=2.0, q=0.8, nu=2.0,
                     rho_c=0.6, rho_s=1.0)
     ctx = mc.ScenarioContext(p)
-    assert mc.mgf_kappa_inf(p, 1.0, 0.0, ctx) == pytest.approx(1.0, abs=1e-15)
+    mgf = mc.steady_coeffs(p, 1.0, ctx=ctx)
+    assert np.exp(mgf.log_mgf(0.0)) == pytest.approx(1.0, abs=1e-15)
     # fully correlated target: b_m = (1/M) (sum_n [R_c]_mn)^2
     want = (ctx.eig_c.rotation.sum(axis=1)) ** 2 / p.M
     assert np.max(np.abs(ctx.b_weights - want)) < 1e-12
@@ -170,20 +173,21 @@ def test_mgf_kappa_inf_normalization_and_steady_weights():
 def test_kappa_inf_limit_consistency():
     base = dict(M=6, S=3.0, q=0.8, nu=np.inf, rho_c=0.5, rho_s=0.9)
     p_inf = mc.scenario(kappa=np.inf, **base)
-    v_inf = mc.mgf_kappa_inf(p_inf, 1.0, 1.0)
+    v_inf = np.exp(mc.steady_coeffs(p_inf, 1.0).log_mgf(1.0))
     p_fin = mc.scenario(kappa=10 ** 4, **base)
-    v_fin = mc.mgf_eval(mc.speckle_coeffs(p_fin, 1.0), 1.0)
+    v_fin = np.exp(mc.speckle_coeffs(p_fin, 1.0).log_mgf(1.0))
     assert abs(v_fin - v_inf) / abs(v_inf) < 1e-3
 
 
 def test_kappa_inf_monotone_approach():
     base = dict(M=5, S=2.0, q=0.7, nu=np.inf, rho_c=0.4, rho_s=0.8)
     p_inf = mc.scenario(kappa=np.inf, **base)
-    target = mc.mgf_kappa_inf(p_inf, 1.0, 1.0)
+    target = np.exp(mc.steady_coeffs(p_inf, 1.0).log_mgf(1.0))
     gaps = []
     for k in range(4, 15):
         p = mc.scenario(kappa=2 ** k, **base)
-        gaps.append(abs(mc.mgf_eval(mc.speckle_coeffs(p, 1.0), 1.0) - target))
+        mgf = mc.speckle_coeffs(p, 1.0)
+        gaps.append(abs(np.exp(mgf.log_mgf(1.0)) - target))
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
 
 
@@ -202,7 +206,7 @@ def test_fully_correlated_matches_effective():
         p = mc.scenario(M=4, kappa=3, S=2.5, q=0.7, nu=np.inf,
                         rho_c=0.6, rho_s=1.0)
         ctx = mc.ScenarioContext(p)
-        a = mc.mgf_eval(mc.speckle_coeffs(p, 1.0, ctx=ctx), s)
+        a = np.exp(mc.speckle_coeffs(p, 1.0, ctx=ctx).log_mgf(s))
         b = mc.mgf_fully_correlated(p, 1.0, s, ctx)
         assert abs(a - b) < 1e-12
     assert mc.mgf_fully_correlated(p, 1.0, 0.0, ctx) == pytest.approx(1.0)
@@ -212,7 +216,7 @@ def test_fully_correlated_no_clutter_single_pole():
     p = mc.scenario(M=3, kappa=2, S=4.0, q=0.0, nu=np.inf, rho_s=1.0)
     ctx = mc.ScenarioContext(p)
     for s in (0.3, 1.0, 2.0):
-        a = mc.mgf_eval(mc.speckle_coeffs(p, 1.0, ctx=ctx), s)
+        a = np.exp(mc.speckle_coeffs(p, 1.0, ctx=ctx).log_mgf(s))
         b = mc.mgf_fully_correlated(p, 1.0, s, ctx)
         assert abs(a - b) < 1e-12
 
@@ -224,7 +228,7 @@ def test_first_principles_steady_reductions():
     ctx = mc.ScenarioContext(p)
     for s in (0.0, 0.5, 2.0):
         a = mc.mgf_first_principles_steady(p, 1.0, s, ctx)
-        b = mc.mgf_kappa_inf(p, 1.0, s, ctx)
+        b = np.exp(mc.steady_coeffs(p, 1.0, ctx=ctx).log_mgf(s))
         assert abs(a - b) < 1e-13
 
     # uncorrelated target, M=2, fully correlated clutter: worst-case form

@@ -27,7 +27,7 @@ def test_single_pole_saddle_quadratic_oracle():
     p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
     co = mc.speckle_coeffs(p, 1.0)
     for v in (1.5, 2.0, 5.0):
-        st = sp.solve_saddle(v, co.as_mgf())
+        st = sp.solve_saddle(v, co)
         a, b, c = v, v - 2.0, -1.0
         root = (-b - math.sqrt(b * b - 4 * a * c)) / (2 * a)
         assert st.s0 == pytest.approx(root, abs=1e-12)
@@ -36,8 +36,7 @@ def test_single_pole_saddle_quadratic_oracle():
 
 def test_phase_is_minimum_along_real_axis():
     p = fig_scenario()
-    co = mc.speckle_coeffs(p, 1.0)
-    mgf = co.as_mgf()
+    mgf = mc.speckle_coeffs(p, 1.0)
     st = sp.solve_saddle(9.0, mgf)
     base = sp.phase(st.s0, 9.0, mgf, st.side)
     for ds in (-1e-5, 1e-5):
@@ -50,9 +49,8 @@ def test_saddle_residual_and_r1_across_grid():
                          rho_c=0.75, rho_s=0.95)
     for p in (fig_scenario(), steady):
         ctx = mc.ScenarioContext(p)
-        build = mc.steady_coeffs if p.steady else mc.speckle_coeffs
         for u in (0.3, 1.0, 2.5):
-            mgf = build(p, u, ctx=ctx).as_mgf()
+            mgf = mc.speckle_coeffs(p, u, ctx=ctx)
             for v in np.linspace(0.2, 20.0, 40):
                 st = sp.solve_saddle(v, mgf)
                 resid = mgf.dlog(st.s0) - 1.0 / st.s0 + v
@@ -63,8 +61,7 @@ def test_saddle_residual_and_r1_across_grid():
 
 def test_saddle_side_selection():
     p = fig_scenario()
-    co = mc.speckle_coeffs(p, 1.0)
-    mgf = co.as_mgf()
+    mgf = mc.speckle_coeffs(p, 1.0)
     mean = mgf.mean
     assert sp.solve_saddle(mean * 1.2, mgf).side is sp.Side.RIGHT_TAIL
     assert sp.solve_saddle(mean * 1.2, mgf).s0 < 0
@@ -77,7 +74,7 @@ def test_saddle_side_selection():
 def test_tau_at_zero_and_small_tau_leading_order():
     p = fig_scenario()
     co = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(10.0, co.as_mgf())
+    st = sp.solve_saddle(10.0, co)
     assert _invert(0.0, st) == 0.0
     z = _invert(1e-6, st)
     z0 = 1j * math.sqrt(2e-6 / st.r2)
@@ -89,7 +86,7 @@ def test_tau_round_trip_on_quadrature_nodes():
     p = fig_scenario()
     ctx = mc.ScenarioContext(p)
     co = mc.speckle_coeffs(p, 1.0, ctx=ctx)
-    st = sp.solve_saddle(12.0, co.as_mgf())
+    st = sp.solve_saddle(12.0, co)
     t, _ = roots_genlaguerre(64, 0.5)
     for tau in t:
         z = _invert(float(tau), st)
@@ -101,7 +98,7 @@ def test_tau_series_quadratic_leading_term():
     # tau(z) + r2 z^2 / 2 = O(z^3): the linear term cancels at the saddle
     p = fig_scenario()
     co = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(10.0, co.as_mgf())
+    st = sp.solve_saddle(10.0, co)
     for z in (1e-3, 1e-3j, (1 + 1j) * 1e-3):
         resid = sp.tau_phase(z, st) + st.r2 * z * z / 2.0
         assert abs(resid) < 10.0 * abs(z) ** 3 * max(1.0, st.r2)
@@ -191,10 +188,7 @@ def _mixed_batch():
                                 (100, 1, 0.0, mc.Scheme.DIAGONAL)):
         p = mc.scenario(M=M, kappa=kappa, S=3.0, q=q, nu=2.0,
                         rho_c=0.75, rho_s=0.9)
-        if p.steady:
-            mgf = mc.steady_coeffs(p, 1.3, scheme).as_mgf()
-        else:
-            mgf = mc.speckle_coeffs(p, 1.3, scheme).as_mgf()
+        mgf = mc.speckle_coeffs(p, 1.3, scheme)
         for frac in (0.6, 0.95, 1.4, 2.5):     # both sides of the mean
             pairs.append((frac * mgf.mean, mgf))
     return pairs
@@ -253,9 +247,7 @@ def test_tau_rows_match_exact_phase_near_and_far():
                         (100, math.inf, 0.0)):
         p = mc.scenario(M=M, kappa=kappa, S=S, q=0.8, nu=2.0,
                         rho_c=0.75, rho_s=0.9)
-        co = (mc.steady_coeffs(p, 0.7) if p.steady
-              else mc.speckle_coeffs(p, 0.7))
-        mgf = co.as_mgf()
+        mgf = mc.speckle_coeffs(p, 0.7)
         for v in (0.7 * mgf.mean, 1.6 * mgf.mean):
             st = sp.solve_saddle(v, mgf)
             tab = sp._PoleTable([mgf], np.zeros(1, dtype=int))
@@ -277,7 +269,7 @@ def test_newton_step_halving_recovers_poor_starts():
     # full Newton steps from these starts leave the upper half plane or
     # raise the residual; only the step halving brings them in
     p = fig_scenario()
-    st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0).as_mgf())
+    st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0))
     t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
     ev = sp._state_ev(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order

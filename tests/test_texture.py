@@ -100,6 +100,36 @@ def test_order_doubling_stability():
             assert abs(a - b) < 1e-8
 
 
+def test_effective_curve_decomposes_once_per_pair(monkeypatch):
+    # the finite-kappa effective model decomposes its aggregated matrix at
+    # every (v > 0, texture node) pair, and no other curve decomposes it;
+    # criterion 10's diag-sdp < eff-sdp ordering rests on that cost
+    calls = []
+    original = mc.ScenarioContext.sc_eigenvalues
+
+    def counting(self, u):
+        calls.append(u)
+        return original(self, u)
+
+    monkeypatch.setattr(mc.ScenarioContext, "sc_eigenvalues", counting)
+    base = dict(M=6, q=0.8, nu=2.0, rho_c=0.5, rho_s=0.8)
+    grid = np.array([0.0, 1.0, 2.5, 4.0, 7.0])
+    order = 8
+    p = mc.scenario(kappa=2, S=2.0, **base)
+    for method in ("eff-sdp", "eff-sp"):
+        calls.clear()
+        tx.survival_curve(grid, p, method, texture_order=order)
+        assert len(calls) == 4 * order
+        assert len(set(calls)) == order
+    for params, method in ((p, "dmg-sdp"), (p, "diag-sdp"),
+                           (mc.scenario(kappa=np.inf, S=2.0, **base),
+                            "eff-sdp"),
+                           (mc.scenario(kappa=2, S=0.0, **base), "eff-sdp")):
+        calls.clear()
+        tx.survival_curve(grid, params, method, texture_order=order)
+        assert calls == []
+
+
 def test_bromwich_erlang_and_single_pole():
     from scipy.special import gammaincc
     p = mc.scenario(M=4, kappa=3, S=0.0, q=0.0, nu=np.inf)
