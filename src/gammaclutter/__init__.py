@@ -69,8 +69,6 @@ from .saddlepoint import (
 from .texture import (
     Method,
     TextureRule,
-    bromwich_oracle,
-    compound_bromwich,
     compound_survival,
     gamma_texture_rule,
     survival_curve,

@@ -147,6 +147,7 @@ def cmd_compare(args) -> int:
     method = args.method or cfg["method"]
     order = args.texture_order or cfg["texture_order"]
     seed = args.seed if args.seed is not None else cfg["seed"]
+    gof_stats.check_ensemble(args.replicates, args.samples, args.alpha)
     sf = texture.survival_interpolator(params, method, texture_order=order)
     ens = gof_stats.ks_ensemble(
         params, sf, K=args.replicates, n=args.samples, seed=seed,

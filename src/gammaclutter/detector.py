@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BracketFail, InvalidScenario
 from .mgf_core import ScenarioContext, ScenarioParams
 from .texture import Method, TextureRule, compound_survival, gamma_texture_rule
+from .texture import _node_survival
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,11 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
         raise InvalidScenario("sir_grid must be sorted ascending")
     rule = gamma_texture_rule(params.nu, texture_order)
     v_b = threshold_for_pfa(params, pfa, method, rule)
-    pd = np.empty_like(sir_grid)
-    for i, S in enumerate(sir_grid):
-        p_s = replace(params, S=float(S))
-        pd[i] = compound_survival(v_b, p_s, method, rule,
-                                  ScenarioContext(p_s))
+    pd = np.ones_like(sir_grid)
+    if v_b > 0.0:
+        vals = _node_survival(v_b, sir_grid, params, method, rule,
+                              ScenarioContext(params))
+        pd = np.clip(vals @ rule.weights, 0.0, 1.0)
     return DetectionCurve(sir_grid, pd, v_b, pfa, method.name)
 
 

@@ -187,6 +187,13 @@ def rejection_scan(dkw_curve, band_lo,
     return False
 
 
+def check_ensemble(K: int, n: int, alpha: float) -> None:
+    """Raise InvalidScenario unless K >= 1, n >= 1 and 0 < alpha < 1."""
+    if K < 1 or n < 1 or not 0.0 < alpha < 1.0:
+        raise InvalidScenario(f"need K >= 1, n >= 1 and 0 < alpha < 1; got "
+                              f"K={K}, n={n}, alpha={alpha}")
+
+
 def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
                 alpha: float = 0.01, stream_base: int = 0,
                 threads: int = 0, config_echo: dict | None = None) -> KSEnsemble:
@@ -194,11 +201,9 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
 
     Returns the ensemble with its bootstrap band, Greenwood limits, the
     Kolmogorov theoretical curve (as function of the raw statistic), the DKW
-    tracking curve, and the rejection decision.  ``alpha`` must lie in
-    (0, 1).
+    tracking curve, and the rejection decision.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidScenario(f"alpha {alpha} outside (0, 1)")
+    check_ensemble(K, n, alpha)
     if threads and threads > 1:
         chunks = np.array_split(np.arange(K), threads)
         jobs = [(params, method_sf, int(ch[0]), int(ch[-1]) + 1, n, seed,

@@ -13,9 +13,10 @@ The steady target (kappa -> inf) swaps the rational form for
 
     ln M(s; u) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)].
 
-The builders ``speckle_coeffs`` and ``steady_coeffs`` return both as one
-pole row, ``PoleMgf``:
-ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s).
+The builder ``pole_table`` returns both as a ``PoleMgf`` table with one
+pole row per (S, u) pair,
+ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s);
+``speckle_coeffs`` and ``steady_coeffs`` are its one-row calls.
 
 Three coefficient schemes are supported: the full effective model (fresh
 aggregated eigenvalues per texture node), the commuting "diagonal"
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -38,6 +39,8 @@ from .corrmodel import CorrelationSpec, eigen_system, loading_matrix
 from .errors import DegenerateMix, InvalidScenario, PoleHit
 
 KAPPA_INF = math.inf
+# Matrix entries per stacked eigvalsh call of the effective model.
+_EIG_CHUNK = 1 << 16
 
 
 class Scheme(Enum):
@@ -175,105 +178,140 @@ class ScenarioContext:
         return self._dmg_s
 
     def sc_eigenvalues(self, u: float) -> np.ndarray:
-        """Ascending eigenvalues of the aggregated matrix C_sc(u).
+        """Ascending eigenvalues of the aggregated matrix C_sc(u)."""
+        return self.aggregated_eigenvalues([self.params.S], [u])[0]
 
-        Decomposed afresh on every call: the survival pipeline does this per
-        (power level, texture node) pair, which is the effective model's
-        defining extra cost relative to the commuting approximations.
+    def aggregated_eigenvalues(self, S, u) -> np.ndarray:
+        """Ascending eigenvalues of C_sc at every pair (S[i], u[i]).
+
+        Decomposed afresh for every pair: the survival pipeline does this
+        per (power level, texture node) pair, which is the effective model's
+        defining extra cost relative to the commuting approximations.  The
+        stacks given to LAPACK hold at most _EIG_CHUNK matrix entries, so
+        they stay small at large M.
         """
-        C = aggregated_corr(self.C_c, self.C_s, self.params.q, u,
-                            self.params.S, self.params.kappa)
-        got = np.linalg.eigvalsh(C)
+        p = self.params
+        S, u = np.atleast_1d(S), np.atleast_1d(u)
+        per = max(1, _EIG_CHUNK // (p.M * p.M))
+        got = np.empty((u.size, p.M))
+        for i in range(0, u.size, per):
+            got[i:i + per] = np.linalg.eigvalsh(aggregated_corr(
+                self.C_c, self.C_s, p.q, u[i:i + per], S[i:i + per], p.kappa))
         np.clip(got, 0.0, None, out=got)
         return got
 
 
 def aggregated_corr(Cc, Cs, q, u, S, kappa) -> np.ndarray:
-    """(q u Cc + (S/kappa) Cs) / (q u + S/kappa); unit trace ratio kept."""
-    w_c = q * u
-    w_s = S / kappa if kappa != KAPPA_INF else 0.0
+    """(q u Cc + (S/kappa) Cs) / (q u + S/kappa); unit trace ratio kept.
+
+    Arrays u and S of one shape give the stack of matrices."""
+    w_c = q * np.asarray(u, dtype=float)[..., None, None]
+    w_s = np.asarray(S, dtype=float)[..., None, None]
+    w_s = w_s / kappa if kappa != KAPPA_INF else 0.0 * w_s
     tot = w_c + w_s
-    if tot <= 0.0:
+    if np.any(tot <= 0.0):
         raise DegenerateMix("q*u + S/kappa vanished; no aggregated matrix")
     return (w_c * np.asarray(Cc) + w_s * np.asarray(Cs)) / tot
 
 
-def pulse_coeffs(params: ScenarioParams, u: float,
-                 scheme: Scheme = Scheme.EFFECTIVE,
-                 ctx: ScenarioContext | None = None):
-    """Per-pulse coefficients (a_m(u), aq_m(u)) of a finite fluctuation class.
+def _pulse_rows(params: ScenarioParams, S, u, scheme, ctx):
+    """Per-pulse coefficients at every pair (S[i], u[i]), as (pairs, M)
+    arrays: (a, aq) for a finite kappa, (aq, -S b) for a steady target.
 
     aq_m = [1 - q + q u gamma_c_m] / M always; the scheme decides how the
     target enters a_m: aggregated eigenvalues for the effective model, or an
     additive S gamma_s_m / (kappa M) shift for the commuting approximations.
     """
+    M, q, kap = params.M, params.q, params.kappa
+    dmg = scheme is Scheme.DMG
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
+    qu = q * u
+    aq = (1.0 - q + qu[:, None] * gam_c) / M
+    if params.steady:
+        b = ctx.b_weights if scheme is Scheme.EFFECTIVE else gam_s / M
+        return aq, -S[:, None] * b
+    a = aq.copy()
+    sig = S != 0.0
+    if scheme is Scheme.EFFECTIVE:
+        gam_sc = np.tile(gam_s, (u.size, 1))
+        mix = sig & (qu != 0.0)
+        gam_sc[mix] = ctx.aggregated_eigenvalues(S[mix], u[mix])
+        a[sig] = (1.0 - q + (qu[sig] + S[sig] / kap)[:, None]
+                  * gam_sc[sig]) / M
+    else:
+        a[sig] = aq[sig] + S[sig, None] * gam_s / (kap * M)
+    return a, aq
+
+
+def _merged(a, aq, k) -> PoleMgf:
+    """Rational MGF rows of the (pairs, M) coefficients: per row the
+    distinct a_m, then (k > 1) the distinct aq_m, each ascending with
+    alpha = -k or k - 1 times its count, as ``np.unique`` gives them."""
+    parts = (a,) if k == 1 else (a, aq)
+    x = np.concatenate([np.sort(p, axis=1) for p in parts], axis=1)
+    new = np.ones(x.shape, dtype=bool)
+    new[:, 1:] = x[:, 1:] != x[:, :-1]
+    new[:, ::a.shape[1]] = True       # no run spans the a and aq parts
+    pos = np.cumsum(new, axis=1) - 1  # column of each value's merged entry
+    n, width = len(x), 1 + int(pos.max(initial=-1))
+    flat = np.arange(n)[:, None] * width + pos
+    tab = np.zeros((3, n * width))
+    tab[0, flat[new]] = x[new]
+    wt = np.repeat([-k, k - 1][:len(parts)], a.shape[1])
+    tab[1] = np.bincount(flat.ravel(), np.tile(wt, n), n * width)
+    return PoleMgf(*tab.reshape(3, n, width))
+
+
+def pole_table(params: ScenarioParams, S, u,
+               scheme: Scheme = Scheme.EFFECTIVE,
+               ctx: ScenarioContext | None = None) -> PoleMgf:
+    """Speckle MGFs at the pairs (S[i], u[i]) as one table, for any kappa.
+
+    Row i is the MGF at signal-to-interference ratio S[i] and texture value
+    u[i], left-packed and zero-padded.  For finite kappa equal coefficients
+    are merged with integer weights (the DMG spectra reduce to two or three
+    poles this way); a steady target has poles a_m, alpha = -1 and
+    beta = -S b_m.
+    """
+    S, u = np.broadcast_arrays(np.atleast_1d(np.asarray(S, dtype=float)),
+                               np.atleast_1d(np.asarray(u, dtype=float)))
+    if np.any(S < 0.0):
+        raise InvalidScenario("S must be >= 0")
+    x, y = _pulse_rows(params, S, u, scheme, ctx or ScenarioContext(params))
+    if params.steady:
+        return PoleMgf(x, np.full(x.shape, -1.0), y)
+    if np.any(y < -1e-15) or np.any(x <= -1e-15):
+        raise InvalidScenario("speckle coefficients must be nonnegative")
+    return _merged(x, y, params.kappa)
+
+
+def pulse_coeffs(params: ScenarioParams, u: float,
+                 scheme: Scheme = Scheme.EFFECTIVE,
+                 ctx: ScenarioContext | None = None):
+    """Per-pulse coefficients (a_m(u), aq_m(u)) of a finite fluctuation
+    class, unmerged."""
     if params.steady:
         raise InvalidScenario("finite-kappa coefficients requested for "
                               "steady target; use steady_coeffs")
-    if ctx is None:
-        ctx = ScenarioContext(params)
-    M, S, q, kap = params.M, params.S, params.q, params.kappa
-    if scheme is Scheme.DMG:
-        gam_c, gam_s = ctx.dmg_gamma_c, ctx.dmg_gamma_s
-    else:
-        gam_c, gam_s = ctx.gamma_c, ctx.gamma_s
-    aq = (1.0 - q + q * u * gam_c) / M
-    if S == 0.0:
-        a = aq.copy()
-    elif scheme is Scheme.EFFECTIVE:
-        if q * u == 0.0:
-            gam_sc = gam_s
-        else:
-            gam_sc = ctx.sc_eigenvalues(u)
-        a = (1.0 - q + (q * u + S / kap) * gam_sc) / M
-    else:
-        a = aq + S * gam_s / (kap * M)
-    return a, aq
+    a, aq = _pulse_rows(params, np.array([params.S]), np.array([float(u)]),
+                        scheme, ctx or ScenarioContext(params))
+    return a[0], aq[0]
 
 
 def speckle_coeffs(params: ScenarioParams, u: float,
                    scheme: Scheme = Scheme.EFFECTIVE,
                    ctx: ScenarioContext | None = None) -> PoleMgf:
-    """Speckle MGF at texture value u as a pole row, for any kappa.
-
-    A steady target is built by ``steady_coeffs``.  For finite kappa, equal
-    coefficients are merged with integer weights; the DMG spectra reduce to
-    two distinct poles this way.
-    """
-    if params.steady:
-        return steady_coeffs(params, u, scheme, ctx)
-    a, aq = pulse_coeffs(params, u, scheme, ctx)
-    if np.any(aq < -1e-15) or np.any(a <= -1e-15):
-        raise InvalidScenario("speckle coefficients must be nonnegative")
-    a, wa = np.unique(a, return_counts=True)
-    k = params.kappa
-    if k == 1:
-        return PoleMgf(a, -wa, np.zeros(a.size))
-    aq, wq = np.unique(aq, return_counts=True)
-    return PoleMgf(np.concatenate((a, aq)),
-                   np.concatenate((-k * wa, (k - 1) * wq)),
-                   np.zeros(a.size + aq.size))
+    """Speckle MGF at texture value u as one pole row, for any kappa."""
+    t = pole_table(params, params.S, u, scheme, ctx)
+    return PoleMgf(t.a[0], t.alpha[0], t.beta[0])
 
 
 def steady_coeffs(params: ScenarioParams, u: float,
                   scheme: Scheme = Scheme.EFFECTIVE,
                   ctx: ScenarioContext | None = None) -> PoleMgf:
-    """Steady-target (kappa -> inf) MGF at texture value u as a pole row:
-    poles a_m = [1 - q + q u gamma_c_m] / M, alpha = -1, beta = -S b_m."""
-    if ctx is None:
-        ctx = ScenarioContext(params)
-    M, S, q = params.M, params.S, params.q
-    if scheme is Scheme.DMG:
-        gam_c = ctx.dmg_gamma_c
-        b = ctx.dmg_gamma_s / M
-    elif scheme is Scheme.DIAGONAL:
-        gam_c = ctx.gamma_c
-        b = ctx.gamma_s / M
-    else:
-        gam_c = ctx.gamma_c
-        b = ctx.b_weights
-    a = (1.0 - q + q * u * gam_c) / M
-    return PoleMgf(a, np.full(a.size, -1.0), -S * b)
+    """Steady-target (kappa -> inf) MGF at texture value u as one pole row."""
+    return speckle_coeffs(replace(params, kappa=KAPPA_INF), u, scheme, ctx)
 
 
 class PoleMgf:
@@ -281,20 +319,29 @@ class PoleMgf:
 
     A term with alpha_j < 0 is a pole of M, one with alpha_j > 0 a zero.
     The rational form has beta = 0; the steady form has alpha = -1 and
-    beta = -S b.
+    beta = -S b.  One MGF is a row of 1-D arrays; a table of MGFs holds
+    (pairs, width) arrays, one left-packed row per pair, padded with
+    entries a = alpha = beta = 0 that contribute nothing.  ``log_mgf`` and
+    ``dlog`` take one row.
     """
 
-    __slots__ = ("a", "alpha", "beta", "a_max")
+    __slots__ = ("a", "alpha", "beta")
 
     def __init__(self, a, alpha, beta):
         self.a = np.asarray(a, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
-        self.a_max = float(self.a[self.alpha < 0.0].max())
 
     @property
-    def mean(self) -> float:
-        return float(-np.dot(self.alpha, self.a) - self.beta.sum())
+    def a_max(self):
+        """Largest pole coefficient of each row."""
+        return np.max(np.where(self.alpha < 0.0, self.a, -np.inf), axis=-1,
+                      initial=-np.inf)
+
+    @property
+    def mean(self):
+        return (-np.einsum("...j,...j->...", self.alpha, self.a)
+                - self.beta.sum(axis=-1))
 
     def log_mgf(self, s):
         s = np.asarray(s)

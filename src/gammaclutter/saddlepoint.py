@@ -21,10 +21,13 @@ phase (ln(-s) -> ln(s)) and the complement is returned.
 A texture-averaged curve needs one inversion per (power level, texture
 node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
 
-- Every MGF is a ``mgf_core.PoleMgf``, as the coefficient builders
-  return it: ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
-  which holds the rational form (beta = 0) and the steady form alike; each
-  becomes a zero-padded row of a pole table.
+- The MGFs come as one ``mgf_core.PoleMgf`` table, as the coefficient
+  builder returns it: (pairs, width) arrays of
+  ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
+  which holds the rational form (beta = 0) and the steady form alike, one
+  left-packed, zero-padded row per MGF.  A block of pairs slices its rows,
+  and the mean, largest pole, bulk flag and support shift are row
+  reductions.
 - The saddle bracket search and the bisection-safeguarded Newton run on
   all pairs at once; a pair leaves the active set when it converges.
 - Each pair's phase becomes a row
@@ -61,6 +64,7 @@ import numpy as np
 from scipy.special import roots_genlaguerre
 
 from .errors import DegenerateV, NoConvergence
+from .mgf_core import PoleMgf
 
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
@@ -80,14 +84,15 @@ class Side(Enum):
     LEFT_TAIL = "left"     # s0 > 0, CDF integral, survival = 1 - value
 
 
-def support_shift(mgf) -> float:
-    """Deterministic offset of the distribution's lower support bound.
+def support_shift(mgf):
+    """Deterministic offset of the distribution's lower support bound, per
+    row of an MGF table.
 
     Zero-eigenvalue poles of the steady-target MGF contribute pure
     exp(beta s) factors, i.e. an additive constant; survival is exactly 1
     at or below the total shift.
     """
-    return float(-mgf.beta[mgf.a == 0.0].sum())
+    return -np.where(mgf.a == 0.0, mgf.beta, 0.0).sum(axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -123,24 +128,21 @@ def _log1m(xp, yp, d):
 
 
 class _PoleTable:
-    """Zero-padded (a, alpha, beta) rows of a block of pairs; pair i uses
-    ``mgfs[rows[i]]``."""
+    """Zero-padded (a, alpha, beta) rows of a block of pairs: pair i uses
+    row rows[i] of an MGF table (or of a single row), trimmed to the
+    widest row of the block."""
 
-    def __init__(self, mgfs, rows):
-        uniq, inv = np.unique(rows, return_inverse=True)
-        picked = [mgfs[j] for j in uniq]
-        tab = np.zeros((3, uniq.size, max(m.a.size for m in picked)))
-        for i, m in enumerate(picked):
-            for dst, src in zip(tab, (m.a, m.alpha, m.beta)):
-                dst[i, :src.size] = src
-        self.a, self.alpha, self.beta = tab[:, inv]
+    def __init__(self, table, rows):
+        tab = np.stack([np.atleast_2d(x)[rows]
+                        for x in (table.a, table.alpha, table.beta)])
+        width = 1 + np.flatnonzero(tab.any(axis=(0, 1))).max(initial=-1)
+        blk = PoleMgf(*tab[:, :, :width])
+        self.a, self.alpha, self.beta = blk.a, blk.alpha, blk.beta
         self.has_beta = bool(self.beta.any())
-        self.mean = np.array([m.mean for m in picked])[inv]
-        self.a_max = np.array([m.a_max for m in picked])[inv]
-        self.bulk = np.array([
-            not m.beta.any()
-            and np.count_nonzero(m.alpha < 0.0) + 1 >= _BULK_MIN_TERMS
-            for m in picked])[inv]
+        self.mean, self.a_max = blk.mean, blk.a_max
+        self.bulk = (~self.beta.any(axis=1)
+                     & (np.count_nonzero(self.alpha < 0.0, axis=1) + 1
+                        >= _BULK_MIN_TERMS))
 
     def derivatives(self, i, s):
         """d ln M / ds and d^2 ln M / ds^2 of pairs i at real s."""
@@ -437,9 +439,10 @@ def _assemble(val, left):
     return np.clip(np.where(left, 1.0 - val, val), 0.0, 1.0)
 
 
-def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
+def survival_pairs(v, table, rows, integrator: str = "sdp",
                    order: int = DEFAULT_TAU_ORDER) -> np.ndarray:
-    """Survival at every pair (v[i], mgfs[rows[i]]) in one batched pass.
+    """Survival at every pair (v[i], row rows[i] of the MGF table) in one
+    batched pass; a single MGF row serves as a one-row table.
 
     ``integrator`` is "sdp" (steepest-descent path, numerically exact) or
     "sp" (basic saddle-point approximation).  Survival is exactly 1 at or
@@ -448,18 +451,17 @@ def survival_pairs(v, mgfs, rows, integrator: str = "sdp",
     """
     v = np.asarray(v, dtype=float)
     rows = np.asarray(rows, dtype=int)
-    shift = np.array([support_shift(m) for m in mgfs])
+    shift = np.atleast_1d(support_shift(table))[rows]
     out = np.ones(v.size)
-    live = np.flatnonzero(v > shift[rows] * (1.0 + 1e-12))
+    live = np.flatnonzero(v > shift * (1.0 + 1e-12))
     if live.size == 0:
         return out
-    width = 1 + max(m.a.size for m in mgfs)
-    per = max(1, _BLOCK_ELEMENTS // width)
+    per = max(1, _BLOCK_ELEMENTS // (1 + table.a.shape[-1]))
     t, w = _kept_nodes(order)
     for start in range(0, live.size, per):
         blk = live[start:start + per]
         try:
-            out[blk] = _survival_block(v[blk], _PoleTable(mgfs, rows[blk]),
+            out[blk] = _survival_block(v[blk], _PoleTable(table, rows[blk]),
                                        integrator, t, w)
         except NoConvergence as exc:
             raise _at(exc, blk[exc.pair])
@@ -499,7 +501,7 @@ def solve_saddle(v: float, mgf) -> SaddleState:
     for the exact reference phase ``tau_phase``."""
     if v <= 0.0:
         raise DegenerateV(f"power level v {v} must be positive")
-    tab = _PoleTable([mgf], np.zeros(1, dtype=int))
+    tab = _PoleTable(mgf, [0])
     s0, r2, _, left = _solve_saddles(np.array([float(v)]), tab)
     s0 = float(s0[0])
     side = Side.LEFT_TAIL if left[0] else Side.RIGHT_TAIL
@@ -536,9 +538,9 @@ def _state_ev(state: SaddleState):
 
 def survival_sdp(v: float, mgf, order: int = DEFAULT_TAU_ORDER) -> float:
     """Steepest-descent-path survival: numerically exact for the given MGF."""
-    return float(survival_pairs([v], [mgf], [0], "sdp", order)[0])
+    return float(survival_pairs([v], mgf, [0], "sdp", order)[0])
 
 
 def survival_sp(v: float, mgf) -> float:
     """Basic saddle-point approximation e^{Phi(s0)} / (v sqrt(2 pi r2))."""
-    return float(survival_pairs([v], [mgf], [0], "sp")[0])
+    return float(survival_pairs([v], mgf, [0], "sp")[0])

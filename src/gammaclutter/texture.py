@@ -1,4 +1,4 @@
-"""Compound-clutter texture averaging and the contour-integration oracle.
+"""Compound-clutter texture averaging.
 
 The compound survival function is the texture expectation of the speckle
 survival, F(v) = <F_spk(v; S, qU)>_U, evaluated with a Gaussian quadrature
@@ -17,27 +17,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import saddlepoint
-from .errors import (
-    ContourTooClose,
-    GammaClutterError,
-    InvalidShape,
-    NoConvergence,
-    OrderTooLarge,
-)
-from .mgf_core import (
-    ScenarioContext,
-    ScenarioParams,
-    Scheme,
-    speckle_coeffs,
-)
+from .errors import (GammaClutterError, InvalidShape, NoConvergence,
+                     OrderTooLarge)
+from .mgf_core import ScenarioContext, ScenarioParams, Scheme, pole_table
 
 MAX_ORDER = 256
 HEAVY_TAIL_NU = 0.5
 HEAVY_TAIL_ORDER = 128
 # Largest power level an expanding tail search may reach.
 V_SEARCH_MAX = 1e6
-# Step halvings of the contour oracle's trapezoid rule.
-_ORACLE_HALVINGS = 12
 _METHOD_NAMES = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp", "diag-sdp",
                  "diag-sp")
 
@@ -110,34 +98,42 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     return TextureRule(vals / nu, weights, order, nu)
 
 
-def _node_survival(v_grid, params, method, rule, ctx, order):
-    """Speckle survival at every (power level, texture node) pair.
+def _node_survival(v, S, params, method, rule, ctx,
+                   order=saddlepoint.DEFAULT_TAU_ORDER):
+    """Speckle survival at every (point, texture node) pair, point i being
+    power level v[i] at signal-to-interference ratio S[i] (v and S
+    broadcast against each other).
 
-    Returns an array of shape (len(v_grid), rule.order) from one batched
-    inversion.  The finite-kappa effective model builds its node MGFs once
-    per pair, so it decomposes its aggregated matrix at every power level
-    (the cost the commuting approximations exist to avoid); the other
-    schemes and the steady target build theirs once per node.
+    Returns an array of shape (points, rule.order) from one pole table and
+    one batched inversion.  The table has one row per (point, node) pair
+    for the finite-kappa effective model, which so decomposes its
+    aggregated matrix at every pair (the cost the commuting approximations
+    exist to avoid), and wherever S varies over the points; otherwise one
+    row per node serves every point.
     """
-    v_grid = np.asarray(v_grid, dtype=float)
+    v, S = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
+                               np.asarray(S, dtype=float))
     n = rule.order
-    per_pair = method.scheme is Scheme.EFFECTIVE and not params.steady
-    mgfs = [speckle_coeffs(params, u, method.scheme, ctx)
-            for _ in range(v_grid.size if per_pair else 1)
-            for u in rule.nodes]
-    v = np.repeat(v_grid, n)
-    rows = np.arange(v.size) % len(mgfs)
+    if v.size == 0:
+        return np.empty((0, n))
+    per_pair = ((method.scheme is Scheme.EFFECTIVE and not params.steady)
+                or np.any(S != S[0]))
+    k = v.size if per_pair else 1
+    table = pole_table(params, np.repeat(S[:k], n), np.tile(rule.nodes, k),
+                       method.scheme, ctx)
+    pairs = np.arange(v.size * n)
     try:
-        vals = saddlepoint.survival_pairs(v, mgfs, rows, method.integrator,
+        vals = saddlepoint.survival_pairs(np.repeat(v, n), table,
+                                          pairs % (k * n), method.integrator,
                                           order)
     except GammaClutterError as exc:
         i = getattr(exc, "pair", None)
         if i is not None:
             exc.args = (f"{exc.args[0] if exc.args else exc} "
-                        f"[at power level v={v[i]}, texture node "
-                        f"u={rule.nodes[i % n]}]",)
+                        f"[at S={S[i // n]}, power level v={v[i // n]}, "
+                        f"texture node u={rule.nodes[i % n]}]",)
         raise
-    return vals.reshape(v_grid.size, n)
+    return vals.reshape(v.size, n)
 
 
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
@@ -163,76 +159,10 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
     pos = v_grid > 0.0
-    vals = _node_survival(v_grid[pos], params, method, rule, ctx, tau_order)
+    vals = _node_survival(v_grid[pos], params.S, params, method, rule, ctx,
+                          tau_order)
     out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out
-
-
-def bromwich_oracle(v: float, params: ScenarioParams, u: float,
-                    scheme: Scheme = Scheme.EFFECTIVE,
-                    ctx: ScenarioContext | None = None,
-                    contour_frac: float = 0.5,
-                    tol: float = 1e-9) -> float:
-    """Speckle survival by direct numerical inversion on a vertical contour.
-
-    Integrates M(s) e^{sv} / (-s) along Re s = c with c placed a fixed
-    fraction of the way from the origin to the nearest pole -1/a_max.
-    Trapezoid in t = Im s with step halving; the truncated tail (the
-    envelope decays only algebraically for small pulse counts) is summed by
-    integration by parts of the oscillatory factor.  Independent of the
-    steepest-descent machinery.
-    """
-    mgf = speckle_coeffs(params, u, scheme, ctx)
-    if v <= 0.0:
-        return 1.0
-    pole = -1.0 / mgf.a_max
-    c = contour_frac * pole
-    if abs(c - pole) < 1e-6 or abs(c) < 1e-6:
-        raise ContourTooClose(f"contour Re s = {c} too close to a pole")
-
-    def envelope(t):
-        # complex envelope h(t) with integrand Re[h(t) e^{i t v}]
-        s = c + 1j * np.asarray(t, dtype=float)
-        with np.errstate(under="ignore"):
-            return np.exp(mgf.log_mgf(s)) / (-s)
-
-    def tail_correction(T, step):
-        # int_T^inf h e^{ivt} dt ~ e^{ivT} [i h/v - h'/v^2 - i h''/v^3]
-        d = max(step, 1e-3 * T)
-        hm, h0, hp = envelope(np.array([T - d, T, T + d]))
-        h1 = (hp - hm) / (2.0 * d)
-        h2 = (hp - 2.0 * h0 + hm) / (d * d)
-        series = 1j * h0 / v - h1 / v ** 2 - 1j * h2 / v ** 3
-        return (np.exp(1j * T * v) * series).real, abs(h2) / v ** 3
-
-    h_step = math.pi / (20.0 * (1.0 + v + abs(c)))
-    prev = None
-    for _ in range(_ORACLE_HALVINGS):
-        total = 0.5 * envelope(np.array([0.0]))[0].real
-        t0 = h_step
-        chunk = 4096
-        while True:
-            t = t0 + h_step * np.arange(chunk)
-            vals = (envelope(t) * np.exp(1j * t * v)).real
-            total += vals.sum()
-            T = float(t[-1])
-            if np.max(np.abs(vals)) < 1e-16:
-                tail = 0.0
-                break
-            tail, tail_err = tail_correction(T, h_step)
-            if tail_err < 0.1 * tol and T * v > 20.0:
-                total -= 0.5 * vals[-1]        # trapezoid endpoint weight
-                break
-            t0 = T + h_step
-            if T > 1e6:
-                break
-        est = math.exp(c * v) / math.pi * (h_step * total + tail)
-        if prev is not None and abs(est - prev) < tol:
-            return float(min(max(est, 0.0), 1.0))
-        prev = est
-        h_step *= 0.5
-    raise NoConvergence(f"contour oracle at v={v}, u={u} did not reach "
-                        f"tol={tol} in {_ORACLE_HALVINGS} step halvings")
 
 
 class SurvivalInterpolator:
@@ -281,15 +211,3 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     # enforce the monotone premise (saddle noise can tie adjacent points)
     log_sf = np.minimum.accumulate(log_sf)
     return SurvivalInterpolator(grid, log_sf)
-
-
-def compound_bromwich(v, params, rule=None, ctx=None, texture_order=32,
-                      scheme: Scheme = Scheme.EFFECTIVE) -> float:
-    """Texture-averaged oracle survival (dual path to compound_survival)."""
-    if rule is None:
-        rule = gamma_texture_rule(params.nu, texture_order)
-    if ctx is None:
-        ctx = ScenarioContext(params)
-    vals = [bromwich_oracle(float(v), params, float(u), scheme, ctx)
-            for u in rule.nodes]
-    return float(np.dot(rule.weights, vals))

@@ -36,12 +36,11 @@ from gammaclutter.mgf_core import (
     speckle_coeffs,
 )
 from gammaclutter.texture import (
-    compound_bromwich,
     gamma_texture_rule,
     survival_curve,
     survival_interpolator,
 )
-from oracles import WorstCaseLaw, gm_matrix
+from oracles import WorstCaseLaw, compound_bromwich, gm_matrix
 
 _SF_CACHE = {}
 

@@ -121,6 +121,20 @@ def test_exit_codes(tmp_path):
                      "--alpha", "1.5"]) == cli.EXIT_CONFIG
 
 
+def test_compare_checks_arguments_before_building(tmp_path, monkeypatch):
+    # a bad --alpha, --replicates or --samples exits at once: the survival
+    # interpolator, which takes seconds to build, is never started
+    def unreachable(*args, **kwargs):
+        raise AssertionError("interpolator built before argument checks")
+
+    monkeypatch.setattr(texture, "survival_interpolator", unreachable)
+    scen = write_scenario(tmp_path)
+    for flag, value in (("--alpha", "1.5"), ("--alpha", "0"),
+                        ("--replicates", "0"), ("--samples", "0")):
+        assert cli.main(["compare", "--scenario", scen, "--threads", "1",
+                         flag, value]) == cli.EXIT_CONFIG
+
+
 def test_bench_vmax_raises_beyond_search_range():
     from gammaclutter.errors import NoConvergence
     from gammaclutter.mgf_core import ScenarioContext, scenario

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
+import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.errors import InvalidScenario
+from gammaclutter.errors import InvalidScenario, NoConvergence
+
+from oracles import compound_bromwich
 
 
 def test_threshold_unit_exponential_closed_form():
@@ -30,7 +34,7 @@ def test_threshold_matches_oracle_root():
     ctx = mc.ScenarioContext(p)
 
     def f(v):
-        return tx.compound_bromwich(v, p, rule, ctx) - pfa
+        return compound_bromwich(v, p, rule, ctx) - pfa
 
     lo, hi = 0.5 * vb, 2.0 * vb
     assert f(lo) > 0 > f(hi)
@@ -54,6 +58,41 @@ def test_pd_curve_null_coincidence_and_saturation():
         assert curve.pd[-1] > 0.999
         assert np.all(np.diff(curve.pd) >= -1e-6)
         assert curve.threshold > 0
+
+
+def test_pd_curve_equals_per_sir_calls():
+    # pd_curve inverts every (SIR, texture node) pair in one batched call;
+    # it must agree with one compound_survival call per SIR value at the
+    # same threshold, with S = 0 in the grid and for every method
+    sirs = np.array([0.0, 0.5, 2.0, 8.0, 30.0])
+    for kappa in (1, 2, math.inf):
+        p = mc.scenario(M=6, kappa=kappa, S=0.0, q=0.7, nu=2.5,
+                        rho_c=0.6, rho_s=0.85)
+        rule = tx.gamma_texture_rule(p.nu, 8)
+        for method in tx.ALL_METHODS:
+            curve = det.pd_curve(p, 1e-4, sirs, method, texture_order=8)
+            v_b = det.threshold_for_pfa(p, 1e-4, method, rule)
+            assert curve.threshold == v_b
+            single = [tx.compound_survival(v_b, replace(p, S=float(S)),
+                                           method, rule) for S in sirs]
+            assert np.max(np.abs(curve.pd - single)) <= 1e-15
+
+
+def test_pd_failure_names_sir_and_node(monkeypatch):
+    p = mc.scenario(M=4, kappa=2, S=0.0, q=0.8, nu=3.0,
+                    rho_c=0.5, rho_s=0.7)
+    sirs = [0.0, 1.0, 2.0, 4.0]
+    rule = tx.gamma_texture_rule(p.nu, 8)
+    monkeypatch.setattr(det, "threshold_for_pfa", lambda *a, **k: 3.0)
+
+    def failing(v, tab, *args):
+        raise sp._at(NoConvergence("forced"), 2 * rule.order + 3)
+
+    monkeypatch.setattr(sp, "_survival_block", failing)
+    with pytest.raises(NoConvergence,
+                       match=rf"S=2\.0, power level v=3\.0, "
+                             rf"texture node u={rule.nodes[3]}\]"):
+        det.pd_curve(p, 1e-4, sirs, "eff-sp", texture_order=8)
 
 
 def test_pd_grid_must_be_sorted():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gammaclutter.mgf_core as mc
+import gammaclutter.saddlepoint as sp
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import decimal_rational_mgf, gm_matrix
@@ -74,6 +75,64 @@ def test_sum_rule_randomized(M, kap, S, q, rc, rs, u):
     p = mc.scenario(M=M, kappa=kap, S=S, q=q, nu=2, rho_c=rc, rho_s=rs)
     a, aq = mc.pulse_coeffs(p, u)
     assert abs(np.sum(a - aq) - S / kap) < 1e-10
+
+
+def _node_row(p, S, u, scheme, ctx):
+    """One pole row built node by node: the per-pulse coefficients from one
+    decomposition of the node's aggregated matrix, merged by np.unique."""
+    M, q, k = p.M, p.q, p.kappa
+    dmg = scheme is mc.Scheme.DMG
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
+    aq = (1.0 - q + q * u * gam_c) / M
+    if p.steady:
+        b = ctx.b_weights if scheme is mc.Scheme.EFFECTIVE else gam_s / M
+        return aq, np.full(M, -1.0), -S * b
+    if S == 0.0:
+        a = aq.copy()
+    elif scheme is mc.Scheme.EFFECTIVE:
+        gam = gam_s
+        if q * u != 0.0:
+            gam = np.clip(np.linalg.eigvalsh(
+                mc.aggregated_corr(ctx.C_c, ctx.C_s, q, u, S, k)), 0.0, None)
+        a = (1.0 - q + (q * u + S / k) * gam) / M
+    else:
+        a = aq + S * gam_s / (k * M)
+    a, wa = np.unique(a, return_counts=True)
+    if k == 1:
+        return a, -wa, np.zeros(a.size)
+    aq, wq = np.unique(aq, return_counts=True)
+    return (np.concatenate((a, aq)), np.concatenate((-k * wa, (k - 1) * wq)),
+            np.zeros(a.size + aq.size))
+
+
+def test_pole_table_rows_equal_per_node_rows():
+    # the table builder decomposes stacks of matrices and merges equal
+    # coefficients per row in one vectorized pass; each row must equal the
+    # node-by-node row bit for bit, followed by zero padding only
+    S = np.repeat([0.0, 3.0], 3)
+    u = np.tile([0.0, 0.3, 1.7], 2)
+    for M in (1, 2, 10, 100):
+        for kappa in (1, 2, math.inf):
+            for q in (0.0, 0.5, 1.0):
+                p = mc.scenario(M=M, kappa=kappa, S=0.0, q=q, nu=2.0,
+                                rho_c=0.75, rho_s=0.9)
+                ctx = mc.ScenarioContext(p)
+                for scheme in mc.Scheme:
+                    tab = mc.pole_table(p, S, u, scheme, ctx)
+                    assert tab.a.shape[0] == S.size
+                    for i in range(S.size):
+                        want = _node_row(p, S[i], u[i], scheme, ctx)
+                        w = want[0].size
+                        for got, ref in zip((tab.a, tab.alpha, tab.beta),
+                                            want):
+                            assert got[i, :w].tobytes() == \
+                                np.asarray(ref, dtype=float).tobytes()
+                            assert not got[i, w:].any()
+                    empty = mc.pole_table(p, [], [], scheme, ctx)
+                    assert empty.a.shape[0] == 0
+                    assert empty.mean.shape == empty.a_max.shape == (0,)
+                    assert sp.survival_pairs([], empty, []).shape == (0,)
 
 
 def test_mgf_eval_normalization_and_kappa1():

@@ -175,6 +175,15 @@ def test_log_kernel_matches_numpy_complex_log():
     assert np.array_equal(np.signbit(li), np.signbit(ref.imag))
 
 
+def _stack(mgfs):
+    """One zero-padded MGF table from rows of any widths."""
+    tab = np.zeros((3, len(mgfs), max(m.a.size for m in mgfs)))
+    for i, m in enumerate(mgfs):
+        for dst, src in zip(tab, (m.a, m.alpha, m.beta)):
+            dst[i, :src.size] = src
+    return mc.PoleMgf(*tab)
+
+
 def _mixed_batch():
     """(v, mgf) pairs over kappa 1, 2, inf, M 1..100, q 0 and 1, all three
     schemes and both tails; the rows differ in width, so padding is used."""
@@ -199,16 +208,17 @@ def test_batch_equals_one_pair_calls(integrator):
     pairs = _mixed_batch()
     mgfs = [m for _, m in pairs]
     v = np.array([x for x, _ in pairs])
-    got = sp.survival_pairs(v, mgfs, np.arange(len(pairs)), integrator)
+    got = sp.survival_pairs(v, _stack(mgfs), np.arange(len(pairs)),
+                            integrator)
     one = sp.survival_sdp if integrator == "sdp" else sp.survival_sp
     want = np.array([one(x, m) for x, m in pairs])
     assert np.all((got > 0.0) & (got < 1.0))
     assert np.max(np.abs(got - want)) <= 1e-14
     # the same pairs reversed, and with each MGF given once for its 4 v
-    rev = sp.survival_pairs(v[::-1], mgfs[::-1], np.arange(len(pairs)),
-                            integrator)
+    rev = sp.survival_pairs(v[::-1], _stack(mgfs[::-1]),
+                            np.arange(len(pairs)), integrator)
     assert np.max(np.abs(rev[::-1] - want)) <= 1e-14
-    shared = sp.survival_pairs(v, mgfs[::4],
+    shared = sp.survival_pairs(v, _stack(mgfs[::4]),
                                np.repeat(np.arange(len(pairs) // 4), 4),
                                integrator)
     assert np.max(np.abs(shared - want)) <= 1e-14
@@ -216,7 +226,7 @@ def test_batch_equals_one_pair_calls(integrator):
 
 def test_march_fallback_inside_batch_matches(monkeypatch):
     pairs = _mixed_batch()
-    mgfs = [m for _, m in pairs]
+    mgfs = _stack([m for _, m in pairs])
     v = np.array([x for x, _ in pairs])
     rows = np.arange(len(pairs))
     want = sp.survival_pairs(v, mgfs, rows)
@@ -234,8 +244,8 @@ def test_batch_failure_names_its_pair(monkeypatch):
     pairs = _mixed_batch()
     monkeypatch.setattr(sp, "SADDLE_MAX_ITER", 0)
     with pytest.raises(NoConvergence) as err:
-        sp.survival_pairs([x for x, _ in pairs], [m for _, m in pairs],
-                          np.arange(len(pairs)))
+        sp.survival_pairs([x for x, _ in pairs],
+                          _stack([m for _, m in pairs]), np.arange(len(pairs)))
     assert err.value.pair == 0
 
 
@@ -250,7 +260,7 @@ def test_tau_rows_match_exact_phase_near_and_far():
         mgf = mc.speckle_coeffs(p, 0.7)
         for v in (0.7 * mgf.mean, 1.6 * mgf.mean):
             st = sp.solve_saddle(v, mgf)
-            tab = sp._PoleTable([mgf], np.zeros(1, dtype=int))
+            tab = sp._PoleTable(mgf, [0])
             s0, r2, _, _ = sp._solve_saddles(np.array([v]), tab)
             t_top = float(sp._kept_nodes(sp.DEFAULT_TAU_ORDER)[0][-1])
             rows = sp._TauRows(np.array([v]), tab, s0, r2, t_top)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
 from gammaclutter.errors import InvalidShape, NoConvergence, OrderTooLarge
 
-from oracles import gamma_moment
+import oracles
+from oracles import bromwich_oracle, gamma_moment
 
 
 def test_rule_normalization_and_mean():
@@ -103,15 +105,17 @@ def test_order_doubling_stability():
 def test_effective_curve_decomposes_once_per_pair(monkeypatch):
     # the finite-kappa effective model decomposes its aggregated matrix at
     # every (v > 0, texture node) pair, and no other curve decomposes it;
-    # criterion 10's diag-sdp < eff-sdp ordering rests on that cost
+    # criterion 10's diag-sdp < eff-sdp ordering rests on that cost.  The
+    # decompositions are stacked, so each row of a stack counts as one.
     calls = []
-    original = mc.ScenarioContext.sc_eigenvalues
+    original = mc.ScenarioContext.aggregated_eigenvalues
 
-    def counting(self, u):
-        calls.append(u)
-        return original(self, u)
+    def counting(self, S, u):
+        calls.extend(zip(S, u))
+        return original(self, S, u)
 
-    monkeypatch.setattr(mc.ScenarioContext, "sc_eigenvalues", counting)
+    monkeypatch.setattr(mc.ScenarioContext, "aggregated_eigenvalues",
+                        counting)
     base = dict(M=6, q=0.8, nu=2.0, rho_c=0.5, rho_s=0.8)
     grid = np.array([0.0, 1.0, 2.5, 4.0, 7.0])
     order = 8
@@ -120,7 +124,7 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
         calls.clear()
         tx.survival_curve(grid, p, method, texture_order=order)
         assert len(calls) == 4 * order
-        assert len(set(calls)) == order
+        assert len({u for _, u in calls}) == order
     for params, method in ((p, "dmg-sdp"), (p, "diag-sdp"),
                            (mc.scenario(kappa=np.inf, S=2.0, **base),
                             "eff-sdp"),
@@ -128,18 +132,25 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
         calls.clear()
         tx.survival_curve(grid, params, method, texture_order=order)
         assert calls == []
+    # a P_D curve decomposes once per (S > 0, texture node) pair; its
+    # threshold search runs at S = 0 and decomposes nothing
+    calls.clear()
+    det.pd_curve(mc.scenario(kappa=2, S=0.0, **base), 1e-3,
+                 [0.0, 1.0, 3.0], "eff-sdp", texture_order=order)
+    assert len(calls) == len(set(calls)) == 2 * order
+    assert {S for S, _ in calls} == {1.0, 3.0}
 
 
 def test_bromwich_erlang_and_single_pole():
     from scipy.special import gammaincc
     p = mc.scenario(M=4, kappa=3, S=0.0, q=0.0, nu=np.inf)
     for v in (0.5, 1.0, 2.5):
-        got = tx.bromwich_oracle(v, p, 1.0)
+        got = bromwich_oracle(v, p, 1.0)
         assert got == pytest.approx(gammaincc(4, 4 * v), abs=1e-8)
 
     p1 = mc.scenario(M=1, kappa=1, S=3.0, q=0.0, nu=np.inf)
     for v in (1.0, 4.0, 10.0):
-        got = tx.bromwich_oracle(v, p1, 1.0)
+        got = bromwich_oracle(v, p1, 1.0)
         assert got == pytest.approx(math.exp(-v / 4.0), abs=1e-9)
 
 
@@ -150,7 +161,7 @@ def test_bromwich_agrees_with_sdp_correlated():
     co = mc.speckle_coeffs(p, 0.8, ctx=ctx)
     for v in (2.0, 6.0, 12.0):
         a = sp.survival_sdp(v, co)
-        b = tx.bromwich_oracle(v, p, 0.8, ctx=ctx)
+        b = bromwich_oracle(v, p, 0.8, ctx=ctx)
         assert abs(a - b) < 1e-6
 
 
@@ -216,9 +227,9 @@ def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
     # three halvings cannot bring successive estimates within 1e-30; the
     # default twelve would take minutes to find that out
     p = mc.scenario(M=4, kappa=3, S=0.0, q=0.0, nu=np.inf)
-    monkeypatch.setattr(tx, "_ORACLE_HALVINGS", 3)
+    monkeypatch.setattr(oracles, "_ORACLE_HALVINGS", 3)
     with pytest.raises(NoConvergence, match="3 step halvings"):
-        tx.bromwich_oracle(1.0, p, 1.0, tol=1e-30)
+        bromwich_oracle(1.0, p, 1.0, tol=1e-30)
 
 
 def test_survival_interpolator_raises_beyond_search_range():
