@@ -49,13 +49,11 @@ from .mgf_core import (
     analytic_moments,
     cgf_moment_check,
     effsw0_survival,
-    mgf_first_principles_steady,
     mgf_fully_correlated,
     scenario,
     speckle_coeffs,
     steady_coeffs,
     swerling0_survival,
-    worst_case_mgf,
 )
 from .saddlepoint import (
     SaddleState,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import BracketFail, InvalidScenario
 from .mgf_core import ScenarioContext, ScenarioParams
-from .texture import Method, TextureRule, compound_survival, gamma_texture_rule
-from .texture import _node_survival
+from .texture import (Method, TextureRule, _node_survival, compound_survival,
+                      gamma_texture_rule, survival_curve)
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,24 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         rule = gamma_texture_rule(null.nu, texture_order)
     ctx = ScenarioContext(null)
 
-    def log_sf(v):
-        sf = compound_survival(v, null, method, rule, ctx)
+    def log_of(sf, v):
         if sf <= 0.0:
             raise BracketFail(
                 f"survival underflowed below pfa={pfa} at v={v}")
         return math.log(sf)
 
+    def log_sf(v):
+        return log_of(compound_survival(v, null, method, rule, ctx), v)
+
     target = math.log(pfa)
     n_fa = -math.log10(pfa)
     lo = 1.0                      # null mean; survival ~ 0.5 there
     hi = lo * (1.0 + 10.0 * n_fa / params.M)
-    f_lo = log_sf(lo)
+    # both ends of the first bracket in one engine call
+    sf_lo, sf_hi = survival_curve([lo, hi], null, method, rule, ctx)
+    f_lo, f_hi = log_of(sf_lo, lo), log_of(sf_hi, hi)
     if f_lo <= target:
         lo, f_lo = 1e-9, 0.0      # threshold below the mean (large pfa)
-    f_hi = log_sf(hi)
     for _ in range(200):
         if f_hi <= target:
             break

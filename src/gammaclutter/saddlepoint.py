@@ -29,7 +29,8 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   and the mean, largest pole, bulk flag and support shift are row
   reductions.
 - The saddle bracket search and the bisection-safeguarded Newton run on
-  all pairs at once; a pair leaves the active set when it converges.
+  all pairs at once; a pair leaves the active set when it converges.  The
+  Newton step cancels the phase derivative's nearest poles first.
 - Each pair's phase becomes a row
   tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z).
   A row with no beta terms and many poles has its small c_j collapsed
@@ -37,7 +38,9 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   evaluated with a table of powers of z; an element beyond z_top uses the
   full row.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
-  backtracking; an element it cannot solve is continued in tau on its own.
+  backtracking, in two passes: every fourth node from the leading-order
+  start, then the others from a Hermite interpolant through those; an
+  element it cannot solve is continued in tau on its own.
 
 Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
 zero.  Pairs run in blocks of at most _BLOCK_ELEMENTS table entries, so
@@ -77,6 +80,8 @@ _BULK_RATIO = 0.5
 _BULK_TERMS = 60
 # Entries (pair x tau node x table column) of one block's working arrays.
 _BLOCK_ELEMENTS = 1 << 14
+# Every _COARSE_STRIDE-th tau node is solved first (see _invert_nodes).
+_COARSE_STRIDE = 4
 
 
 class Side(Enum):
@@ -117,14 +122,17 @@ def _one_minus(c, x, y):
     """1 - c z for z = x + i y, as real part, imaginary part and squared
     modulus.  0.0 - c y gives the imaginary part numpy's complex product
     gives, signed zero included."""
-    xp = 1.0 - c * x
-    yp = 0.0 - c * y
+    xp = c * x
+    np.subtract(1.0, xp, out=xp)
+    yp = c * y
+    np.subtract(0.0, yp, out=yp)
     return xp, yp, xp * xp + yp * yp
 
 
 def _log1m(xp, yp, d):
-    """Real and imaginary parts of ln(1 - c z) from ``_one_minus``."""
-    return 0.5 * np.log(d), np.arctan2(yp, xp)
+    """Twice the real part, and the imaginary part, of ln(1 - c z) from
+    ``_one_minus``."""
+    return np.log(d), np.arctan2(yp, xp)
 
 
 class _PoleTable:
@@ -172,7 +180,11 @@ def _solve_saddles(v, tab):
     The phase derivative f(s) = d ln M/ds - 1/s + v is strictly increasing
     on each branch (the MGF is log-convex), so a bracket search followed by
     Newton with a bisection safeguard converges; both run on the pairs not
-    yet done.  Returns s0, r2, the phase at s0 and the left-tail mask.
+    yet done.  The Newton step is taken on g = f q, q = s (1 + a_max s) on
+    the right tail and s on the left: g has f's roots, and q cancels the
+    poles of f nearest the saddle, so g is close to a low-order polynomial.
+    A pair accepted at |f| < tol keeps its last step when that step is
+    Newton's.  Returns s0, r2, the phase at s0 and the left-tail mask.
     """
     left = v < tab.mean
     lo = np.where(left, 1e-12, -(1.0 - 1e-12) / tab.a_max)
@@ -201,6 +213,7 @@ def _solve_saddles(v, tab):
 
         x = 0.5 * (lo + hi)
         tol = 1e-11 * np.maximum(1.0, np.abs(v))
+        am = np.where(left, 0.0, tab.a_max)
         act = np.arange(v.size)
         for _ in range(SADDLE_MAX_ITER):
             xa = x[act]
@@ -209,11 +222,12 @@ def _solve_saddles(v, tab):
             lo[act[neg]] = xa[neg]
             hi[act[~neg]] = xa[~neg]
             la, ha = lo[act], hi[act]
-            x_new = xa - fx / fp
-            x_new = np.where((la < x_new) & (x_new < ha), x_new,
-                             0.5 * (la + ha))
+            q = xa * (1.0 + am[act] * xa)
+            x_new = xa - fx * q / (fp * q + fx * (1.0 + 2.0 * am[act] * xa))
+            inside = (la < x_new) & (x_new < ha)
+            x_new = np.where(inside, x_new, 0.5 * (la + ha))
             done = (np.abs(fx) < tol[act]) | (x_new == xa)
-            x[act] = np.where(done, xa, x_new)
+            x[act] = np.where(done & ~inside, xa, x_new)
             act = act[~done]
             if act.size == 0:
                 break
@@ -227,22 +241,30 @@ def _solve_saddles(v, tab):
     return x, r2, phase0, left
 
 
-def _tau_terms(z, p, lam, c, w, g):
-    """tau and tau' at z (one element per entry of p) from explicit rows."""
-    c, w = c[p], w[p]
+def _tau_terms(z, p, lam, c, w, wc, g):
+    """tau and tau' at z (one element per entry of p) from explicit rows;
+    wc is w * c."""
+    c, w, wc = (np.take(r, p, axis=0) for r in (c, w, wc))
     x, y = z.real[:, None], z.imag[:, None]
     xp, yp, d = _one_minus(c, x, y)
     lr, li = _log1m(xp, yp, d)
-    wc = w * c / d
-    tau = lam[p] * z + _rowdot(w, lr) + 1j * _rowdot(w, li)
-    dtau = lam[p] - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
+    wc /= d
+    lam = np.take(lam, p)
+    tau = lam * z + 0.5 * _rowdot(w, lr) + 1j * _rowdot(w, li)
+    dtau = lam - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
     if g is not None:
         # g z / (1 - c z) and its derivative g / (1 - c z)^2
-        g = g[p] / d
+        g = np.take(g, p, axis=0)
+        g /= d
         tau -= _rowdot(g, x * xp + y * yp) + 1j * _rowdot(g, y * xp - x * yp)
         g /= d
         dtau -= _rowdot(g, xp * xp - yp * yp) - 2j * _rowdot(g, xp * yp)
     return tau, dtau
+
+
+def _rows(c, w, g):
+    """An evaluator row set (c, w, w c, g) for ``_tau_terms``."""
+    return c, w, w * c, g
 
 
 class _TauRows:
@@ -263,17 +285,18 @@ class _TauRows:
         self.lam = 1.0 - np.where(lin, g, 0.0).sum(axis=1)
         g[lin] = 0.0
         one = np.ones((v.size, 1))
-        self.full = (np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1),
-                     np.concatenate((one, -tab.alpha), axis=1),
-                     np.concatenate((0.0 * one, g), axis=1)
-                     if tab.has_beta else None)
-        self.width = self.full[0].shape[1]
+        rows = (np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1),
+                np.concatenate((one, -tab.alpha), axis=1),
+                np.concatenate((0.0 * one, g), axis=1)
+                if tab.has_beta else None)
+        self.full = _rows(*rows)
+        self.width = rows[0].shape[1]
         self.bulk = tab.bulk
         self.has_bulk = bool(self.bulk.any())
         if not self.has_bulk:
             return
         self.z_top = 1.5 * t_top + 8.0 / np.sqrt(r2) + 8.0
-        c, w, g = self.full
+        c, w, g = rows
         c_split = np.where(self.bulk, _BULK_RATIO / self.z_top, 0.0)
         small = np.abs(c) < c_split[:, None]
         if g is not None:
@@ -290,10 +313,10 @@ class _TauRows:
         keep = ~small
         order = np.argsort(small, axis=1, kind="stable")
         order = order[:, :keep.sum(axis=1).max()]
-        self.near = tuple(
+        self.near = _rows(*(
             None if x is None
             else np.take_along_axis(np.where(keep, x, 0.0), order, axis=1)
-            for x in self.full)
+            for x in rows))
         self.width = order.shape[1]
 
     def _near(self, z, p):
@@ -302,8 +325,8 @@ class _TauRows:
         zk[:, 0] = 1.0
         zk[:, 1:] = z[:, None]
         zk = np.cumprod(zk, axis=1)                    # z^0 .. z^59
-        tau += z * _rowdot(self.poly[p], zk)
-        dtau += _rowdot(self.dpoly[p], zk)
+        tau += z * _rowdot(np.take(self.poly, p, axis=0), zk)
+        dtau += _rowdot(np.take(self.dpoly, p, axis=0), zk)
         return tau, dtau
 
     def __call__(self, z, p):
@@ -332,13 +355,16 @@ def _newton(taus, z0, ev, p):
     Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau'.  A
     sweep works on the unconverged elements only, and each step halving
     (at most 30 trials) only on the elements whose trial left the upper
-    half plane or raised |residual|.  Returns z and the converged mask.
+    half plane or raised |residual|.  Returns z, the converged mask and
+    tau' at z.
     """
     z = np.array(z0, dtype=complex)
     tau, dtau = ev(z, p)
     resid = tau - taus
+    act = np.arange(z.size)
     for _ in range(NEWTON_MAX_ITER):
-        act = np.flatnonzero(np.abs(resid) > _newton_tols(taus, z))
+        # only the elements a sweep moved can have converged
+        act = act[np.abs(resid[act]) > _newton_tols(taus[act], z[act])]
         if act.size == 0:
             break
         za, ra, ta, pa = z[act], resid[act], taus[act], p[act]
@@ -363,7 +389,7 @@ def _newton(taus, z0, ev, p):
         ok[bad] = False
         done = act[ok]
         z[done], resid[done], dtau[done] = z_try[ok], r_try[ok], d_try[ok]
-    return z, np.abs(resid) <= _newton_tols(taus, z)
+    return z, np.abs(resid) <= _newton_tols(taus, z), dtau
 
 
 def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
@@ -380,7 +406,7 @@ def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
             guesses += [z * (tt / t), z * math.sqrt(tt / t)]
         guesses.append(1j * math.sqrt(2.0 * tt / r2))
         for gz in guesses:
-            zz, ok = _newton(np.array([tt]), np.array([gz]), ev, pa)
+            zz, ok, _ = _newton(np.array([tt]), np.array([gz]), ev, pa)
             if ok[0]:
                 z, t = complex(zz[0]), tt
                 pending.pop()
@@ -396,14 +422,43 @@ def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
 def _invert_nodes(ev, t, r2, pairs):
     """z(tau) at every (pair, node t) element, shape (pairs, nodes).
 
-    Newton runs on all elements at once; a pair's failed node is continued
-    from the node before it.
+    Two Newton passes run on all pairs at once.  The coarse pass solves
+    every _COARSE_STRIDE-th node, counted back from the last one, from the
+    leading-order start z0 = i sqrt(2 tau / r2), whose error grows with
+    tau.  The fill pass starts each other node from the cubic Hermite
+    interpolant in sigma = sqrt(tau) through the solved nodes, with slope
+    dz/dsigma = 2 sigma / tau'(z) there and the anchor z = 0,
+    dz/dsigma = i sqrt(2 / r2) at sigma = 0; a node next to an unsolved
+    one starts from z0.  A pair's failed node, coarse or filled, is then
+    continued from the node before it.
     """
-    n = t.size
-    p = np.repeat(pairs, n)
-    taus = np.tile(t, pairs.size)
-    z, ok = _newton(taus, 1j * np.sqrt(2.0 * taus / r2[p]), ev, p)
-    z, ok = z.reshape(pairs.size, n), ok.reshape(pairs.size, n)
+    n, m = t.size, pairs.size
+    sig = np.sqrt(t)
+    z0 = 1j * np.sqrt(2.0 * t / r2[pairs][:, None])
+    z, ok = np.empty_like(z0), np.zeros((m, n), dtype=bool)
+    k = np.arange((n - 1) % _COARSE_STRIDE, n, _COARSE_STRIDE)
+    f = np.setdiff1d(np.arange(n), k)
+    zk, okk, dk = _newton(np.tile(t[k], m), z0[:, k].ravel(), ev,
+                          np.repeat(pairs, k.size))
+    z[:, k], ok[:, k] = zk.reshape(m, -1), okk.reshape(m, -1)
+    if f.size:
+        # knots: the anchor, then the coarse nodes
+        ks = np.concatenate(([0.0], sig[k]))
+        kz = np.concatenate((np.zeros((m, 1)), z[:, k]), axis=1)
+        kd = np.concatenate((1j * np.sqrt(2.0 / r2[pairs])[:, None],
+                             2.0 * sig[k] / dk.reshape(m, -1)), axis=1)
+        kok = np.concatenate((np.ones((m, 1), dtype=bool), ok[:, k]), axis=1)
+        j = np.searchsorted(ks, sig[f])
+        h = ks[j] - ks[j - 1]
+        x = (sig[f] - ks[j - 1]) / h
+        y = 1.0 - x
+        start = (y * y * ((1.0 + 2.0 * x) * kz[:, j - 1]
+                          + x * h * kd[:, j - 1])
+                 + x * x * ((1.0 + 2.0 * y) * kz[:, j] - y * h * kd[:, j]))
+        start = np.where(kok[:, j - 1] & kok[:, j], start, z0[:, f])
+        zf, okf, _ = _newton(np.tile(t[f], m), start.ravel(), ev,
+                             np.repeat(pairs, f.size))
+        z[:, f], ok[:, f] = zf.reshape(m, -1), okf.reshape(m, -1)
     for i in np.flatnonzero(~ok.all(axis=1)):
         z_prev, t_prev = 0j, 0.0
         for j in range(n):

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: eigenvalues from the
 characteristic polynomial, products in 50-digit decimal arithmetic, traces
 by direct matrix multiplication, laws by enumerating every sign pattern,
 survival by the Bromwich integral on a vertical contour (from the
-library's MGF coefficients, independent of its saddle-point engine).
+library's MGF coefficients, independent of its saddle-point engine).  The
+pairwise-cosh steady-target MGFs are exact only for M <= 2 and serve as
+references there alone.
 """
 
 import itertools
@@ -14,7 +16,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 from scipy.stats import ncx2
 
-from gammaclutter.errors import ContourTooClose, NoConvergence
+from gammaclutter.errors import ContourTooClose, NoConvergence, PoleHit
 from gammaclutter.mgf_core import (
     ScenarioContext,
     ScenarioParams,
@@ -147,6 +149,65 @@ def _merge_atoms(shift, m2, prob):
     p = np.bincount(inv, prob)
     return (np.bincount(inv, prob * shift) / p,
             np.bincount(inv, prob * m2) / p, p)
+
+
+def _log_cosh(z):
+    z = np.asarray(z, dtype=complex)
+    flip = np.where(z.real < 0, -z, z)
+    return flip + np.log(1.0 + np.exp(-2.0 * flip)) - math.log(2.0)
+
+
+def mgf_first_principles_steady(params: ScenarioParams, u: float, s,
+                                ctx: ScenarioContext | None = None,
+                                target_rotation: str = "limit"):
+    """Quadrature-level steady-target MGF in the pairwise cosh approximation.
+
+    Differs from the kappa -> inf effective MGF by the factor
+    prod_{i<j} cosh^2((S/M) A_ij) with A = L_s N(s) L_s^T, which vanishes
+    identically for a fully correlated target.  ``target_rotation`` picks the
+    loading convention for a degenerate (uncorrelated) target spectrum.
+
+    The product averages each pair's sign product Y_i Y_j as if the pairs
+    were independent, which they are not once M > 2 (Y_1 Y_2 and Y_2 Y_3
+    fix Y_1 Y_3).  It is exact only for M <= 2 or a diagonal A, and a
+    pairwise approximation otherwise.  In the worst case (q=1, fully
+    correlated clutter, M=10, S=5) it falls below the MGF enumerated over
+    the 2^M sign patterns by a relative 9e-5 at s=1 and 4e-3 at s=2.5 under
+    ``limit``, and by 4e-3 and 0.25 under ``identity``.  Use an enumerated
+    law, not this product, as an exact reference.
+    """
+    if ctx is None:
+        ctx = ScenarioContext(params)
+    M, S, q = params.M, params.S, params.q
+    aq = (1.0 - q + q * u * ctx.gamma_c) / M
+    denom = 1.0 + aq * s
+    if np.any(np.abs(denom) < 1e-300):
+        raise PoleHit("MGF evaluated at a pole")
+    d = s / denom
+    V = ctx.eig_c.rotation @ ctx.fp_loading(target_rotation).T
+    trace = np.sum(d * np.sum(V * V, axis=1))
+    A = V.T @ (d[:, None] * V)
+    i, j = np.triu_indices(M, k=1)
+    cosh_part = 2.0 * np.sum(_log_cosh((S / M) * A[i, j]))
+    val = -np.sum(np.log(denom)) - (S / M) * trace + cosh_part
+    return np.exp(val)
+
+
+def worst_case_mgf(S: float, M: int, s):
+    """Steady-target MGF at q=1, fully correlated clutter, uncorrelated phases:
+
+    (1+s)^-1 exp(-(1-1/M) S s) exp(-(S/M) s/(1+s)) cosh^{M(M-1)}((S/M^2) s^2/(1+s)).
+
+    This is ``mgf_first_principles_steady`` under the ``identity`` target
+    rotation, so it carries the same pairwise cosh approximation: exact for
+    M <= 2, and at M=10, S=5 below the enumerated MGF by a relative 4e-3
+    at s=1 and 0.25 at s=2.5.
+    """
+    s = np.asarray(s) if np.ndim(s) else s
+    base = -np.log(1.0 + s) - (1.0 - 1.0 / M) * S * s \
+        - (S / M) * s / (1.0 + s)
+    cosh_arg = (S / (M * M)) * s * s / (1.0 + s)
+    return np.exp(base + M * (M - 1) * _log_cosh(cosh_arg))
 
 
 def bromwich_oracle(v: float, params: ScenarioParams, u: float,

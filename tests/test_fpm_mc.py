@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 import gammaclutter.fpm_mc as fp
 import gammaclutter.mgf_core as mc
 from gammaclutter.errors import InvalidScenario
-from oracles import WorstCaseLaw
+from oracles import WorstCaseLaw, mgf_first_principles_steady, worst_case_mgf
 
 def _cfg(n, seed, **kw):
     p = mc.scenario(**kw)
@@ -165,12 +165,12 @@ def test_worst_case_law_oracle_self_check():
     for rotation in ("limit", "identity", "clutter"):
         p, ctx, law = _worst_case_law(2, rotation)
         for s in (0.3, 1.0, 2.5):
-            want = mc.mgf_first_principles_steady(p, 1.0, s, ctx,
-                                                  target_rotation=rotation)
+            want = mgf_first_principles_steady(p, 1.0, s, ctx,
+                                               target_rotation=rotation)
             assert law.mgf(s) == pytest.approx(want.real, rel=1e-12)
             if rotation == "identity":
                 assert law.mgf(s) == pytest.approx(
-                    mc.worst_case_mgf(5.0, 2, s).real, rel=1e-12)
+                    worst_case_mgf(5.0, 2, s).real, rel=1e-12)
 
     # a survival function, and its interpolated table follows it
     _, _, law = _worst_case_law(10, "limit", rho_s=1e-4)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.optimize import brentq
 from scipy.special import gammaincc
 
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
+from gammaclutter import detector, texture
 from gammaclutter.errors import DegenerateV, NoConvergence
 
 
@@ -170,7 +174,7 @@ def test_log_kernel_matches_numpy_complex_log():
     x, y = zs.real[:, None], zs.imag[:, None]
     lr, li = sp._log1m(*sp._one_minus(cs, x, y))
     ref = np.log(1.0 - np.multiply.outer(zs, cs))
-    assert np.max(np.abs(lr - ref.real)) <= 1e-15
+    assert np.max(np.abs(0.5 * lr - ref.real)) <= 1e-15
     assert np.max(np.abs(li - ref.imag)) <= 1e-15
     assert np.array_equal(np.signbit(li), np.signbit(ref.imag))
 
@@ -230,13 +234,17 @@ def test_march_fallback_inside_batch_matches(monkeypatch):
     v = np.array([x for x, _ in pairs])
     rows = np.arange(len(pairs))
     want = sp.survival_pairs(v, mgfs, rows)
-    calls = []
+    targets = []
     march = sp._march_to
     monkeypatch.setattr(sp, "_march_to",
-                        lambda *a, **k: calls.append(1) or march(*a, **k))
+                        lambda *a, **k: targets.append(a[3]) or march(*a, **k))
     monkeypatch.setattr(sp, "NEWTON_MAX_ITER", 3)
     got = sp.survival_pairs(v, mgfs, rows)
-    assert len(calls) > 100
+    assert len(targets) > 100
+    # failed nodes of both passes, coarse and filled, are continued
+    t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
+    coarse = set(t[::-1][::sp._COARSE_STRIDE])
+    assert {x in coarse for x in targets} == {True, False}
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -286,6 +294,101 @@ def test_newton_step_halving_recovers_poor_starts():
     want = np.array([_invert(float(x), st) for x in t])
     for scale, re in ((0.05, 0.0), (0.2, 1.0), (3.0, -1.0)):
         z0 = scale * (re + 1j) * leading
-        z, ok = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
+        z, ok, _ = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
         assert ok.all() and np.all(z.imag > 0.0)
         assert np.max(np.abs(z - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kappa=hs.sampled_from([1, 2, math.inf]),
+       q=hs.sampled_from([0.0, 0.5, 1.0]), M=hs.sampled_from([1, 2, 10, 100]),
+       S=hs.sampled_from([0.0, 3.0]), rho_c=hs.sampled_from([0.75, 1.0]),
+       u=hs.floats(0.2, 3.0), e=hs.floats(-3.0, math.log10(50.0)))
+def test_saddle_newton_matches_scalar_root(kappa, q, M, S, rho_c, u, e):
+    # v from just above the support shift (nonzero for the steady target
+    # in fully correlated clutter), through the left tail, out to 50x the
+    # mean; the root is checked against a scalar bracketing solver
+    p = mc.scenario(M=M, kappa=kappa, S=S, q=q, nu=2.0, rho_c=rho_c,
+                    rho_s=0.9)
+    mgf = mc.speckle_coeffs(p, u)
+    shift = float(sp.support_shift(mgf))
+    v = shift + (mgf.mean - shift) * 10.0 ** e
+    s0, r2, _, left = sp._solve_saddles(np.array([v]),
+                                         sp._PoleTable(mgf, [0]))
+    s0 = float(s0[0])
+
+    def f(s):
+        return mgf.dlog(s) - 1.0 / s + v
+
+    if left[0]:
+        assert s0 > 0.0
+        lo, hi = 1e-300, 1.0
+        while f(hi) <= 0.0:
+            hi *= 2.0
+    else:
+        assert -1.0 / float(mgf.a_max) < s0 < 0.0
+        lo, hi = -(1.0 - 1e-15) / float(mgf.a_max), -1e-300
+    root = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    assert abs(f(s0)) < 1e-11 * max(1.0, abs(v))
+    assert r2[0] > 0.0
+    assert s0 == pytest.approx(root, rel=1e-10, abs=0.0)
+
+
+def _engine_counts(monkeypatch):
+    """Running counts of tau evaluations, (pair, tau node) elements, saddle
+    derivative calls, saddle solves and tau continuations."""
+    n = dict.fromkeys(("tau", "elements", "derivatives", "solves", "march"),
+                      0)
+
+    def counted(key, fn, size=lambda *a: 1):
+        def call(*a, **k):
+            n[key] += size(*a)
+            return fn(*a, **k)
+        return call
+
+    monkeypatch.setattr(sp._TauRows, "__call__", counted(
+        "tau", sp._TauRows.__call__, lambda rows, z, p: z.size))
+    monkeypatch.setattr(sp._PoleTable, "derivatives", counted(
+        "derivatives", sp._PoleTable.derivatives))
+    monkeypatch.setattr(sp, "_invert_nodes", counted(
+        "elements", sp._invert_nodes,
+        lambda ev, t, r2, pairs: t.size * pairs.size))
+    monkeypatch.setattr(sp, "_solve_saddles", counted(
+        "solves", sp._solve_saddles))
+    monkeypatch.setattr(sp, "_march_to", counted("march", sp._march_to))
+    return n
+
+
+def _pd_curve(method):
+    """A P_D curve of the pd command's default grid in the kappa=2, M=10
+    README scenario at P_FA 1e-6."""
+    p = mc.scenario(M=10, kappa=2, S=0.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    sirs = detector.db_to_linear(np.linspace(0.0, 20.0, 41))
+    return detector.pd_curve(p, 1e-6, sirs, method)
+
+
+def test_pd_curve_tau_evaluations_per_element(monkeypatch):
+    n = _engine_counts(monkeypatch)
+    _pd_curve("eff-sdp")
+    assert n["elements"] > 0 and n["tau"] <= 3.8 * n["elements"]
+    assert n["march"] == 0
+
+
+def test_pd_curve_derivative_calls_per_saddle_solve(monkeypatch):
+    n = _engine_counts(monkeypatch)
+    _pd_curve("eff-sp")
+    assert n["solves"] > 0 and n["derivatives"] <= 10 * n["solves"]
+    assert n["tau"] == 0 and n["march"] == 0
+
+
+def test_m100_curve_tau_evaluations_per_element(monkeypatch):
+    p = mc.scenario(M=100, kappa=2, S=5.0, q=0.75, nu=5.0,
+                    rho_s=0.95, rho_c=0.75)
+    mom = mc.analytic_moments(p)
+    sd = math.sqrt(mom.variance)
+    n = _engine_counts(monkeypatch)
+    texture.survival_curve(np.linspace(mom.mean - sd, mom.mean + 4.0 * sd, 6),
+                           p, "diag-sdp")
+    assert n["elements"] > 0 and n["tau"] <= 3.6 * n["elements"]
+    assert n["march"] == 0
