@@ -24,7 +24,6 @@ from .fpm_mc import (
     EmpiricalDistribution,
     McConfig,
     empirical_survival,
-    simulate_gaussian_target_channel,
     simulate_returns,
 )
 from .gof_stats import (

@@ -229,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--texture-order", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker count; 0 = auto "
-                             "(GAMMACLUTTER_THREADS fallback)")
 
     p = sub.add_parser("survival", parents=[common],
                        help="survival-function curves as CSV")
@@ -258,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker count; 0 = auto "
+                        "(GAMMACLUTTER_THREADS fallback)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", parents=[common],

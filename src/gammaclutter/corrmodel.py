@@ -82,7 +82,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     rotation: np.ndarray
-    source: CorrelationSpec | None = None
     is_identity: bool = False
 
     @property
@@ -140,8 +139,7 @@ def gauss_markov_limit_basis(M: int) -> np.ndarray:
     return _fix_signs(R)
 
 
-def eigen_decompose(matrix: np.ndarray,
-                    source: CorrelationSpec | None = None) -> EigenSystem:
+def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
     """Eigen decomposition with ascending eigenvalues and deterministic signs.
 
     Exact degenerate inputs (identity, all-ones) bypass the generic solver:
@@ -154,11 +152,11 @@ def eigen_decompose(matrix: np.ndarray,
         raise DimensionMismatch(f"expected square matrix, got {matrix.shape}")
 
     if np.array_equal(matrix, np.eye(M)):
-        return EigenSystem(np.ones(M), np.eye(M), source, is_identity=True)
+        return EigenSystem(np.ones(M), np.eye(M), is_identity=True)
     if np.array_equal(matrix, np.ones((M, M))):
         vals = np.zeros(M)
         vals[-1] = float(M)
-        return EigenSystem(vals, _fix_signs(_helmert(M)), source)
+        return EigenSystem(vals, _fix_signs(_helmert(M)))
 
     try:
         vals, vecs = np.linalg.eigh(matrix)
@@ -168,13 +166,13 @@ def eigen_decompose(matrix: np.ndarray,
         raise NegativeEigenvalue(
             f"min eigenvalue {vals[0]:.3e} below clamping tolerance")
     vals = np.clip(vals, 0.0, None)
-    return EigenSystem(vals, _fix_signs(vecs.T), source)
+    return EigenSystem(vals, _fix_signs(vecs.T))
 
 
 def eigen_system(spec: CorrelationSpec) -> EigenSystem:
     """Build and decompose in one step; degenerate specs build the exact
     identity or all-ones matrix, which ``eigen_decompose`` routes exactly."""
-    return eigen_decompose(build_matrix(spec), spec)
+    return eigen_decompose(build_matrix(spec))
 
 
 def loading_matrix(es: EigenSystem) -> np.ndarray:

@@ -95,7 +95,6 @@ def _target_quadrature(rng, n, M, kappa, L_s):
 
 
 def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
-                gaussian_target: bool = False,
                 target_rotation: str = "limit") -> np.ndarray:
     M, S, q, nu = params.M, params.S, params.q, params.nu
     if nu == math.inf:
@@ -110,39 +109,22 @@ def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
         total += np.sqrt(q * U)[:, None, None] * Xc
     if S > 0.0:
         L_s = ctx.fp_loading(target_rotation)
-        if gaussian_target:
-            Y = rng.standard_normal((n, 2, M))
-            Xs = Y @ L_s
-        else:
-            Xs = _target_quadrature(rng, n, M, params.kappa, L_s)
+        Xs = _target_quadrature(rng, n, M, params.kappa, L_s)
         total += math.sqrt(S) * Xs
     return np.sum(total * total, axis=(1, 2)) / (2.0 * M)
 
 
 def simulate_returns(config: McConfig, stream: int = 0,
-                     ctx: ScenarioContext | None = None,
-                     gaussian_target: bool = False) -> EmpiricalDistribution:
+                     ctx: ScenarioContext | None = None
+                     ) -> EmpiricalDistribution:
     """Draw n_samples realizations of the averaged power and sort them."""
     if ctx is None:
         ctx = ScenarioContext(config.params)
     rng = _rng(config.seed, stream)
     n = config.n_samples
-    z = _draw_block(rng, n, config.params, ctx, gaussian_target,
-                    config.target_rotation)
+    z = _draw_block(rng, n, config.params, ctx, config.target_rotation)
     z.sort()
     return EmpiricalDistribution(z, n)
-
-
-def simulate_gaussian_target_channel(config: McConfig,
-                                     stream: int = 0) -> EmpiricalDistribution:
-    """kappa = 1 reference run with plain normal target draws.
-
-    Statistically identical to simulate_returns at kappa = 1; used to
-    validate the two-sided Nakagami sampler route.
-    """
-    if config.params.kappa != 1:
-        raise InvalidScenario("gaussian target channel requires kappa = 1")
-    return simulate_returns(config, stream, gaussian_target=True)
 
 
 def empirical_survival(dist: EmpiricalDistribution, v) -> float | np.ndarray:

@@ -154,10 +154,13 @@ class ScenarioContext:
     @property
     def b_weights(self) -> np.ndarray:
         """Steady-target weights b_m = (1/M) [R_c C_s R_c^T]_mm (paired with
-        the ascending clutter eigenvalues); they sum to one."""
+        the ascending clutter eigenvalues); they sum to one.  einsum sums
+        without BLAS, whose threaded products round differently with the
+        thread count."""
         if self._b_weights is None:
-            W = self.eig_c.rotation @ self.eig_s.rotation.T
-            b = (W * W) @ self.gamma_s / self.params.M
+            W = np.einsum("ik,jk->ij", self.eig_c.rotation,
+                          self.eig_s.rotation)
+            b = np.einsum("ij,ij,j->i", W, W, self.gamma_s) / self.params.M
             if abs(b.sum() - 1.0) > 1e-10 or b.min() < -1e-14:
                 raise InvalidScenario("steady-target weights failed sum rule")
             self._b_weights = b

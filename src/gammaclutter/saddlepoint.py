@@ -26,17 +26,13 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
   which holds the rational form (beta = 0) and the steady form alike, one
   left-packed, zero-padded row per MGF.  A block of pairs slices its rows,
-  and the mean, largest pole, bulk flag and support shift are row
-  reductions.
+  and the mean, largest pole and support shift are row reductions.
 - The saddle bracket search and the bisection-safeguarded Newton run on
   all pairs at once; a pair leaves the active set when it converges.  The
   Newton step cancels the phase derivative's nearest poles first.
 - Each pair's phase becomes a row
-  tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z).
-  A row with no beta terms and many poles has its small c_j collapsed
-  into a 60-term power series, exact to rounding for |z| <= z_top and
-  evaluated with a table of powers of z; an element beyond z_top uses the
-  full row.
+  tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z),
+  evaluated in full at every (pair, tau node) element.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
   backtracking, in two passes: every fourth node from the leading-order
   start, then the others from a Hermite interpolant through those; an
@@ -72,12 +68,6 @@ from .mgf_core import PoleMgf
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
 NEWTON_MAX_ITER = 60
-# Power-series collapse of small tau coefficients: rows without beta terms
-# and with at least _BULK_MIN_TERMS pole log terms (ln(-+s) included),
-# coefficients below _BULK_RATIO / z_top.
-_BULK_MIN_TERMS = 24
-_BULK_RATIO = 0.5
-_BULK_TERMS = 60
 # Entries (pair x tau node x table column) of one block's working arrays.
 _BLOCK_ELEMENTS = 1 << 14
 # Every _COARSE_STRIDE-th tau node is solved first (see _invert_nodes).
@@ -148,9 +138,6 @@ class _PoleTable:
         self.a, self.alpha, self.beta = blk.a, blk.alpha, blk.beta
         self.has_beta = bool(self.beta.any())
         self.mean, self.a_max = blk.mean, blk.a_max
-        self.bulk = (~self.beta.any(axis=1)
-                     & (np.count_nonzero(self.alpha < 0.0, axis=1) + 1
-                        >= _BULK_MIN_TERMS))
 
     def derivatives(self, i, s):
         """d ln M / ds and d^2 ln M / ds^2 of pairs i at real s."""
@@ -241,32 +228,6 @@ def _solve_saddles(v, tab):
     return x, r2, phase0, left
 
 
-def _tau_terms(z, p, lam, c, w, wc, g):
-    """tau and tau' at z (one element per entry of p) from explicit rows;
-    wc is w * c."""
-    c, w, wc = (np.take(r, p, axis=0) for r in (c, w, wc))
-    x, y = z.real[:, None], z.imag[:, None]
-    xp, yp, d = _one_minus(c, x, y)
-    lr, li = _log1m(xp, yp, d)
-    wc /= d
-    lam = np.take(lam, p)
-    tau = lam * z + 0.5 * _rowdot(w, lr) + 1j * _rowdot(w, li)
-    dtau = lam - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
-    if g is not None:
-        # g z / (1 - c z) and its derivative g / (1 - c z)^2
-        g = np.take(g, p, axis=0)
-        g /= d
-        tau -= _rowdot(g, x * xp + y * yp) + 1j * _rowdot(g, y * xp - x * yp)
-        g /= d
-        dtau -= _rowdot(g, xp * xp - yp * yp) - 2j * _rowdot(g, xp * yp)
-    return tau, dtau
-
-
-def _rows(c, w, g):
-    """An evaluator row set (c, w, w c, g) for ``_tau_terms``."""
-    return c, w, w * c, g
-
-
 class _TauRows:
     """tau(z) = Phi(s0) - Phi(s0 - z/v) and tau'(z) for a block of pairs:
 
@@ -277,7 +238,7 @@ class _TauRows:
     ln(-+s); zero poles are linear in z and folded into lam.
     """
 
-    def __init__(self, v, tab, s0, r2, t_top):
+    def __init__(self, v, tab, s0):
         d0 = 1.0 + tab.a * s0[:, None]
         c = tab.a / (v[:, None] * d0)
         g = -tab.beta / (v[:, None] * d0 * d0)
@@ -285,62 +246,31 @@ class _TauRows:
         self.lam = 1.0 - np.where(lin, g, 0.0).sum(axis=1)
         g[lin] = 0.0
         one = np.ones((v.size, 1))
-        rows = (np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1),
-                np.concatenate((one, -tab.alpha), axis=1),
-                np.concatenate((0.0 * one, g), axis=1)
-                if tab.has_beta else None)
-        self.full = _rows(*rows)
-        self.width = rows[0].shape[1]
-        self.bulk = tab.bulk
-        self.has_bulk = bool(self.bulk.any())
-        if not self.has_bulk:
-            return
-        self.z_top = 1.5 * t_top + 8.0 / np.sqrt(r2) + 8.0
-        c, w, g = rows
-        c_split = np.where(self.bulk, _BULK_RATIO / self.z_top, 0.0)
-        small = np.abs(c) < c_split[:, None]
-        if g is not None:
-            small &= g == 0.0
-        # sum_small w ln(1 - c z) = -sum_k q_k z^k / k, q_k = sum w c^k
-        cs = np.where(small, c, 0.0)
-        acc = np.where(small, w, 0.0) * cs
-        q = np.empty((v.size, _BULK_TERMS))
-        for k in range(_BULK_TERMS):
-            q[:, k] = acc.sum(axis=1)
-            acc *= cs
-        self.poly = -q / np.arange(1, _BULK_TERMS + 1)   # tau: z * z^(k-1)
-        self.dpoly = -q                                  # tau': z^(k-1)
-        keep = ~small
-        order = np.argsort(small, axis=1, kind="stable")
-        order = order[:, :keep.sum(axis=1).max()]
-        self.near = _rows(*(
-            None if x is None
-            else np.take_along_axis(np.where(keep, x, 0.0), order, axis=1)
-            for x in rows))
-        self.width = order.shape[1]
-
-    def _near(self, z, p):
-        tau, dtau = _tau_terms(z, p, self.lam, *self.near)
-        zk = np.empty((z.size, _BULK_TERMS), dtype=complex)
-        zk[:, 0] = 1.0
-        zk[:, 1:] = z[:, None]
-        zk = np.cumprod(zk, axis=1)                    # z^0 .. z^59
-        tau += z * _rowdot(np.take(self.poly, p, axis=0), zk)
-        dtau += _rowdot(np.take(self.dpoly, p, axis=0), zk)
-        return tau, dtau
+        self.c = np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1)
+        self.w = np.concatenate((one, -tab.alpha), axis=1)
+        self.wc = self.w * self.c
+        self.g = (np.concatenate((0.0 * one, g), axis=1)
+                  if tab.has_beta else None)
+        self.width = self.c.shape[1]
 
     def __call__(self, z, p):
         """tau and tau' at elements z of block pairs p."""
-        if not self.has_bulk:
-            return _tau_terms(z, p, self.lam, *self.full)
-        near = self.bulk[p] & (np.abs(z) <= self.z_top[p])
-        if near.all():
-            return self._near(z, p)
-        tau, dtau = np.empty_like(z), np.empty_like(z)
-        far = ~near
-        tau[far], dtau[far] = _tau_terms(z[far], p[far], self.lam, *self.full)
-        if near.any():
-            tau[near], dtau[near] = self._near(z[near], p[near])
+        c, w, wc = (np.take(r, p, axis=0) for r in (self.c, self.w, self.wc))
+        x, y = z.real[:, None], z.imag[:, None]
+        xp, yp, d = _one_minus(c, x, y)
+        lr, li = _log1m(xp, yp, d)
+        wc /= d
+        lam = np.take(self.lam, p)
+        tau = lam * z + 0.5 * _rowdot(w, lr) + 1j * _rowdot(w, li)
+        dtau = lam - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
+        if self.g is not None:
+            # g z / (1 - c z) and its derivative g / (1 - c z)^2
+            g = np.take(self.g, p, axis=0)
+            g /= d
+            tau -= (_rowdot(g, x * xp + y * yp)
+                    + 1j * _rowdot(g, y * xp - x * yp))
+            g /= d
+            dtau -= _rowdot(g, xp * xp - yp * yp) - 2j * _rowdot(g, xp * yp)
         return tau, dtau
 
 
@@ -478,7 +408,7 @@ def _survival_block(v, tab, integrator, t, w):
         if integrator == "sp":
             val = np.exp(phase0) / (v * np.sqrt(2.0 * math.pi * r2))
         else:
-            ev = _TauRows(v, tab, s0, r2, float(t[-1]))
+            ev = _TauRows(v, tab, s0)
             per = max(1, _BLOCK_ELEMENTS // (t.size * ev.width))
             corr = np.empty(v.size)
             for start in range(0, v.size, per):

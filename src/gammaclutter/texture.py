@@ -98,8 +98,7 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     return TextureRule(vals / nu, weights, order, nu)
 
 
-def _node_survival(v, S, params, method, rule, ctx,
-                   order=saddlepoint.DEFAULT_TAU_ORDER):
+def _node_survival(v, S, params, method, rule, ctx):
     """Speckle survival at every (point, texture node) pair, point i being
     power level v[i] at signal-to-interference ratio S[i] (v and S
     broadcast against each other).
@@ -124,8 +123,7 @@ def _node_survival(v, S, params, method, rule, ctx,
     pairs = np.arange(v.size * n)
     try:
         vals = saddlepoint.survival_pairs(np.repeat(v, n), table,
-                                          pairs % (k * n), method.integrator,
-                                          order)
+                                          pairs % (k * n), method.integrator)
     except GammaClutterError as exc:
         i = getattr(exc, "pair", None)
         if i is not None:
@@ -139,16 +137,14 @@ def _node_survival(v, S, params, method, rule, ctx,
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
                       rule: TextureRule | None = None,
                       ctx: ScenarioContext | None = None,
-                      texture_order: int = 32,
-                      tau_order: int = saddlepoint.DEFAULT_TAU_ORDER) -> float:
+                      texture_order: int = 32) -> float:
     """Texture-averaged survival probability at power level v."""
     return float(survival_curve([v], params, method, rule, ctx,
-                                texture_order, tau_order)[0])
+                                texture_order)[0])
 
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
-                   rule=None, ctx=None, texture_order=32,
-                   tau_order=saddlepoint.DEFAULT_TAU_ORDER) -> np.ndarray:
+                   rule=None, ctx=None, texture_order=32) -> np.ndarray:
     """compound_survival over a grid, in one batched inversion."""
     if isinstance(method, str):
         method = Method.parse(method)
@@ -159,8 +155,7 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
     pos = v_grid > 0.0
-    vals = _node_survival(v_grid[pos], params.S, params, method, rule, ctx,
-                          tau_order)
+    vals = _node_survival(v_grid[pos], params.S, params, method, rule, ctx)
     out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out
 

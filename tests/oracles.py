@@ -4,9 +4,10 @@ These deliberately avoid the library's own code paths: eigenvalues from the
 characteristic polynomial, products in 50-digit decimal arithmetic, traces
 by direct matrix multiplication, laws by enumerating every sign pattern,
 survival by the Bromwich integral on a vertical contour (from the
-library's MGF coefficients, independent of its saddle-point engine).  The
-pairwise-cosh steady-target MGFs are exact only for M <= 2 and serve as
-references there alone.
+library's MGF coefficients, independent of its saddle-point engine),
+Monte Carlo returns with a plain normal target in place of the library's
+two-sided Nakagami one.  The pairwise-cosh steady-target MGFs are exact
+only for M <= 2 and serve as references there alone.
 """
 
 import itertools
@@ -16,7 +17,9 @@ from decimal import Decimal, getcontext
 import numpy as np
 from scipy.stats import ncx2
 
-from gammaclutter.errors import ContourTooClose, NoConvergence, PoleHit
+from gammaclutter import fpm_mc
+from gammaclutter.errors import (ContourTooClose, InvalidScenario,
+                                 NoConvergence, PoleHit)
 from gammaclutter.mgf_core import (
     ScenarioContext,
     ScenarioParams,
@@ -287,3 +290,33 @@ def compound_bromwich(v, params, rule=None, ctx=None, texture_order=32,
     vals = [bromwich_oracle(float(v), params, float(u), scheme, ctx)
             for u in rule.nodes]
     return float(np.dot(rule.weights, vals))
+
+
+def simulate_gaussian_target_channel(config: fpm_mc.McConfig,
+                                     stream: int = 0
+                                     ) -> fpm_mc.EmpiricalDistribution:
+    """kappa = 1 returns drawn with plain normal target components.
+
+    Statistically identical to ``fpm_mc.simulate_returns`` at kappa = 1,
+    whose target goes through the sign-times-root-gamma route; the Philox
+    stream, the draw order and the clutter draws are the sampler's own.
+    """
+    p = config.params
+    if p.kappa != 1:
+        raise InvalidScenario("gaussian target channel requires kappa = 1")
+    ctx = ScenarioContext(p)
+    rng = fpm_mc._rng(config.seed, stream)
+    n, M = config.n_samples, p.M
+    U = np.ones(n) if p.nu == math.inf else rng.standard_gamma(p.nu, n) / p.nu
+    total = np.zeros((n, 2, M))
+    if p.q < 1.0:
+        total += math.sqrt(1.0 - p.q) * rng.standard_normal((n, 2, M))
+    if p.q > 0.0:
+        Xc = fpm_mc._clutter_speckle(rng, n, M, p.spec_c, ctx.eig_c)
+        total += np.sqrt(p.q * U)[:, None, None] * Xc
+    if p.S > 0.0:
+        Xs = rng.standard_normal((n, 2, M)) @ ctx.fp_loading(
+            config.target_rotation)
+        total += math.sqrt(p.S) * Xs
+    z = np.sort(np.sum(total * total, axis=(1, 2)) / (2.0 * M))
+    return fpm_mc.EmpiricalDistribution(z, n)

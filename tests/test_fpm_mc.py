@@ -7,7 +7,8 @@ from scipy.stats import ks_2samp
 import gammaclutter.fpm_mc as fp
 import gammaclutter.mgf_core as mc
 from gammaclutter.errors import InvalidScenario
-from oracles import WorstCaseLaw, mgf_first_principles_steady, worst_case_mgf
+from oracles import (WorstCaseLaw, mgf_first_principles_steady,
+                     simulate_gaussian_target_channel, worst_case_mgf)
 
 def _cfg(n, seed, **kw):
     p = mc.scenario(**kw)
@@ -72,14 +73,14 @@ def test_gaussian_channel_matches_nakagami_route():
     kw = dict(M=4, kappa=1, S=3.0, q=0.5, nu=2.0, rho_c=0.4, rho_s=0.8)
     n = 100000
     a = fp.simulate_returns(_cfg(n, 3, **kw))
-    b = fp.simulate_gaussian_target_channel(_cfg(n, 101, **kw))
+    b = simulate_gaussian_target_channel(_cfg(n, 101, **kw))
     stat, pval = ks_2samp(a.sorted_samples, b.sorted_samples)
     assert pval > 0.01
 
 
 def test_gaussian_channel_requires_kappa_one():
     with pytest.raises(InvalidScenario):
-        fp.simulate_gaussian_target_channel(
+        simulate_gaussian_target_channel(
             _cfg(10, 1, M=2, kappa=2, S=1.0, q=0.5, nu=2.0))
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,23 @@ def test_steady_weights_sum_rule(rc, rs, M):
     b = mc.ScenarioContext(p).b_weights
     assert abs(b.sum() - 1.0) < 1e-12
     assert b.min() >= -1e-14
+
+
+def test_steady_weights_do_not_depend_on_blas_threads():
+    # OpenBLAS splits M=100 products over its threads and rounds them
+    # differently with the thread count; the weights must not move
+    code = ("import sys, gammaclutter.mgf_core as mc; "
+            "p = mc.scenario(M=100, kappa=mc.KAPPA_INF, S=3.0, q=0.8, "
+            "nu=2.0, rho_s=0.95, rho_c=0.75); "
+            "b = mc.ScenarioContext(p).b_weights; "
+            "sys.stdout.write(b.tobytes().hex())")
+    src = str(Path(mc.__file__).resolve().parents[1])
+    got = [subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "OPENBLAS_NUM_THREADS": n}).stdout
+           for n in ("1", "2")]
+    assert got[0] and got[0] == got[1]
 
 
 def test_fully_correlated_matches_effective():

@@ -258,9 +258,8 @@ def test_batch_failure_names_its_pair(monkeypatch):
 
 
 def test_tau_rows_match_exact_phase_near_and_far():
-    # M=100 takes the power-series bulk for |z| <= z_top and the full row
-    # beyond it; the steady S>0 row carries the g z / (1 - c z) terms, and
-    # the steady S=0 row has none, so it takes the bulk too
+    # the steady S>0 row carries the g z / (1 - c z) terms, and the steady
+    # S=0 row has none
     for M, kappa, S in ((100, 2, 3.0), (100, 1, 3.0), (10, math.inf, 3.0),
                         (100, math.inf, 0.0)):
         p = mc.scenario(M=M, kappa=kappa, S=S, q=0.8, nu=2.0,
@@ -269,11 +268,9 @@ def test_tau_rows_match_exact_phase_near_and_far():
         for v in (0.7 * mgf.mean, 1.6 * mgf.mean):
             st = sp.solve_saddle(v, mgf)
             tab = sp._PoleTable(mgf, [0])
-            s0, r2, _, _ = sp._solve_saddles(np.array([v]), tab)
-            t_top = float(sp._kept_nodes(sp.DEFAULT_TAU_ORDER)[0][-1])
-            rows = sp._TauRows(np.array([v]), tab, s0, r2, t_top)
-            assert rows.has_bulk == (M == 100)
-            top = rows.z_top[0] if rows.has_bulk else 10.0
+            s0, _, _, _ = sp._solve_saddles(np.array([v]), tab)
+            rows = sp._TauRows(np.array([v]), tab, s0)
+            top = 10.0
             z = np.array([0.3j, 0.4 * top * (0.2 + 1j), 0.9 * top * 1j,
                           1.5 * top * (0.1 + 1j), 3.0 * top * 1j])
             tau, dtau = rows(z, np.zeros(z.size, dtype=int))
