@@ -38,7 +38,8 @@ class PoleHit(GammaClutterError):
 
 
 class DegenerateV(GammaClutterError):
-    """Power level v <= 0 passed to a saddle-point routine."""
+    """Power level that is not finite, or v <= 0 where a saddle-point
+    routine needs it positive."""
 
 
 class InvalidShape(GammaClutterError):

@@ -77,8 +77,8 @@ class ScenarioParams:
             if self.kappa < 1 or self.kappa != int(self.kappa):
                 raise InvalidScenario(
                     f"kappa {self.kappa} must be an integer >= 1 or inf")
-        if self.S < 0:
-            raise InvalidScenario(f"S {self.S} must be >= 0")
+        if not 0.0 <= self.S < math.inf:
+            raise InvalidScenario(f"S {self.S} must be finite and >= 0")
         if not 0.0 <= self.q <= 1.0:
             raise InvalidScenario(f"q {self.q} outside [0, 1]")
         if not self.nu > 0:
@@ -279,8 +279,9 @@ def pole_table(params: ScenarioParams, S, u,
     """
     S, u = np.broadcast_arrays(np.atleast_1d(np.asarray(S, dtype=float)),
                                np.atleast_1d(np.asarray(u, dtype=float)))
-    if np.any(S < 0.0):
-        raise InvalidScenario("S must be >= 0")
+    bad = S[~((0.0 <= S) & (S < np.inf))]
+    if bad.size:
+        raise InvalidScenario(f"S {bad[0]} must be finite and >= 0")
     x, y = _pulse_rows(params, S, u, scheme, ctx or ScenarioContext(params))
     if params.steady:
         return PoleMgf(x, np.full(x.shape, -1.0), y)

@@ -39,12 +39,16 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   element it cannot solve is continued in tau on its own.
 
 Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
-zero.  Pairs run in blocks of at most _BLOCK_ELEMENTS table entries, so
-the working arrays stay small however many pairs a call has.  ln(1 - c z)
-is computed in real arithmetic as ln|1 - c z| + i arg(1 - c z): about
-ten times cheaper than numpy's complex log of 1 - c z (26 vs 244 ns per
-element on a 2-vCPU Xeon), on the same principal branch and with the same
-signed zeros.
+zero.  Two bounds keep the working arrays small however many pairs a
+call has.  The evaluator takes its elements in chunks of at most
+_BLOCK_ELEMENTS (element x table column) entries, and a saddle solve
+takes at most _BLOCK_ELEMENTS (pair x column) entries.  Both Newton
+passes run on groups of at most _NEWTON_ELEMENTS (pair x tau node)
+elements whatever the row width, so wide rows do not shrink a pass to a
+few pairs.  ln(1 - c z) is computed in real arithmetic as
+ln|1 - c z| + i arg(1 - c z): about ten times cheaper than numpy's
+complex log of 1 - c z (26 vs 244 ns per element on a 2-vCPU Xeon), on
+the same principal branch and with the same signed zeros.
 
 ``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
 of the same engine.  ``solve_saddle`` builds its own tau row, and
@@ -68,8 +72,12 @@ from .mgf_core import PoleMgf
 DEFAULT_TAU_ORDER = 48
 SADDLE_MAX_ITER = 200
 NEWTON_MAX_ITER = 60
-# Entries (pair x tau node x table column) of one block's working arrays.
+# Entries (element x table column) of the evaluator's temporaries, per
+# chunk of elements; also (pair x table column) of a saddle-solve block.
 _BLOCK_ELEMENTS = 1 << 14
+# (pair x tau node) elements of one Newton group: its per-element state,
+# not the table width, is what this bounds.
+_NEWTON_ELEMENTS = 1 << 12
 # Every _COARSE_STRIDE-th tau node is solved first (see _invert_nodes).
 _COARSE_STRIDE = 4
 
@@ -254,7 +262,16 @@ class _TauRows:
         self.width = self.c.shape[1]
 
     def __call__(self, z, p):
-        """tau and tau' at elements z of block pairs p."""
+        """tau and tau' at elements z of block pairs p, in chunks of at
+        most _BLOCK_ELEMENTS (element x column) entries."""
+        per = max(1, _BLOCK_ELEMENTS // self.width)
+        tau, dtau = np.empty(z.size, complex), np.empty(z.size, complex)
+        for s in range(0, z.size, per):
+            tau[s:s + per], dtau[s:s + per] = self._chunk(z[s:s + per],
+                                                          p[s:s + per])
+        return tau, dtau
+
+    def _chunk(self, z, p):
         c, w, wc = (np.take(r, p, axis=0) for r in (self.c, self.w, self.wc))
         x, y = z.real[:, None], z.imag[:, None]
         xp, yp, d = _one_minus(c, x, y)
@@ -409,7 +426,7 @@ def _survival_block(v, tab, integrator, t, w):
             val = np.exp(phase0) / (v * np.sqrt(2.0 * math.pi * r2))
         else:
             ev = _TauRows(v, tab, s0)
-            per = max(1, _BLOCK_ELEMENTS // (t.size * ev.width))
+            per = max(1, _NEWTON_ELEMENTS // t.size)
             corr = np.empty(v.size)
             for start in range(0, v.size, per):
                 pairs = np.arange(start, min(start + per, v.size))
@@ -431,10 +448,15 @@ def survival_pairs(v, table, rows, integrator: str = "sdp",
 
     ``integrator`` is "sdp" (steepest-descent path, numerically exact) or
     "sp" (basic saddle-point approximation).  Survival is exactly 1 at or
-    below an MGF's support shift.  A NoConvergence carries the index i of
-    its pair as ``exc.pair``.
+    below an MGF's support shift.  A non-finite v raises DegenerateV.  A
+    DegenerateV or NoConvergence carries the index i of its pair as
+    ``exc.pair``.
     """
     v = np.asarray(v, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise _at(DegenerateV(f"power level v {v[bad[0]]} is not finite"),
+                  bad[0])
     rows = np.asarray(rows, dtype=int)
     shift = np.atleast_1d(support_shift(table))[rows]
     out = np.ones(v.size)
@@ -484,8 +506,8 @@ def phase(s, v: float, mgf, side: Side = Side.RIGHT_TAIL):
 def solve_saddle(v: float, mgf) -> SaddleState:
     """Locate the real saddle of the survival/CDF phase and bundle path data
     for the exact reference phase ``tau_phase``."""
-    if v <= 0.0:
-        raise DegenerateV(f"power level v {v} must be positive")
+    if not 0.0 < v < math.inf:
+        raise DegenerateV(f"power level v {v} must be positive and finite")
     tab = _PoleTable(mgf, [0])
     s0, r2, _, left = _solve_saddles(np.array([float(v)]), tab)
     s0 = float(s0[0])

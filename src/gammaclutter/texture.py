@@ -145,7 +145,8 @@ def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
                    rule=None, ctx=None, texture_order=32) -> np.ndarray:
-    """compound_survival over a grid, in one batched inversion."""
+    """compound_survival over a grid, in one batched inversion.  A
+    non-finite power level raises DegenerateV."""
     if isinstance(method, str):
         method = Method.parse(method)
     if rule is None:
@@ -154,7 +155,7 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
         ctx = ScenarioContext(params)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
-    pos = v_grid > 0.0
+    pos = (v_grid > 0.0) | ~np.isfinite(v_grid)
     vals = _node_survival(v_grid[pos], params.S, params, method, rule, ctx)
     out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
     return out

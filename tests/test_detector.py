@@ -101,6 +101,14 @@ def test_pd_grid_must_be_sorted():
         det.pd_curve(p, 1e-4, [3.0, 1.0], "eff-sdp")
 
 
+def test_pd_grid_must_be_finite():
+    # a NaN SIR once reached the eigensolver and failed inside numpy
+    p = mc.scenario(M=10, kappa=2, S=0.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    with pytest.raises(InvalidScenario, match="finite"):
+        det.pd_curve(p, 1e-6, [1.0, math.nan])
+
+
 def test_pd_sdp_vs_sp_stay_close():
     # kappa=2 correlated K-clutter detection curve at P_FA = 1e-6.  The
     # basic saddle-point approximation deviates from the exact path

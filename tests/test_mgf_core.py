@@ -32,6 +32,19 @@ def test_scenario_validation():
     assert p.steady
 
 
+@pytest.mark.parametrize("S", [math.nan, math.inf])
+def test_scenario_rejects_non_finite_S(S):
+    with pytest.raises(InvalidScenario, match="finite"):
+        mc.scenario(M=4, kappa=2, S=S, q=0.5, nu=2)
+
+
+@pytest.mark.parametrize("S", [math.nan, math.inf])
+def test_pole_table_rejects_non_finite_S(S):
+    p = mc.scenario(M=4, kappa=2, S=1.0, q=0.5, nu=2, rho_c=0.5, rho_s=0.7)
+    with pytest.raises(InvalidScenario, match="finite"):
+        mc.pole_table(p, [1.0, S], [1.0, 0.5])
+
+
 def test_aggregated_corr_limits():
     Cc, Cs = np.eye(2), np.ones((2, 2))
     assert np.allclose(mc.aggregated_corr(Cc, Cs, 0.7, 1.3, 0.0, 2), Cc)

@@ -248,6 +248,35 @@ def test_march_fallback_inside_batch_matches(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("integrator", ["sdp", "sp"])
+def test_blocking_does_not_change_results(monkeypatch, integrator):
+    pairs = _mixed_batch()
+    mgfs = _stack([m for _, m in pairs])
+    v = np.array([x for x, _ in pairs])
+    rows = np.arange(len(pairs))
+    want = sp.survival_pairs(v, mgfs, rows, integrator)
+    # saddle blocks of 7 pairs and, on the widest rows, evaluator chunks
+    # of 7 elements, which split the nodes of a pair in both Newton passes
+    monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 7 * (1 + mgfs.a.shape[1]))
+    nodes = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)[0].size
+    for group in (1, 5):
+        monkeypatch.setattr(sp, "_NEWTON_ELEMENTS", group * nodes)
+        got = sp.survival_pairs(v, mgfs, rows, integrator)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_non_finite_power_level_raises(v):
+    mgf = mc.speckle_coeffs(fig_scenario(), 1.0)
+    with pytest.raises(DegenerateV):
+        sp.survival_sdp(v, mgf)
+    with pytest.raises(DegenerateV):
+        sp.solve_saddle(v, mgf)
+    with pytest.raises(DegenerateV) as err:
+        sp.survival_pairs([12.0, v], mgf, [0, 0], "sp")
+    assert err.value.pair == 1
+
+
 def test_batch_failure_names_its_pair(monkeypatch):
     pairs = _mixed_batch()
     monkeypatch.setattr(sp, "SADDLE_MAX_ITER", 0)
@@ -332,27 +361,32 @@ def test_saddle_newton_matches_scalar_root(kappa, q, M, S, rho_c, u, e):
 
 
 def _engine_counts(monkeypatch):
-    """Running counts of tau evaluations, (pair, tau node) elements, saddle
-    derivative calls, saddle solves and tau continuations."""
-    n = dict.fromkeys(("tau", "elements", "derivatives", "solves", "march"),
-                      0)
+    """Running counts of tau evaluations and evaluator calls, (pair, tau
+    node) elements and inversion calls, saddle derivative calls, saddle
+    solves and tau continuations."""
+    n = dict.fromkeys(("tau", "evals", "elements", "inverts", "derivatives",
+                       "solves", "march"), 0)
 
-    def counted(key, fn, size=lambda *a: 1):
+    def one(*a):
+        return 1
+
+    def counted(fn, **sizes):
         def call(*a, **k):
-            n[key] += size(*a)
+            for key, size in sizes.items():
+                n[key] += size(*a)
             return fn(*a, **k)
         return call
 
     monkeypatch.setattr(sp._TauRows, "__call__", counted(
-        "tau", sp._TauRows.__call__, lambda rows, z, p: z.size))
+        sp._TauRows.__call__, tau=lambda rows, z, p: z.size, evals=one))
     monkeypatch.setattr(sp._PoleTable, "derivatives", counted(
-        "derivatives", sp._PoleTable.derivatives))
+        sp._PoleTable.derivatives, derivatives=one))
     monkeypatch.setattr(sp, "_invert_nodes", counted(
-        "elements", sp._invert_nodes,
-        lambda ev, t, r2, pairs: t.size * pairs.size))
+        sp._invert_nodes, inverts=one,
+        elements=lambda ev, t, r2, pairs: t.size * pairs.size))
     monkeypatch.setattr(sp, "_solve_saddles", counted(
-        "solves", sp._solve_saddles))
-    monkeypatch.setattr(sp, "_march_to", counted("march", sp._march_to))
+        sp._solve_saddles, solves=one))
+    monkeypatch.setattr(sp, "_march_to", counted(sp._march_to, march=one))
     return n
 
 
@@ -389,3 +423,5 @@ def test_m100_curve_tau_evaluations_per_element(monkeypatch):
                            p, "diag-sdp")
     assert n["elements"] > 0 and n["tau"] <= 3.6 * n["elements"]
     assert n["march"] == 0
+    # each Newton pass runs on a whole group of pairs, not a few
+    assert n["inverts"] <= 4 and n["evals"] <= 40

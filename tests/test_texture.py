@@ -7,7 +7,8 @@ import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.errors import InvalidShape, NoConvergence, OrderTooLarge
+from gammaclutter.errors import (DegenerateV, InvalidShape, NoConvergence,
+                                 OrderTooLarge)
 
 import oracles
 from oracles import bromwich_oracle, gamma_moment
@@ -221,6 +222,15 @@ def test_failure_names_power_level_and_node(monkeypatch):
     with pytest.raises(NoConvergence,
                        match=rf"v=4\.0, texture node u={rule.nodes[0]}\]"):
         tx.survival_curve([4.0, 6.0], p, "eff-sdp", rule)
+
+
+@pytest.mark.parametrize("method", ["eff-sdp", "eff-sp"])
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_survival_curve_rejects_non_finite_level(method, v):
+    p = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    with pytest.raises(DegenerateV, match=f"power level v={v}, texture node"):
+        tx.survival_curve([4.0, v], p, method)
 
 
 def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
