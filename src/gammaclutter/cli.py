@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--texture-order", type=int, default=None)
+    common.add_argument("--texture-order", type=int, default=0)
 
     p = sub.add_parser("survival", parents=[common],
                        help="survival-function curves as CSV")
@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "texture_order", None) is None:
-        args.texture_order = 0
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, InvalidScenario,

@@ -27,10 +27,6 @@ class DetectionCurve:
     method: str
 
 
-def _null_params(params: ScenarioParams) -> ScenarioParams:
-    return replace(params, S=0.0)
-
-
 def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
                       rule: TextureRule | None = None,
                       texture_order: int = 32,
@@ -46,7 +42,7 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         return 0.0
     if isinstance(method, str):
         method = Method.parse(method)
-    null = _null_params(params)
+    null = replace(params, S=0.0)
     if rule is None:
         rule = gamma_texture_rule(null.nu, texture_order)
     ctx = ScenarioContext(null)
@@ -101,6 +97,8 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
     if isinstance(method, str):
         method = Method.parse(method)
     sir_grid = np.asarray(sir_grid, dtype=float)
+    if not np.all((0.0 <= sir_grid) & (sir_grid < np.inf)):
+        raise InvalidScenario("sir_grid must be finite and >= 0")
     if np.any(np.diff(sir_grid) < 0):
         raise InvalidScenario("sir_grid must be sorted ascending")
     rule = gamma_texture_rule(params.nu, texture_order)

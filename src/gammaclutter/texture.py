@@ -17,8 +17,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import saddlepoint
-from .errors import (GammaClutterError, InvalidShape, NoConvergence,
-                     OrderTooLarge)
+from .errors import (DegenerateV, GammaClutterError, InvalidShape,
+                     NoConvergence, OrderTooLarge)
 from .mgf_core import ScenarioContext, ScenarioParams, Scheme, pole_table
 
 MAX_ORDER = 256
@@ -167,7 +167,7 @@ class SurvivalInterpolator:
     Evaluating the saddle-point survival at every MC sample is wasteful; a
     PCHIP fit of ln F on a dense grid reproduces it to ~1e-8 and evaluates
     vectorized.  Beyond the grid the exponential tail is extended with the
-    final slope.
+    final slope.  A non-finite power level raises DegenerateV.
     """
 
     def __init__(self, v_grid: np.ndarray, log_sf: np.ndarray):
@@ -180,6 +180,8 @@ class SurvivalInterpolator:
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise DegenerateV("power level v must be finite")
         inside = np.clip(v, 0.0, self.v_max)
         out = np.exp(self._pchip(inside))
         tail = self._tail_value + self._tail_slope * (v - self.v_max)

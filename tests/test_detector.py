@@ -101,12 +101,18 @@ def test_pd_grid_must_be_sorted():
         det.pd_curve(p, 1e-4, [3.0, 1.0], "eff-sdp")
 
 
-def test_pd_grid_must_be_finite():
-    # a NaN SIR once reached the eigensolver and failed inside numpy
+def test_pd_grid_must_be_finite(monkeypatch):
+    # a NaN SIR once reached the eigensolver and failed inside numpy; the
+    # grid is checked before the threshold search, not after it
+    def search(*a, **k):
+        raise AssertionError("threshold search ran on a bad SIR grid")
+
+    monkeypatch.setattr(det, "threshold_for_pfa", search)
     p = mc.scenario(M=10, kappa=2, S=0.0, q=0.5, nu=2.0,
                     rho_c=0.75, rho_s=0.9)
-    with pytest.raises(InvalidScenario, match="finite"):
-        det.pd_curve(p, 1e-6, [1.0, math.nan])
+    for s in (math.nan, -1.0, math.inf):
+        with pytest.raises(InvalidScenario, match="finite"):
+            det.pd_curve(p, 1e-6, [1.0, s])
 
 
 def test_pd_sdp_vs_sp_stay_close():

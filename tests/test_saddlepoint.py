@@ -143,15 +143,50 @@ def test_sp_worst_near_mean_and_single_pulse_form():
         assert sp.survival_sp(v, co1) == pytest.approx(math.exp(-v), rel=0.1)
 
 
-def test_sdp_invariant_under_node_doubling():
+def test_sdp_invariant_under_node_doubling(monkeypatch):
     p = fig_scenario()
     ctx = mc.ScenarioContext(p)
     co = mc.speckle_coeffs(p, 1.0, ctx=ctx)
-    for v in (2.0, 6.0, 12.0, 18.0):
-        a = sp.survival_sdp(v, co, order=48)
-        b = sp.survival_sdp(v, co, order=96)
-        if a >= 1e-8:
-            assert abs(a - b) < 1e-9
+    grid = (2.0, 6.0, 12.0, 18.0)
+    a = [sp.survival_sdp(v, co) for v in grid]
+    # twice the nodes of the 32-node rule over the same window
+    monkeypatch.setattr(sp, "_TAU_RULE", sp._tau_rule(64, 5.9))
+    for x, v in zip(a, grid):
+        if x >= 1e-8:
+            assert abs(x - sp.survival_sdp(v, co)) < 1e-9
+
+
+def test_tau_rule_integrates_gamma_moments():
+    # integral_0^inf sqrt(tau) e^{-tau} tau^j dtau = Gamma(j + 3/2)
+    t, w = sp._TAU_RULE
+    for j in (0, 1, 2):
+        assert w @ (np.sqrt(t) * t ** j) == pytest.approx(math.gamma(j + 1.5),
+                                                          rel=1e-12, abs=0.0)
+
+
+def test_sdp_matches_high_order_laguerre_reference(monkeypatch):
+    # the same engine on a 160-node generalized Gauss-Laguerre rule (weight
+    # sqrt(tau) e^{-tau}, nodes of negligible weight dropped), per pair
+    # over both tails and the whole texture rule
+    from scipy.special import roots_genlaguerre
+    t, w = roots_genlaguerre(160, 0.5)
+    keep = w > 1e-24 * w.max()
+    lag = (t[keep], w[keep] / np.sqrt(t[keep]))
+    for M, kappa in ((1, 1), (2, 2), (3, math.inf), (10, 1), (10, 2),
+                     (10, math.inf), (100, 2)):
+        p = mc.scenario(M=M, kappa=kappa, S=3.0, q=0.8, nu=2.0,
+                        rho_c=0.75, rho_s=0.9)
+        rule = texture.gamma_texture_rule(p.nu, 32)
+        tab = mc.pole_table(p, np.full(32, p.S), rule.nodes)
+        v = np.repeat(mc.analytic_moments(p).mean
+                      * np.geomspace(0.3, 5.0, 8), 32)
+        rows = np.tile(np.arange(32), 8)
+        got = sp.survival_pairs(v, tab, rows)
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_TAU_RULE", lag)
+            want = sp.survival_pairs(v, tab, rows)
+        assert np.all(want > 0.0)
+        assert np.max(np.abs(got - want) / want) <= 2e-12
 
 
 def test_steady_phase_survival_matches_closed_form():
@@ -242,7 +277,7 @@ def test_march_fallback_inside_batch_matches(monkeypatch):
     got = sp.survival_pairs(v, mgfs, rows)
     assert len(targets) > 100
     # failed nodes of both passes, coarse and filled, are continued
-    t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
+    t, _ = sp._TAU_RULE
     coarse = set(t[::-1][::sp._COARSE_STRIDE])
     assert {x in coarse for x in targets} == {True, False}
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -258,7 +293,7 @@ def test_blocking_does_not_change_results(monkeypatch, integrator):
     # saddle blocks of 7 pairs and, on the widest rows, evaluator chunks
     # of 7 elements, which split the nodes of a pair in both Newton passes
     monkeypatch.setattr(sp, "_BLOCK_ELEMENTS", 7 * (1 + mgfs.a.shape[1]))
-    nodes = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)[0].size
+    nodes = sp._TAU_RULE[0].size
     for group in (1, 5):
         monkeypatch.setattr(sp, "_NEWTON_ELEMENTS", group * nodes)
         got = sp.survival_pairs(v, mgfs, rows, integrator)
@@ -314,7 +349,7 @@ def test_newton_step_halving_recovers_poor_starts():
     # raise the residual; only the step halving brings them in
     p = fig_scenario()
     st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0))
-    t, _ = sp._kept_nodes(sp.DEFAULT_TAU_ORDER)
+    t, _ = sp._TAU_RULE
     ev = sp._state_ev(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
     want = np.array([_invert(float(x), st) for x in t])

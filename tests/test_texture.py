@@ -233,6 +233,15 @@ def test_survival_curve_rejects_non_finite_level(method, v):
         tx.survival_curve([4.0, v], p, method)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_survival_interpolator_rejects_non_finite_level(v):
+    grid = np.linspace(0.0, 10.0, 11)
+    sf = tx.SurvivalInterpolator(grid, -grid)
+    assert sf([0.0, 3.0]) == pytest.approx([1.0, math.exp(-3.0)])
+    with pytest.raises(DegenerateV, match="finite"):
+        sf([1.0, v, 3.0])
+
+
 def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
     # three halvings cannot bring successive estimates within 1e-30; the
     # default twelve would take minutes to find that out
