@@ -15,8 +15,6 @@ from .corrmodel import (
     dmg_spectrum,
     effective_looks,
     eigen_decompose,
-    eigen_system,
-    gm_effective_looks_closed_form,
     loading_matrix,
 )
 from .detector import DetectionCurve, pd_curve, threshold_for_pfa

@@ -194,7 +194,8 @@ def cmd_bench(args) -> int:
                            args.grid_points + 1)[1:]
         ref = None
         for m in names:
-            ctx_timed = ScenarioContext(params)   # pay eigen cost per method
+            # fresh per method: the timed curve builds the fields it reads
+            ctx_timed = ScenarioContext(params)
             t0 = time.perf_counter()
             curve = texture.survival_curve(grid, params, m, rule, ctx_timed)
             times[m].append(time.perf_counter() - t0)

@@ -2,9 +2,10 @@
 
 Correlation matrices here are unit-diagonal symmetric Toeplitz (trace M).
 The Gauss-Markov family [C]_mn = rho^|m-n| is the default; an arbitrary
-first row is also accepted.  Everything downstream consumes the eigen
-decomposition C = R^T diag(gamma) R with rows of R as eigenvectors, plus
-a loading matrix L = sqrt(diag(gamma)) R with C = L^T L.
+first row is also accepted.  The effective and diagonal models and the
+sampler consume the eigen decomposition C = R^T diag(gamma) R with rows of
+R as eigenvectors, plus a loading matrix L = sqrt(diag(gamma)) R with
+C = L^T L; the DMG model needs only the effective looks.
 """
 
 from __future__ import annotations
@@ -169,21 +170,11 @@ def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(vals, _fix_signs(vecs.T))
 
 
-def eigen_system(spec: CorrelationSpec) -> EigenSystem:
-    """Build and decompose in one step; degenerate specs build the exact
-    identity or all-ones matrix, which ``eigen_decompose`` routes exactly."""
-    return eigen_decompose(build_matrix(spec))
-
-
 def loading_matrix(es: EigenSystem) -> np.ndarray:
     """L = sqrt(diag(gamma)) R, so that L^T L reconstructs the matrix."""
     if np.any(es.eigenvalues < 0.0):
         raise NegativeEigenvalue("loading matrix requires a PSD spectrum")
     return np.sqrt(es.eigenvalues)[:, None] * es.rotation
-
-
-def reconstruct(es: EigenSystem) -> np.ndarray:
-    return es.rotation.T @ (es.eigenvalues[:, None] * es.rotation)
 
 
 def effective_looks(C: np.ndarray) -> float:
@@ -201,30 +192,6 @@ def cross_looks(Cc: np.ndarray, Cs: np.ndarray) -> float:
         raise DimensionMismatch(f"shape mismatch {Cc.shape} vs {Cs.shape}")
     M = Cc.shape[0]
     return M * M / float(np.sum(Cc * Cs.T))
-
-
-def gm_effective_looks_closed_form(rho: float, M: int) -> float:
-    """Closed-form effective looks for the Gauss-Markov family.
-
-    Equals M^2 / Tr{C^2} with [C]_mn = rho^|m-n|:
-
-        M * [1 + (2 rho^2/(1-rho^2)) (1 - (1 - rho^(2M))/(M (1-rho^2)))]^-1
-
-    with limits M at rho=0 and 1 at rho=1.
-    """
-    if not 0.0 <= rho <= 1.0:
-        raise InvalidCorrelation(f"rho {rho} outside [0, 1]")
-    if rho == 0.0:
-        return float(M)
-    if rho == 1.0:
-        return 1.0
-    x = rho * rho
-    if 1.0 - x < 1e-6:
-        # Direct trace sum avoids the cancellation in the rational form.
-        k = np.arange(1, M)
-        return M / (1.0 + 2.0 * np.sum((1.0 - k / M) * x ** k))
-    inner = 1.0 - (1.0 - x ** M) / (M * (1.0 - x))
-    return M / (1.0 + 2.0 * x / (1.0 - x) * inner)
 
 
 def dmg_spectrum(looks: float, M: int) -> tuple[float, np.ndarray]:

@@ -50,10 +50,6 @@ class OrderTooLarge(GammaClutterError):
     """Quadrature order above the recurrence overflow guard."""
 
 
-class ContourTooClose(GammaClutterError):
-    """Bromwich contour abscissa too close to an MGF pole."""
-
-
 class BracketFail(GammaClutterError):
     """Threshold search hit the numerical survival floor before bracketing."""
 

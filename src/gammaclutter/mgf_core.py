@@ -20,7 +20,8 @@ ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s);
 
 Three coefficient schemes are supported: the full effective model (fresh
 aggregated eigenvalues per texture node), the commuting "diagonal"
-approximation, and the simplified one-spike DMG spectra.
+approximation, and the simplified one-spike DMG spectra, which come from
+the effective looks alone and decompose no matrix.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc
 from scipy.stats import ncx2
 
 from . import corrmodel
-from .corrmodel import CorrelationSpec, eigen_system, loading_matrix
+from .corrmodel import CorrelationSpec, EigenSystem, loading_matrix
 from .errors import DegenerateMix, InvalidScenario, PoleHit
 
 KAPPA_INF = math.inf
@@ -107,29 +109,58 @@ def scenario(M, kappa, S, q, nu, rho_s=0.0, rho_c=0.0,
 
 
 class ScenarioContext:
-    """Cached geometry for one scenario: matrices, spectra, looks, loadings."""
+    """Geometry of one scenario: matrices, spectra, looks, loadings.
+
+    Every field is built on first read and cached, so a method pays only
+    for what it reads: DMG reads the looks (O(M^2) sums over the matrices),
+    the diagonal scheme and the finite-kappa effective model the
+    eigenvalues, the steady effective model and the MC sampler the
+    rotations.  Each spec's matrix is built once and its eigensystem
+    decomposes that matrix.
+    """
 
     def __init__(self, params: ScenarioParams):
         self.params = params
-        self.eig_c = eigen_system(params.spec_c)
-        self.eig_s = eigen_system(params.spec_s)
-        self.C_c = corrmodel.build_matrix(params.spec_c)
-        self.C_s = corrmodel.build_matrix(params.spec_s)
-        self.gamma_c = self.eig_c.eigenvalues
-        self.gamma_s = self.eig_s.eigenvalues
-        self.clutter_looks = corrmodel.effective_looks(self.C_c)
-        self.target_looks = corrmodel.effective_looks(self.C_s)
-        self.cross = corrmodel.cross_looks(self.C_c, self.C_s)
-        self._loading_s = None
-        self._b_weights = None
-        self._dmg_c = None
-        self._dmg_s = None
+
+    @cached_property
+    def C_c(self) -> np.ndarray:
+        return corrmodel.build_matrix(self.params.spec_c)
+
+    @cached_property
+    def C_s(self) -> np.ndarray:
+        return corrmodel.build_matrix(self.params.spec_s)
+
+    @cached_property
+    def eig_c(self) -> EigenSystem:
+        return corrmodel.eigen_decompose(self.C_c)
+
+    @cached_property
+    def eig_s(self) -> EigenSystem:
+        return corrmodel.eigen_decompose(self.C_s)
 
     @property
+    def gamma_c(self) -> np.ndarray:
+        return self.eig_c.eigenvalues
+
+    @property
+    def gamma_s(self) -> np.ndarray:
+        return self.eig_s.eigenvalues
+
+    @cached_property
+    def clutter_looks(self) -> float:
+        return corrmodel.effective_looks(self.C_c)
+
+    @cached_property
+    def target_looks(self) -> float:
+        return corrmodel.effective_looks(self.C_s)
+
+    @cached_property
+    def cross(self) -> float:
+        return corrmodel.cross_looks(self.C_c, self.C_s)
+
+    @cached_property
     def loading_s(self) -> np.ndarray:
-        if self._loading_s is None:
-            self._loading_s = loading_matrix(self.eig_s)
-        return self._loading_s
+        return loading_matrix(self.eig_s)
 
     def fp_loading(self, rotation: str = "limit") -> np.ndarray:
         """Target loading matrix for the first-principles constructions.
@@ -151,34 +182,25 @@ class ScenarioContext:
             return self.eig_c.rotation
         raise InvalidScenario(f"unknown target rotation '{rotation}'")
 
-    @property
+    @cached_property
     def b_weights(self) -> np.ndarray:
         """Steady-target weights b_m = (1/M) [R_c C_s R_c^T]_mm (paired with
         the ascending clutter eigenvalues); they sum to one.  einsum sums
         without BLAS, whose threaded products round differently with the
         thread count."""
-        if self._b_weights is None:
-            W = np.einsum("ik,jk->ij", self.eig_c.rotation,
-                          self.eig_s.rotation)
-            b = np.einsum("ij,ij,j->i", W, W, self.gamma_s) / self.params.M
-            if abs(b.sum() - 1.0) > 1e-10 or b.min() < -1e-14:
-                raise InvalidScenario("steady-target weights failed sum rule")
-            self._b_weights = b
-        return self._b_weights
+        W = np.einsum("ik,jk->ij", self.eig_c.rotation, self.eig_s.rotation)
+        b = np.einsum("ij,ij,j->i", W, W, self.gamma_s) / self.params.M
+        if abs(b.sum() - 1.0) > 1e-10 or b.min() < -1e-14:
+            raise InvalidScenario("steady-target weights failed sum rule")
+        return b
 
-    @property
+    @cached_property
     def dmg_gamma_c(self) -> np.ndarray:
-        if self._dmg_c is None:
-            _, self._dmg_c = corrmodel.dmg_spectrum(self.clutter_looks,
-                                                    self.params.M)
-        return self._dmg_c
+        return corrmodel.dmg_spectrum(self.clutter_looks, self.params.M)[1]
 
-    @property
+    @cached_property
     def dmg_gamma_s(self) -> np.ndarray:
-        if self._dmg_s is None:
-            _, self._dmg_s = corrmodel.dmg_spectrum(self.target_looks,
-                                                    self.params.M)
-        return self._dmg_s
+        return corrmodel.dmg_spectrum(self.target_looks, self.params.M)[1]
 
     def sc_eigenvalues(self, u: float) -> np.ndarray:
         """Ascending eigenvalues of the aggregated matrix C_sc(u)."""

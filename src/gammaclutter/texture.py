@@ -105,18 +105,18 @@ def _node_survival(v, S, params, method, rule, ctx):
 
     Returns an array of shape (points, rule.order) from one pole table and
     one batched inversion.  The table has one row per (point, node) pair
-    for the finite-kappa effective model, which so decomposes its
+    for the finite-kappa effective model at S > 0, which so decomposes its
     aggregated matrix at every pair (the cost the commuting approximations
-    exist to avoid), and wherever S varies over the points; otherwise one
-    row per node serves every point.
+    exist to avoid), and wherever S varies over the points; otherwise
+    (S = 0 leaves no aggregated matrix) one row per node serves every point.
     """
     v, S = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
                                np.asarray(S, dtype=float))
     n = rule.order
     if v.size == 0:
         return np.empty((0, n))
-    per_pair = ((method.scheme is Scheme.EFFECTIVE and not params.steady)
-                or np.any(S != S[0]))
+    per_pair = ((method.scheme is Scheme.EFFECTIVE and not params.steady
+                 and S[0] != 0.0) or np.any(S != S[0]))
     k = v.size if per_pair else 1
     table = pole_table(params, np.repeat(S[:k], n), np.tile(rule.nodes, k),
                        method.scheme, ctx)

@@ -18,8 +18,9 @@ import numpy as np
 from scipy.stats import ncx2
 
 from gammaclutter import fpm_mc
-from gammaclutter.errors import (ContourTooClose, InvalidScenario,
-                                 NoConvergence, PoleHit)
+from gammaclutter.corrmodel import EigenSystem
+from gammaclutter.errors import (GammaClutterError, InvalidCorrelation,
+                                 InvalidScenario, NoConvergence, PoleHit)
 from gammaclutter.mgf_core import (
     ScenarioContext,
     ScenarioParams,
@@ -30,6 +31,38 @@ from gammaclutter.texture import gamma_texture_rule
 
 # Step halvings of the contour oracle's trapezoid rule.
 _ORACLE_HALVINGS = 12
+
+
+class ContourTooClose(GammaClutterError):
+    """Bromwich contour abscissa too close to an MGF pole."""
+
+
+def reconstruct(es: EigenSystem) -> np.ndarray:
+    return es.rotation.T @ (es.eigenvalues[:, None] * es.rotation)
+
+
+def gm_effective_looks_closed_form(rho: float, M: int) -> float:
+    """Closed-form effective looks for the Gauss-Markov family.
+
+    Equals M^2 / Tr{C^2} with [C]_mn = rho^|m-n|:
+
+        M * [1 + (2 rho^2/(1-rho^2)) (1 - (1 - rho^(2M))/(M (1-rho^2)))]^-1
+
+    with limits M at rho=0 and 1 at rho=1.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise InvalidCorrelation(f"rho {rho} outside [0, 1]")
+    if rho == 0.0:
+        return float(M)
+    if rho == 1.0:
+        return 1.0
+    x = rho * rho
+    if 1.0 - x < 1e-6:
+        # Direct trace sum avoids the cancellation in the rational form.
+        k = np.arange(1, M)
+        return M / (1.0 + 2.0 * np.sum((1.0 - k / M) * x ** k))
+    inner = 1.0 - (1.0 - x ** M) / (M * (1.0 - x))
+    return M / (1.0 + 2.0 * x / (1.0 - x) * inner)
 
 
 def gm_matrix(rho: float, M: int) -> np.ndarray:

@@ -10,7 +10,8 @@ from gammaclutter.errors import (
     InvalidLooks,
 )
 
-from oracles import cubic_eigenvalues_gm3, gm_matrix, trace_product
+from oracles import (cubic_eigenvalues_gm3, gm_effective_looks_closed_form,
+                     gm_matrix, reconstruct, trace_product)
 
 
 def test_build_matrix_uncorrelated_is_identity():
@@ -46,11 +47,11 @@ def test_eigen_identity_convention():
     assert es.is_identity
     assert np.array_equal(es.eigenvalues, np.ones(4))
     assert np.array_equal(es.rotation, np.eye(4))
-    # eigen_system routes identity specs through the same exact branch
+    # identity specs build the exact identity, which takes the same branch
     for spec in (cm.CorrelationSpec.gauss_markov(0.0, 4),
                  cm.CorrelationSpec.toeplitz([1, 0, 0, 0])):
-        got = cm.eigen_system(spec)
-        want = cm.eigen_decompose(cm.build_matrix(spec))
+        got = cm.eigen_decompose(cm.build_matrix(spec))
+        want = es
         assert got.is_identity and want.is_identity
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.rotation, want.rotation)
@@ -61,11 +62,12 @@ def test_eigen_all_ones_rank_one():
     es = cm.eigen_decompose(np.ones((4, 4)))
     assert np.allclose(es.eigenvalues, [0, 0, 0, 4], atol=1e-14)
     assert np.allclose(es.rotation[-1], np.full(4, 0.5), atol=1e-14)
-    # eigen_system routes all-ones specs through the same exact branch
+    # all-ones specs build the exact all-ones matrix, which takes the same
+    # branch
     for spec in (cm.CorrelationSpec.gauss_markov(1.0, 4),
                  cm.CorrelationSpec.toeplitz([1, 1, 1, 1])):
-        got = cm.eigen_system(spec)
-        want = cm.eigen_decompose(cm.build_matrix(spec))
+        got = cm.eigen_decompose(cm.build_matrix(spec))
+        want = es
         assert not got.is_identity and not want.is_identity
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.rotation, want.rotation)
@@ -74,13 +76,15 @@ def test_eigen_all_ones_rank_one():
 
 def test_eigen_vs_characteristic_polynomial_oracle():
     for rho in (0.3, 0.5, 0.85):
-        es = cm.eigen_system(cm.CorrelationSpec.gauss_markov(rho, 3))
+        es = cm.eigen_decompose(
+            cm.build_matrix(cm.CorrelationSpec.gauss_markov(rho, 3)))
         want = cubic_eigenvalues_gm3(rho)
         assert np.max(np.abs(es.eigenvalues - want)) < 1e-10
 
 
 def test_eigen_sign_convention_deterministic():
-    es = cm.eigen_system(cm.CorrelationSpec.gauss_markov(0.7, 6))
+    es = cm.eigen_decompose(
+        cm.build_matrix(cm.CorrelationSpec.gauss_markov(0.7, 6)))
     lead = np.argmax(np.abs(es.rotation), axis=1)
     assert np.all(es.rotation[np.arange(6), lead] > 0)
 
@@ -89,9 +93,9 @@ def test_eigen_sign_convention_deterministic():
 @given(rho=st.floats(0.0, 0.99), M=st.integers(2, 24))
 def test_eigen_reconstruction_properties(rho, M):
     spec = cm.CorrelationSpec.gauss_markov(rho, M)
-    es = cm.eigen_system(spec)
     C = cm.build_matrix(spec)
-    assert np.linalg.norm(cm.reconstruct(es) - C) < 1e-10 * M
+    es = cm.eigen_decompose(C)
+    assert np.linalg.norm(reconstruct(es) - C) < 1e-10 * M
     assert np.max(np.abs(es.rotation @ es.rotation.T - np.eye(M))) < 1e-12
     assert abs(es.eigenvalues.sum() - M) < 1e-10
     assert es.eigenvalues.min() >= 0.0
@@ -106,7 +110,7 @@ def test_effective_looks_limits():
 def test_effective_looks_matches_closed_form():
     C = gm_matrix(0.5, 10)
     assert abs(cm.effective_looks(C)
-               - cm.gm_effective_looks_closed_form(0.5, 10)) < 1e-12
+               - gm_effective_looks_closed_form(0.5, 10)) < 1e-12
 
 
 def test_effective_looks_closed_form_grid():
@@ -114,13 +118,13 @@ def test_effective_looks_closed_form_grid():
     for rho in np.linspace(0.0, 0.9, 10):
         for M in (2, 5, 10, 25, 50):
             trace_val = cm.effective_looks(gm_matrix(rho, M))
-            closed = cm.gm_effective_looks_closed_form(rho, M)
+            closed = gm_effective_looks_closed_form(rho, M)
             assert abs(trace_val - closed) < 1e-12 * M
 
 
 def test_gm_closed_form_endpoints():
-    assert cm.gm_effective_looks_closed_form(0.0, 12) == 12.0
-    assert cm.gm_effective_looks_closed_form(1.0, 12) == 1.0
+    assert gm_effective_looks_closed_form(0.0, 12) == 12.0
+    assert gm_effective_looks_closed_form(1.0, 12) == 1.0
 
 
 def test_cross_looks_identity_cases():
@@ -180,7 +184,7 @@ def test_loading_matrix_reconstructions():
     assert np.max(np.abs(L.T @ L - np.ones((2, 2)))) < 1e-12
 
     spec = cm.CorrelationSpec.gauss_markov(0.6, 5)
-    es = cm.eigen_system(spec)
+    es = cm.eigen_decompose(cm.build_matrix(spec))
     L = cm.loading_matrix(es)
     assert np.linalg.norm(L.T @ L - cm.build_matrix(spec)) < 1e-10
 

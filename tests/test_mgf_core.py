@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
+import gammaclutter.texture as tx
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import (decimal_rational_mgf, gm_matrix,
@@ -356,3 +358,35 @@ def test_swerling0_survival_null_is_erlang():
     v = np.linspace(0.1, 3.0, 7)
     got = mc.swerling0_survival(v, 0.0, 4)
     assert np.allclose(got, gammaincc(4, 4 * v), rtol=1e-13)
+
+
+def test_context_construction_decomposes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen solver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    p = mc.scenario(M=100, kappa=2, S=3.0, q=0.8, nu=2.0,
+                    rho_c=0.75, rho_s=0.95)
+    ctx = mc.ScenarioContext(p)
+    assert vars(ctx) == {"params": p}
+
+
+@pytest.mark.parametrize("kappa", [2, np.inf])
+def test_lazy_context_fields_do_not_change_results(kappa):
+    # a curve on a fresh context matches one on a context whose every field
+    # was read first, byte for byte: no field depends on the reading order
+    p = mc.scenario(M=10, kappa=kappa, S=3.0, q=0.8, nu=2.0,
+                    rho_c=0.75, rho_s=0.95)
+    fields = [name for name, attr in vars(mc.ScenarioContext).items()
+              if isinstance(attr, (property, cached_property))]
+    assert {"eig_c", "eig_s", "b_weights", "dmg_gamma_c"} <= set(fields)
+    rule = tx.gamma_texture_rule(p.nu, 8)
+    grid = np.array([0.5, 2.0, 5.0, 9.0])
+    for method in tx.ALL_METHODS:
+        warm = mc.ScenarioContext(p)
+        for name in fields:
+            getattr(warm, name)
+        fresh = tx.survival_curve(grid, p, method, rule, mc.ScenarioContext(p))
+        read = tx.survival_curve(grid, p, method, rule, warm)
+        assert fresh.tobytes() == read.tobytes(), method.name

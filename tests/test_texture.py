@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gammaclutter.corrmodel as cm
 import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
@@ -140,6 +141,46 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
                  [0.0, 1.0, 3.0], "eff-sdp", texture_order=order)
     assert len(calls) == len(set(calls)) == 2 * order
     assert {S for S, _ in calls} == {1.0, 3.0}
+
+
+def test_dmg_curves_build_no_eigensystem(monkeypatch):
+    # DMG spectra come from the effective looks alone, so neither the
+    # scenario eigensystems nor an aggregated matrix are decomposed
+    def refuse(*args, **kwargs):
+        raise AssertionError("DMG decomposed a matrix")
+
+    monkeypatch.setattr(cm, "eigen_decompose", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    grid = np.array([0.5, 2.0, 6.0])
+    for kappa in (2, np.inf):
+        p = mc.scenario(M=100, kappa=kappa, S=3.0, q=0.8, nu=2.0,
+                        rho_c=0.75, rho_s=0.95)
+        for method in ("dmg-sdp", "dmg-sp"):
+            vals = tx.survival_curve(grid, p, method, texture_order=8)
+            assert np.all((0.0 < vals) & (vals < 1.0))
+    p = mc.scenario(M=100, kappa=2, S=0.0, q=0.8, nu=2.0,
+                    rho_c=0.75, rho_s=0.95)
+    curve = det.pd_curve(p, 1e-4, [1.0, 10.0], "dmg-sp", texture_order=8)
+    assert 0.0 < curve.pd[0] < curve.pd[1] < 1.0
+
+
+@pytest.mark.parametrize("method", ["eff-sdp", "eff-sp"])
+def test_null_effective_curve_builds_one_row_per_node(monkeypatch, method):
+    # at S = 0 there is no aggregated matrix, so the finite-kappa effective
+    # table needs one row per texture node, not one per (level, node) pair
+    rows = []
+
+    def counting(params, S, u, *args):
+        rows.append(np.broadcast(S, u).size)
+        return mc.pole_table(params, S, u, *args)
+
+    monkeypatch.setattr(tx, "pole_table", counting)
+    p = mc.scenario(M=6, kappa=2, S=0.0, q=0.8, nu=2.0,
+                    rho_c=0.5, rho_s=0.8)
+    rule = tx.gamma_texture_rule(p.nu, 8)
+    tx.survival_curve([0.5, 1.0, 2.5, 4.0], p, method, rule)
+    assert rows == [rule.order]
 
 
 def test_bromwich_erlang_and_single_pole():
