@@ -44,9 +44,7 @@ from .mgf_core import (
     Scheme,
     aggregated_corr,
     analytic_moments,
-    cgf_moment_check,
     effsw0_survival,
-    mgf_fully_correlated,
     scenario,
     speckle_coeffs,
     steady_coeffs,

@@ -177,6 +177,10 @@ def _bench_vmax(params, rule, ctx) -> float:
 
 
 def cmd_bench(args) -> int:
+    for flag, n in (("--draws", args.draws),
+                    ("--grid-points", args.grid_points)):
+        if n < 1:
+            raise ValueError(f"{flag} {n} must be >= 1")
     rng = np.random.default_rng(args.seed)
     names = [m.name for m in texture.ALL_METHODS]
     times = {m: [] for m in names}

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BracketFail, InvalidScenario
 from .mgf_core import ScenarioContext, ScenarioParams
-from .texture import (Method, TextureRule, _node_survival, compound_survival,
+from .texture import (Method, TextureRule, _texture_sum, compound_survival,
                       gamma_texture_rule, survival_curve)
 
 
@@ -105,9 +105,8 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
     v_b = threshold_for_pfa(params, pfa, method, rule)
     pd = np.ones_like(sir_grid)
     if v_b > 0.0:
-        vals = _node_survival(v_b, sir_grid, params, method, rule,
-                              ScenarioContext(params))
-        pd = np.clip(vals @ rule.weights, 0.0, 1.0)
+        pd = _texture_sum(v_b, sir_grid, params, method, rule,
+                          ScenarioContext(params))
     return DetectionCurve(sir_grid, pd, v_b, pfa, method.name)
 
 

@@ -5,6 +5,8 @@ survival, F(v) = <F_spk(v; S, qU)>_U, evaluated with a Gaussian quadrature
 rule exact against the unit-mean gamma weight of shape nu.  Nodes and
 weights come from the Golub-Welsch eigenproblem of the generalized-Laguerre
 Jacobi matrix (alpha = nu - 1) under the change of variable t = nu * u.
+The sum skips the light last nodes whose total weight is at most 2^-53 F,
+which cannot move F by more than an ulp (``_texture_sum``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import saddlepoint
-from .errors import (DegenerateV, GammaClutterError, InvalidShape,
-                     NoConvergence, OrderTooLarge)
+from .errors import (DegenerateV, GammaClutterError, InvalidScenario,
+                     InvalidShape, NoConvergence, OrderTooLarge)
 from .mgf_core import ScenarioContext, ScenarioParams, Scheme, pole_table
 
 MAX_ORDER = 256
@@ -26,6 +28,9 @@ HEAVY_TAIL_NU = 0.5
 HEAVY_TAIL_ORDER = 128
 # Largest power level an expanding tail search may reach.
 V_SEARCH_MAX = 1e6
+# Survival scale (the interpolator's sf_floor) above which one pass of the
+# texture sum suffices; see _texture_sum.
+F_FLOOR = 2.0 ** -30
 _METHOD_NAMES = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp", "diag-sdp",
                  "diag-sp")
 
@@ -98,40 +103,60 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     return TextureRule(vals / nu, weights, order, nu)
 
 
-def _node_survival(v, S, params, method, rule, ctx):
-    """Speckle survival at every (point, texture node) pair, point i being
-    power level v[i] at signal-to-interference ratio S[i] (v and S
-    broadcast against each other).
+def _texture_sum(v, S, params, method, rule, ctx):
+    """Texture average sum_l w_l F_spk(v[i]; S[i], u_l) at every point i (v
+    and S broadcast against each other), clipped to [0, 1].
 
-    Returns an array of shape (points, rule.order) from one pole table and
-    one batched inversion.  The table has one row per (point, node) pair
-    for the finite-kappa effective model at S > 0, which so decomposes its
-    aggregated matrix at every pair (the cost the commuting approximations
-    exist to avoid), and wherever S varies over the points; otherwise
-    (S = 0 leaves no aggregated matrix) one row per node serves every point.
+    Nodes ascend in u, so the light ones come last, and a suffix of nodes
+    whose weights sum to at most 2^-53 F cannot move F by an ulp: it is not
+    inverted.  The first pass inverts the nodes whose suffix weight
+    tail[j] = sum_{l>=j} w_l exceeds 2^-53 F_FLOOR; a point whose sum falls
+    below F_FLOOR gets one more pass over the later nodes with tail[j] >
+    2^-53 times that sum, so the bound holds in the far tail too, where the
+    light nodes dominate.
+
+    The finite-kappa effective model at S > 0 decomposes its aggregated
+    matrix at every pair it inverts (the cost the commuting approximations
+    exist to avoid), so each pass builds a table of its own pairs, as it
+    does where S varies over the points; otherwise (S = 0 leaves no
+    aggregated matrix) one row per node serves every point and pass.
     """
     v, S = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
                                np.asarray(S, dtype=float))
-    n = rule.order
     if v.size == 0:
-        return np.empty((0, n))
+        return np.zeros(0)
+    n = rule.order
     per_pair = ((method.scheme is Scheme.EFFECTIVE and not params.steady
                  and S[0] != 0.0) or np.any(S != S[0]))
-    k = v.size if per_pair else 1
-    table = pole_table(params, np.repeat(S[:k], n), np.tile(rule.nodes, k),
-                       method.scheme, ctx)
-    pairs = np.arange(v.size * n)
-    try:
-        vals = saddlepoint.survival_pairs(np.repeat(v, n), table,
-                                          pairs % (k * n), method.integrator)
-    except GammaClutterError as exc:
-        i = getattr(exc, "pair", None)
-        if i is not None:
-            exc.args = (f"{exc.args[0] if exc.args else exc} "
-                        f"[at S={S[i // n]}, power level v={v[i // n]}, "
-                        f"texture node u={rule.nodes[i % n]}]",)
-        raise
-    return vals.reshape(v.size, n)
+    if not per_pair:
+        table = pole_table(params, np.repeat(S[:1], n), rule.nodes,
+                           method.scheme, ctx)
+    tail = np.cumsum(rule.weights[::-1])[::-1]
+    vals = np.zeros((v.size, n))
+    done = np.zeros(vals.shape, dtype=bool)
+    F = np.full(v.size, F_FLOOR)
+    for _ in range(2):
+        todo = (tail > 2.0 ** -53 * np.minimum(F, F_FLOOR)[:, None]) & ~done
+        pts, nodes = np.nonzero(todo)
+        if pts.size:
+            if per_pair:
+                table = pole_table(params, S[pts], rule.nodes[nodes],
+                                   method.scheme, ctx)
+            try:
+                vals[todo] = saddlepoint.survival_pairs(
+                    v[pts], table, np.arange(pts.size) if per_pair else nodes,
+                    method.integrator)
+            except GammaClutterError as exc:
+                i = getattr(exc, "pair", None)
+                if i is not None:
+                    exc.args = (f"{exc.args[0] if exc.args else exc} "
+                                f"[at S={S[pts[i]]}, power level "
+                                f"v={v[pts[i]]}, texture node "
+                                f"u={rule.nodes[nodes[i]]}]",)
+                raise
+            done |= todo
+            F = vals @ rule.weights
+    return np.clip(F, 0.0, 1.0)
 
 
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
@@ -145,8 +170,9 @@ def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
                    rule=None, ctx=None, texture_order=32) -> np.ndarray:
-    """compound_survival over a grid, in one batched inversion.  A
-    non-finite power level raises DegenerateV."""
+    """compound_survival over a grid, in one batched inversion (and one
+    more for levels whose survival is below F_FLOOR).  A non-finite power
+    level raises DegenerateV."""
     if isinstance(method, str):
         method = Method.parse(method)
     if rule is None:
@@ -156,8 +182,7 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
     pos = (v_grid > 0.0) | ~np.isfinite(v_grid)
-    vals = _node_survival(v_grid[pos], params.S, params, method, rule, ctx)
-    out[pos] = np.clip(vals @ rule.weights, 0.0, 1.0)
+    out[pos] = _texture_sum(v_grid[pos], params.S, params, method, rule, ctx)
     return out
 
 
@@ -193,6 +218,8 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
                           sf_floor: float = 1e-9, n_points: int = 400,
                           texture_order: int = 32) -> SurvivalInterpolator:
     """Build a fast survival callable covering survival down to sf_floor."""
+    if n_points < 2:
+        raise InvalidScenario(f"n_points {n_points} must be >= 2")
     if isinstance(method, str):
         method = Method.parse(method)
     rule = gamma_texture_rule(params.nu, texture_order)

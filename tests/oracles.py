@@ -6,10 +6,12 @@ by direct matrix multiplication, laws by enumerating every sign pattern,
 survival by the Bromwich integral on a vertical contour (from the
 library's MGF coefficients, independent of its saddle-point engine),
 Monte Carlo returns with a plain normal target in place of the library's
-two-sided Nakagami one.  The pairwise-cosh steady-target MGFs are exact
+two-sided Nakagami one, moments from finite differences of the compound
+CGF, and the closed-form fully correlated target MGF.  The pairwise-cosh steady-target MGFs are exact
 only for M <= 2 and serve as references there alone.
 """
 
+import cmath
 import itertools
 import math
 from decimal import Decimal, getcontext
@@ -323,6 +325,68 @@ def compound_bromwich(v, params, rule=None, ctx=None, texture_order=32,
     vals = [bromwich_oracle(float(v), params, float(u), scheme, ctx)
             for u in rule.nodes]
     return float(np.dot(rule.weights, vals))
+
+
+def compound_log_mgf(params: ScenarioParams, s, rule,
+                     scheme: Scheme = Scheme.EFFECTIVE,
+                     ctx: ScenarioContext | None = None):
+    """ln of the texture-averaged MGF: ln sum_l w_l M(s; u_l)."""
+    if ctx is None:
+        ctx = ScenarioContext(params)
+    acc = 0.0
+    for u, w in zip(rule.nodes, rule.weights):
+        mgf = speckle_coeffs(params, u, scheme, ctx)
+        acc = acc + w * np.exp(mgf.log_mgf(s))
+    return np.log(acc)
+
+
+def cgf_moment_check(params: ScenarioParams, order: int = 32,
+                     h: float = 1e-4) -> tuple[float, float]:
+    """Mean and variance from centered finite differences of the compound CGF.
+
+    One Richardson extrapolation step (h and h/2) is applied to both the
+    first and second derivative at the origin.
+    """
+    rule = gamma_texture_rule(params.nu, order)
+    ctx = ScenarioContext(params)
+
+    def K(s):
+        return float(compound_log_mgf(params, s, rule, Scheme.EFFECTIVE, ctx))
+
+    def d1(step):
+        return (K(step) - K(-step)) / (2.0 * step)
+
+    def d2(step):
+        return (K(step) + K(-step)) / (step * step)
+
+    mean = -(4.0 * d1(h / 2) - d1(h)) / 3.0
+    var = (4.0 * d2(h / 2) - d2(h)) / 3.0
+    return mean, var
+
+
+def mgf_fully_correlated(params: ScenarioParams, u: float, s,
+                         ctx: ScenarioContext | None = None):
+    """Closed-form MGF for a fully correlated target (C_s all ones).
+
+    prod(1 + aq_m s)^-1 * [1 + (S/kappa) sum_m b_m s/(1 + aq_m s)]^-kappa,
+    valid for any finite kappa; agrees with the rational effective form.
+    """
+    if not params.spec_s.is_all_ones:
+        raise InvalidScenario("fully-correlated form requires C_s = all ones")
+    if params.steady:
+        raise InvalidScenario("use steady_coeffs for the steady target")
+    if ctx is None:
+        ctx = ScenarioContext(params)
+    aq = (1.0 - params.q + params.q * u * ctx.gamma_c) / params.M
+    b = ctx.b_weights
+    denom = 1.0 + aq * s
+    if np.any(np.abs(denom) < 1e-300):
+        raise PoleHit("MGF evaluated at a pole")
+    det_part = np.sum(np.log(denom))
+    core = 1.0 + (params.S / params.kappa) * np.sum(b * s / denom)
+    if isinstance(core, complex) or np.iscomplexobj(core):
+        return np.exp(-det_part) * np.exp(-params.kappa * cmath.log(core))
+    return math.exp(-det_part) * core ** (-params.kappa)
 
 
 def simulate_gaussian_target_channel(config: fpm_mc.McConfig,

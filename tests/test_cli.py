@@ -103,6 +103,14 @@ def test_bench_command_small(tmp_path):
         assert float(r[2]) < 0.2
 
 
+def test_bench_rejects_empty_runs(capsys):
+    # no draws printed a table of NaN with exit 0; no grid points failed
+    # inside numpy with an unrelated message
+    for flag in ("--draws", "--grid-points"):
+        assert cli.main(["bench", flag, "0", "--M", "4"]) == cli.EXIT_CONFIG
+        assert f"{flag} 0 must be >= 1" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     assert cli.main(["survival", "--scenario",
                      str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG

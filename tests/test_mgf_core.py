@@ -15,8 +15,9 @@ import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
-from oracles import (decimal_rational_mgf, gm_matrix,
-                     mgf_first_principles_steady, worst_case_mgf)
+from oracles import (cgf_moment_check, decimal_rational_mgf, gm_matrix,
+                     mgf_first_principles_steady, mgf_fully_correlated,
+                     worst_case_mgf)
 
 
 def test_scenario_validation():
@@ -215,7 +216,7 @@ def test_moment_report_invariants(M, kap, S, q, rc, rs):
 
 def test_cgf_moment_check_trivial_and_consistency():
     p = mc.scenario(M=6, kappa=2, S=0.0, q=0.0, nu=np.inf)
-    mean, var = mc.cgf_moment_check(p)
+    mean, var = cgf_moment_check(p)
     assert mean == pytest.approx(1.0, rel=1e-6)
     # second difference of the CGF carries a ~4 eps / h^2 roundoff floor
     assert var == pytest.approx(1.0 / 6.0, rel=1e-5)
@@ -223,7 +224,7 @@ def test_cgf_moment_check_trivial_and_consistency():
     p = mc.scenario(M=10, kappa=2, S=5.0, q=1.0, nu=2.0,
                     rho_c=0.75, rho_s=0.95)
     rep = mc.analytic_moments(p)
-    mean, var = mc.cgf_moment_check(p)
+    mean, var = cgf_moment_check(p)
     assert mean == pytest.approx(rep.mean, rel=1e-6)
     assert var == pytest.approx(rep.variance, rel=1e-5)
 
@@ -233,8 +234,8 @@ def test_cgf_moment_check_nu_continuity():
                         rho_c=0.5, rho_s=0.5)
     p_big = mc.scenario(M=5, kappa=2, S=2.0, q=0.7, nu=1e6,
                         rho_c=0.5, rho_s=0.5)
-    m1, v1 = mc.cgf_moment_check(p_inf)
-    m2, v2 = mc.cgf_moment_check(p_big)
+    m1, v1 = cgf_moment_check(p_inf)
+    m2, v2 = cgf_moment_check(p_big)
     assert abs(m1 - m2) < 1e-5 and abs(v1 - v2) < 1e-5
 
 
@@ -303,9 +304,9 @@ def test_fully_correlated_matches_effective():
                         rho_c=0.6, rho_s=1.0)
         ctx = mc.ScenarioContext(p)
         a = np.exp(mc.speckle_coeffs(p, 1.0, ctx=ctx).log_mgf(s))
-        b = mc.mgf_fully_correlated(p, 1.0, s, ctx)
+        b = mgf_fully_correlated(p, 1.0, s, ctx)
         assert abs(a - b) < 1e-12
-    assert mc.mgf_fully_correlated(p, 1.0, 0.0, ctx) == pytest.approx(1.0)
+    assert mgf_fully_correlated(p, 1.0, 0.0, ctx) == pytest.approx(1.0)
 
 
 def test_fully_correlated_no_clutter_single_pole():
@@ -313,7 +314,7 @@ def test_fully_correlated_no_clutter_single_pole():
     ctx = mc.ScenarioContext(p)
     for s in (0.3, 1.0, 2.0):
         a = np.exp(mc.speckle_coeffs(p, 1.0, ctx=ctx).log_mgf(s))
-        b = mc.mgf_fully_correlated(p, 1.0, s, ctx)
+        b = mgf_fully_correlated(p, 1.0, s, ctx)
         assert abs(a - b) < 1e-12
 
 

@@ -8,8 +8,8 @@ import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.errors import (DegenerateV, InvalidShape, NoConvergence,
-                                 OrderTooLarge)
+from gammaclutter.errors import (DegenerateV, InvalidScenario, InvalidShape,
+                                 NoConvergence, OrderTooLarge)
 
 import oracles
 from oracles import bromwich_oracle, gamma_moment
@@ -298,3 +298,94 @@ def test_survival_interpolator_raises_beyond_search_range():
     p = mc.scenario(M=1, kappa=1, S=1e5, q=0.0, nu=np.inf)
     with pytest.raises(NoConvergence):
         tx.survival_interpolator(p, "eff-sp")
+
+
+def _all_node_sum(grid, p, method, rule):
+    # every (level, node) pair inverted in one call, then summed
+    m = tx.Method.parse(method)
+    n = rule.order
+    table = mc.pole_table(p, np.full(grid.size * n, p.S),
+                          np.tile(rule.nodes, grid.size), m.scheme,
+                          mc.ScenarioContext(p))
+    vals = sp.survival_pairs(np.repeat(grid, n), table,
+                             np.arange(grid.size * n), m.integrator)
+    return np.clip(vals.reshape(grid.size, n) @ rule.weights, 0.0, 1.0)
+
+
+def _counting_engine(monkeypatch):
+    # the power levels of each survival_pairs call and the rows of each
+    # pole table the texture sum builds
+    calls, rows = [], []
+    pairs, table = sp.survival_pairs, mc.pole_table
+    monkeypatch.setattr(sp, "survival_pairs",
+                        lambda v, *a: calls.append(np.copy(v)) or
+                        pairs(v, *a))
+    monkeypatch.setattr(tx, "pole_table", lambda params, S, u, *a:
+                        rows.append(np.broadcast(S, u).size) or
+                        table(params, S, u, *a))
+    return calls, rows
+
+
+@pytest.mark.parametrize("nu", [0.3, 1.0, 2.0, 5.0, 10.0])
+def test_texture_sum_within_4_ulp_of_all_nodes(nu):
+    # the skipped nodes weigh at most 2^-53 F, from F ~ 1 down to the far
+    # tail, where the light nodes dominate; nu = 0.3 takes the order-128
+    # heavy-tail rule
+    rule = tx.gamma_texture_rule(nu, 128 if nu < tx.HEAVY_TAIL_NU else 32)
+    reach = {0.3: 450.0, 1.0: 170.0, 2.0: 115.0, 5.0: 95.0, 10.0: 80.0}[nu]
+    grid = np.geomspace(0.3, reach, 10)
+    for kappa in (1, 2, np.inf):
+        p = mc.scenario(M=4, kappa=kappa, S=2.0, q=0.8, nu=nu,
+                        rho_c=0.5, rho_s=0.8)
+        for method in tx._METHOD_NAMES:
+            want = _all_node_sum(grid, p, method, rule)
+            assert want[0] > 0.5 and 0.0 < want[-1] < 1e-12
+            got = tx.survival_curve(grid, p, method, rule)
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), \
+                (kappa, method)
+
+
+def test_far_tail_point_takes_a_second_pass(monkeypatch):
+    p = mc.scenario(M=4, kappa=2, S=2.0, q=0.8, nu=1.0,
+                    rho_c=0.5, rho_s=0.8)
+    rule = tx.gamma_texture_rule(p.nu, 32)
+    grid = np.array([2.0, 150.0])
+    want = _all_node_sum(grid, p, "eff-sdp", rule)
+    assert want[0] > tx.F_FLOOR > want[1]
+    calls, rows = _counting_engine(monkeypatch)
+    got = tx.survival_curve(grid, p, "eff-sdp", rule)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    # the first pass covers both levels alike; the second only the far one,
+    # at nodes the first skipped
+    first, second = calls
+    assert np.sum(first == 2.0) == np.sum(first == 150.0) < rule.order
+    assert np.all(second == 150.0)
+    assert len(first) + len(second) <= 2 * rule.order
+    assert rows == [len(first), len(second)]
+
+
+def test_texture_sum_skips_light_nodes(monkeypatch):
+    p = mc.scenario(M=100, kappa=2, S=5.0, q=0.75, nu=5.0,
+                    rho_s=0.95, rho_c=0.75)
+    mom = mc.analytic_moments(p)
+    sd = math.sqrt(mom.variance)
+    grid = np.linspace(mom.mean - sd, mom.mean + 4.0 * sd, 6)
+    calls, rows = _counting_engine(monkeypatch)
+    vals = tx.survival_curve(grid, p, "eff-sp")
+    assert vals.min() >= 1e-9
+    # one pass, whose effective table holds only the pairs it inverts
+    assert len(calls) == 1 and rows == [calls[0].size] and \
+        calls[0].size <= 6 * 27
+    heavy = mc.scenario(M=4, kappa=2, S=2.0, q=0.8, nu=0.3,
+                        rho_c=0.5, rho_s=0.8)
+    rule = tx.gamma_texture_rule(heavy.nu, 128)
+    calls.clear()
+    assert tx.survival_curve([3.0], heavy, "diag-sdp", rule) > tx.F_FLOOR
+    assert sum(c.size for c in calls) < 64
+
+
+@pytest.mark.parametrize("n_points", [0, 1])
+def test_survival_interpolator_rejects_too_few_points(n_points):
+    p = mc.scenario(M=4, kappa=2, S=1.0, q=0.5, nu=2.0)
+    with pytest.raises(InvalidScenario, match="n_points"):
+        tx.survival_interpolator(p, n_points=n_points)
