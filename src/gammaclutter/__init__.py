@@ -18,20 +18,11 @@ from .corrmodel import (
     loading_matrix,
 )
 from .detector import DetectionCurve, pd_curve, threshold_for_pfa
-from .fpm_mc import (
-    EmpiricalDistribution,
-    McConfig,
-    empirical_survival,
-    simulate_returns,
-)
+from .fpm_mc import EmpiricalDistribution, McConfig, simulate_returns
 from .gof_stats import (
     KSEnsemble,
-    KSReport,
-    delta_max,
-    dkw_epsilon,
     epsilon_from_delta,
     ks_ensemble,
-    ks_report,
     ks_statistic,
     power_study,
 )
@@ -46,18 +37,7 @@ from .mgf_core import (
     analytic_moments,
     effsw0_survival,
     scenario,
-    speckle_coeffs,
-    steady_coeffs,
     swerling0_survival,
-)
-from .saddlepoint import (
-    SaddleState,
-    Side,
-    phase,
-    solve_saddle,
-    survival_sdp,
-    survival_sp,
-    tau_phase,
 )
 from .texture import (
     Method,

@@ -23,7 +23,7 @@ from .errors import (
     NoConvergence,
 )
 from .mgf_core import ScenarioContext, ScenarioParams, scenario
-from .texture import Method, gamma_texture_rule
+from .texture import Method, TextureRule, gamma_texture_rule
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -55,7 +55,6 @@ def load_scenario(path: str) -> dict:
     out.setdefault("S", 0.0)
     out.setdefault("pfa", 1e-6)
     out.setdefault("method", "eff-sdp")
-    out.setdefault("texture_order", 32)
     out.setdefault("seed", 1)
     return out
 
@@ -70,6 +69,16 @@ def scenario_params(cfg: dict, S=None) -> ScenarioParams:
                     cfg.get("S", 0.0) if S is None else S,
                     cfg["q"], cfg["nu"], float(cfg.get("rho_s", 0.0)),
                     float(cfg.get("rho_c", 0.0)), spec_s, spec_c)
+
+
+def _texture_rule(args, cfg: dict, nu: float) -> TextureRule:
+    """The command's texture rule: at --texture-order, else at the scenario's
+    texture_order, else at gamma_texture_rule's default order."""
+    order = args.texture_order
+    if order is None:
+        order = cfg.get("texture_order")
+    return gamma_texture_rule(nu) if order is None else \
+        gamma_texture_rule(nu, order)
 
 
 def _echo_lines(cfg: dict, extra: dict | None = None):
@@ -102,14 +111,13 @@ def cmd_survival(args) -> int:
     cfg = load_scenario(args.scenario)
     params = scenario_params(cfg)
     methods = [Method.parse(m) for m in args.methods.split(",")]
-    order = args.texture_order or cfg["texture_order"]
     v_max = args.v_max if args.v_max is not None else 4.0 * (1.0 + params.S)
     grid = np.linspace(args.v_min, v_max, args.v_points)
-    rule = gamma_texture_rule(params.nu, order)
+    rule = _texture_rule(args, cfg, params.nu)
     ctx = ScenarioContext(params)
     cols = [texture.survival_curve(grid, params, m, rule, ctx)
             for m in methods]
-    lines = _echo_lines(cfg, {"texture_order": order})
+    lines = _echo_lines(cfg, {"texture_order": rule.order})
     lines.append("v," + ",".join(f"sf_{m.name}" for m in methods))
     for i, v in enumerate(grid):
         lines.append(",".join([_fmt(v)] + [_fmt(c[i]) for c in cols]))
@@ -120,20 +128,17 @@ def cmd_survival(args) -> int:
 def cmd_pd(args) -> int:
     cfg = load_scenario(args.scenario)
     methods = [Method.parse(m) for m in args.methods.split(",")]
-    order = args.texture_order or cfg["texture_order"]
     pfa = args.pfa or cfg["pfa"]
     if args.sir_grid_db:
         lo, hi, n = args.sir_grid_db.split(":")
-        s_db = np.linspace(float(lo), float(hi), int(n))
-    elif "S_grid_dB" in cfg:
-        lo, hi, n = cfg["S_grid_dB"]
-        s_db = np.linspace(float(lo), float(hi), int(n))
     else:
-        s_db = np.linspace(0.0, 20.0, 41)
+        lo, hi, n = cfg.get("S_grid_dB", (0.0, 20.0, 41))
+    s_db = np.linspace(float(lo), float(hi), int(n))
     sirs = detector.db_to_linear(s_db)
     params = scenario_params(cfg, S=0.0)
-    curves = [detector.pd_curve(params, pfa, sirs, m, order) for m in methods]
-    lines = _echo_lines(cfg, {"pfa": pfa, "texture_order": order})
+    rule = _texture_rule(args, cfg, params.nu)
+    curves = [detector.pd_curve(params, pfa, sirs, m, rule) for m in methods]
+    lines = _echo_lines(cfg, {"pfa": pfa, "texture_order": rule.order})
     lines.append("S_dB," + ",".join(f"pd_{m.name}" for m in methods))
     for i, s in enumerate(s_db):
         lines.append(",".join([_fmt(s)] + [_fmt(c.pd[i]) for c in curves]))
@@ -145,15 +150,16 @@ def cmd_compare(args) -> int:
     cfg = load_scenario(args.scenario)
     params = scenario_params(cfg)
     method = args.method or cfg["method"]
-    order = args.texture_order or cfg["texture_order"]
     seed = args.seed if args.seed is not None else cfg["seed"]
     gof_stats.check_ensemble(args.replicates, args.samples, args.alpha)
-    sf = texture.survival_interpolator(params, method, texture_order=order)
+    rule = _texture_rule(args, cfg, params.nu)
+    sf = texture.survival_interpolator(params, method, rule=rule)
     ens = gof_stats.ks_ensemble(
         params, sf, K=args.replicates, n=args.samples, seed=seed,
         alpha=args.alpha, threads=_threads(args),
-        config_echo={**cfg, "method": method, "replicates": args.replicates,
-                     "samples": args.samples, "seed": seed})
+        config_echo={**cfg, "method": method, "texture_order": rule.order,
+                     "replicates": args.replicates, "samples": args.samples,
+                     "seed": seed})
     _write(args.out, [ens.to_json(indent=2)])
     return 0
 
@@ -192,7 +198,7 @@ def cmd_bench(args) -> int:
                           q=rng.uniform(0.5, 1.0),
                           nu=rng.uniform(1.0, 10.0),
                           rho_s=0.95, rho_c=0.75)
-        rule = gamma_texture_rule(params.nu, args.texture_order or 32)
+        rule = _texture_rule(args, {}, params.nu)
         ctx = ScenarioContext(params)
         grid = np.linspace(0.0, _bench_vmax(params, rule, ctx),
                            args.grid_points + 1)[1:]
@@ -233,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--texture-order", type=int, default=0)
+    common.add_argument("--texture-order", type=int, default=None,
+                        help="texture quadrature order (default: the "
+                             "scenario's texture_order, else 32)")
 
     p = sub.add_parser("survival", parents=[common],
                        help="survival-function curves as CSV")

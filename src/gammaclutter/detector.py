@@ -17,6 +17,9 @@ from .mgf_core import ScenarioContext, ScenarioParams
 from .texture import (Method, TextureRule, _texture_sum, compound_survival,
                       gamma_texture_rule, survival_curve)
 
+# Relative accuracy of the threshold search in P_FA.
+PFA_REL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class DetectionCurve:
@@ -28,10 +31,8 @@ class DetectionCurve:
 
 
 def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
-                      rule: TextureRule | None = None,
-                      texture_order: int = 32,
-                      rel_tol: float = 1e-3) -> float:
-    """Threshold with |F(v_b; 0) - pfa| < rel_tol * pfa.
+                      rule: TextureRule | None = None) -> float:
+    """Threshold with |F(v_b; 0) - pfa| < PFA_REL_TOL * pfa.
 
     Bracket expansion followed by a secant iteration on the log survival,
     which is near-linear in the exponential-like tail.
@@ -44,17 +45,14 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         method = Method.parse(method)
     null = replace(params, S=0.0)
     if rule is None:
-        rule = gamma_texture_rule(null.nu, texture_order)
+        rule = gamma_texture_rule(null.nu)
     ctx = ScenarioContext(null)
 
-    def log_of(sf, v):
-        if sf <= 0.0:
-            raise BracketFail(
-                f"survival underflowed below pfa={pfa} at v={v}")
-        return math.log(sf)
+    def log_of(sf):
+        return math.log(sf) if sf > 0.0 else -math.inf
 
     def log_sf(v):
-        return log_of(compound_survival(v, null, method, rule, ctx), v)
+        return log_of(compound_survival(v, null, method, rule, ctx))
 
     target = math.log(pfa)
     n_fa = -math.log10(pfa)
@@ -62,14 +60,20 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
     hi = lo * (1.0 + 10.0 * n_fa / params.M)
     # both ends of the first bracket in one engine call
     sf_lo, sf_hi = survival_curve([lo, hi], null, method, rule, ctx)
-    f_lo, f_hi = log_of(sf_lo, lo), log_of(sf_hi, hi)
+    f_lo, f_hi = log_of(sf_lo), log_of(sf_hi)
     if f_lo <= target:
         lo, f_lo = 1e-9, 0.0      # threshold below the mean (large pfa)
     for _ in range(200):
-        if f_hi <= target:
+        if f_hi > target:
+            lo, f_lo = hi, f_hi
+            hi *= 1.6
+        elif f_hi > -math.inf:
             break
-        lo, f_lo = hi, f_hi
-        hi *= 1.6
+        elif lo < 0.5 * (lo + hi) < hi:   # F(hi) underflowed: bisect
+            hi = 0.5 * (lo + hi)
+        else:
+            raise BracketFail(f"survival underflowed below pfa={pfa} "
+                              f"at v={hi}")
         f_hi = log_sf(hi)
     else:
         raise BracketFail(f"could not bracket pfa={pfa}")
@@ -82,7 +86,7 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         if not lo < v < hi:
             v = 0.5 * (lo + hi)
         f_v = log_sf(v)
-        if abs(f_v - target) < math.log1p(rel_tol * 0.5):
+        if abs(f_v - target) < math.log1p(PFA_REL_TOL * 0.5):
             return v
         if f_v > target:
             lo, f_lo = v, f_v
@@ -92,7 +96,7 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
 
 
 def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
-             texture_order: int = 32) -> DetectionCurve:
+             rule: TextureRule | None = None) -> DetectionCurve:
     """P_D over an ascending grid of linear SIR values at fixed P_FA."""
     if isinstance(method, str):
         method = Method.parse(method)
@@ -101,7 +105,8 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
         raise InvalidScenario("sir_grid must be finite and >= 0")
     if np.any(np.diff(sir_grid) < 0):
         raise InvalidScenario("sir_grid must be sorted ascending")
-    rule = gamma_texture_rule(params.nu, texture_order)
+    if rule is None:
+        rule = gamma_texture_rule(params.nu)
     v_b = threshold_for_pfa(params, pfa, method, rule)
     pd = np.ones_like(sir_grid)
     if v_b > 0.0:
@@ -112,7 +117,3 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
 
 def db_to_linear(s_db):
     return 10.0 ** (np.asarray(s_db, dtype=float) / 10.0)
-
-
-def linear_to_db(s):
-    return 10.0 * np.log10(np.asarray(s, dtype=float))

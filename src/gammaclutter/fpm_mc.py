@@ -125,11 +125,3 @@ def simulate_returns(config: McConfig, stream: int = 0,
     z = _draw_block(rng, n, config.params, ctx, config.target_rotation)
     z.sort()
     return EmpiricalDistribution(z, n)
-
-
-def empirical_survival(dist: EmpiricalDistribution, v) -> float | np.ndarray:
-    """(# samples > v) / n with the right-continuous step convention."""
-    idx = np.searchsorted(dist.sorted_samples, v, side="right")
-    out = (dist.n - idx) / dist.n
-    return float(out) if np.ndim(v) == 0 else out
-

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import kolmogi, kolmogorov, ndtri
+from scipy.special import kolmogorov, ndtri
 
 from .errors import InvalidScenario, NonMonotoneSF
 from .fpm_mc import EmpiricalDistribution, McConfig, simulate_returns
@@ -31,15 +31,6 @@ from .mgf_core import ScenarioContext, ScenarioParams
 BOOTSTRAP_RESAMPLES = 1000
 BAND_GRID_POINTS = 200
 CONSECUTIVE_EXITS = 4
-
-
-# --- DKW band ----------------------------------------------------------------
-
-def dkw_epsilon(n: int, alpha: float) -> float:
-    """Finite-sample band half-width sqrt(ln(2/alpha) / (2n))."""
-    if n < 1 or not 0.0 < alpha < 1.0:
-        raise InvalidScenario("need n >= 1 and 0 < alpha < 1")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 # --- KS statistic -------------------------------------------------------------
@@ -60,26 +51,6 @@ def ks_statistic(samples: EmpiricalDistribution, sf) -> float:
     d_plus = np.max(i / n - F)
     d_minus = np.max(F - (i - 1) / n)
     return float(max(d_plus, d_minus))
-
-
-@dataclass(frozen=True)
-class KSReport:
-    statistic: float
-    n: int
-    p_value: float
-    dkw_epsilon_at_alpha: float
-    reject_at: dict
-
-
-def ks_report(samples: EmpiricalDistribution, sf,
-              alphas=(0.1, 0.05, 0.01)) -> KSReport:
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise InvalidScenario(f"alphas {alphas} must lie in (0, 1)")
-    d = ks_statistic(samples, sf)
-    rootn = math.sqrt(samples.n)
-    reject = {a: bool(d * rootn > kolmogi(a)) for a in alphas}
-    return KSReport(d, samples.n, float(kolmogorov(d * rootn)),
-                    dkw_epsilon(samples.n, 0.01), reject)
 
 
 # --- perturbed survival functions --------------------------------------------
@@ -174,15 +145,14 @@ def _stats_worker(args):
                             stream_base + k_lo)
 
 
-def rejection_scan(dkw_curve, band_lo,
-                   consecutive: int = CONSECUTIVE_EXITS) -> bool:
+def rejection_scan(dkw_curve, band_lo) -> bool:
     """White-space rule: theory-side DKW curve under the ensemble's lower
-    envelope on >= `consecutive` adjacent grid points."""
+    envelope on >= CONSECUTIVE_EXITS adjacent grid points."""
     exits = dkw_curve < band_lo
     run = 0
     for e in exits:
         run = run + 1 if e else 0
-        if run >= consecutive:
+        if run >= CONSECUTIVE_EXITS:
             return True
     return False
 
@@ -242,19 +212,18 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
                       config_echo or {})
 
 
-def power_study(params: ScenarioParams, delta: float, K: int = 400,
+def power_study(params: ScenarioParams, delta: float, sf, K: int = 400,
                 n: int = 10000, alpha: float = 0.01, seed: int = 1,
-                trials: int = 20, sf=None, method="eff-sdp",
-                threads: int = 0) -> float:
+                trials: int = 20, threads: int = 0) -> float:
     """Fraction of replicate ensembles that reject the tilted survival model.
 
     The null being tested is G = sf^(1+eps) with eps chosen so the peak
     deviation from the true curve equals ``delta``; samples always come from
     the untilted first-principles simulator.
     """
-    if sf is None:
-        from .texture import survival_interpolator
-        sf = survival_interpolator(params, method)
+    if trials < 1 or not delta >= 0.0:
+        raise InvalidScenario(f"need trials >= 1 and delta >= 0; got "
+                              f"trials={trials}, delta={delta}")
     g = PerturbedSF(sf, epsilon_from_delta(delta)) if delta > 0.0 else sf
     hits = 0
     for t in range(trials):

@@ -28,9 +28,11 @@ HEAVY_TAIL_NU = 0.5
 HEAVY_TAIL_ORDER = 128
 # Largest power level an expanding tail search may reach.
 V_SEARCH_MAX = 1e6
-# Survival scale (the interpolator's sf_floor) above which one pass of the
-# texture sum suffices; see _texture_sum.
+# Survival scale above which one pass of the texture sum suffices; see
+# _texture_sum.
 F_FLOOR = 2.0 ** -30
+# Survival down to which survival_interpolator's grid reaches.
+SF_FLOOR = 1e-9
 _METHOD_NAMES = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp", "diag-sdp",
                  "diag-sp")
 
@@ -83,8 +85,8 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     """
     if not nu > 0:
         raise InvalidShape(f"texture shape nu {nu} must be positive")
-    if order < 1:
-        raise InvalidShape(f"quadrature order {order} must be >= 1")
+    if not isinstance(order, (int, np.integer)) or order < 1:
+        raise InvalidShape(f"texture order {order!r} must be an integer >= 1")
     if nu == math.inf:
         return TextureRule(np.ones(1), np.ones(1), 1, nu)
     if nu < HEAVY_TAIL_NU and order < HEAVY_TAIL_ORDER:
@@ -121,6 +123,8 @@ def _texture_sum(v, S, params, method, rule, ctx):
     does where S varies over the points; otherwise (S = 0 leaves no
     aggregated matrix) one row per node serves every point and pass.
     """
+    if rule.nu != params.nu:
+        raise InvalidScenario(f"rule nu={rule.nu} != scenario nu={params.nu}")
     v, S = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
                                np.asarray(S, dtype=float))
     if v.size == 0:
@@ -161,22 +165,21 @@ def _texture_sum(v, S, params, method, rule, ctx):
 
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
                       rule: TextureRule | None = None,
-                      ctx: ScenarioContext | None = None,
-                      texture_order: int = 32) -> float:
+                      ctx: ScenarioContext | None = None) -> float:
     """Texture-averaged survival probability at power level v."""
-    return float(survival_curve([v], params, method, rule, ctx,
-                                texture_order)[0])
+    return float(survival_curve([v], params, method, rule, ctx)[0])
 
 
 def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
-                   rule=None, ctx=None, texture_order=32) -> np.ndarray:
+                   rule=None, ctx=None) -> np.ndarray:
     """compound_survival over a grid, in one batched inversion (and one
-    more for levels whose survival is below F_FLOOR).  A non-finite power
-    level raises DegenerateV."""
+    more for levels whose survival is below F_FLOOR).  The rule defaults to
+    gamma_texture_rule(params.nu); a rule for another nu raises
+    InvalidScenario, and a non-finite power level DegenerateV."""
     if isinstance(method, str):
         method = Method.parse(method)
     if rule is None:
-        rule = gamma_texture_rule(params.nu, texture_order)
+        rule = gamma_texture_rule(params.nu)
     if ctx is None:
         ctx = ScenarioContext(params)
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
@@ -215,21 +218,23 @@ class SurvivalInterpolator:
 
 
 def survival_interpolator(params: ScenarioParams, method="eff-sdp",
-                          sf_floor: float = 1e-9, n_points: int = 400,
-                          texture_order: int = 32) -> SurvivalInterpolator:
-    """Build a fast survival callable covering survival down to sf_floor."""
+                          n_points: int = 400,
+                          rule: TextureRule | None = None
+                          ) -> SurvivalInterpolator:
+    """Build a fast survival callable covering survival down to SF_FLOOR."""
     if n_points < 2:
         raise InvalidScenario(f"n_points {n_points} must be >= 2")
     if isinstance(method, str):
         method = Method.parse(method)
-    rule = gamma_texture_rule(params.nu, texture_order)
+    if rule is None:
+        rule = gamma_texture_rule(params.nu)
     ctx = ScenarioContext(params)
     hi = 1.0 + params.S
-    while compound_survival(hi, params, method, rule, ctx) > sf_floor:
+    while compound_survival(hi, params, method, rule, ctx) > SF_FLOOR:
         hi *= 1.4
         if hi > V_SEARCH_MAX:
-            raise NoConvergence(f"survival stays above sf_floor={sf_floor} "
-                                f"up to v={V_SEARCH_MAX:g}")
+            raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
+                                f"v={V_SEARCH_MAX:g}")
     grid = np.linspace(0.0, hi, n_points)
     vals = survival_curve(grid[1:], params, method, rule, ctx)
     log_sf = np.concatenate(([0.0], np.log(np.clip(vals, 1e-300, 1.0))))

@@ -315,11 +315,11 @@ def bromwich_oracle(v: float, params: ScenarioParams, u: float,
                         f"tol={tol} in {_ORACLE_HALVINGS} step halvings")
 
 
-def compound_bromwich(v, params, rule=None, ctx=None, texture_order=32,
+def compound_bromwich(v, params, rule=None, ctx=None,
                       scheme: Scheme = Scheme.EFFECTIVE) -> float:
     """Texture-averaged oracle survival (dual path to compound_survival)."""
     if rule is None:
-        rule = gamma_texture_rule(params.nu, texture_order)
+        rule = gamma_texture_rule(params.nu)
     if ctx is None:
         ctx = ScenarioContext(params)
     vals = [bromwich_oracle(float(v), params, float(u), scheme, ctx)

@@ -129,6 +129,15 @@ def test_exit_codes(tmp_path):
                      "--alpha", "1.5"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("order", ["8", 8.5])
+def test_non_integer_texture_order_is_a_config_error(tmp_path, order, capsys):
+    # "8" once died with a TypeError traceback and 8.5 inside numpy
+    scen = write_scenario(tmp_path, nu=2.0, texture_order=order)
+    for command in ("survival", "pd"):
+        assert cli.main([command, "--scenario", scen]) == cli.EXIT_CONFIG
+        assert "must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_compare_checks_arguments_before_building(tmp_path, monkeypatch):
     # a bad --alpha, --replicates or --samples exits at once: the survival
     # interpolator, which takes seconds to build, is never started

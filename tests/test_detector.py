@@ -15,7 +15,9 @@ from oracles import compound_bromwich
 
 def test_threshold_unit_exponential_closed_form():
     p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
-    for pfa in (1e-2, 1e-4, 1e-6):
+    # at 1e-75 and 1e-300 the first bracket end (1 + 10 n_fa / M) is so far
+    # out that the survival there underflows to 0
+    for pfa in (1e-2, 1e-4, 1e-6, 1e-75, 1e-300):
         vb = det.threshold_for_pfa(p, pfa)
         assert vb == pytest.approx(-math.log(pfa), rel=2e-3)
 
@@ -70,7 +72,7 @@ def test_pd_curve_equals_per_sir_calls():
                         rho_c=0.6, rho_s=0.85)
         rule = tx.gamma_texture_rule(p.nu, 8)
         for method in tx.ALL_METHODS:
-            curve = det.pd_curve(p, 1e-4, sirs, method, texture_order=8)
+            curve = det.pd_curve(p, 1e-4, sirs, method, rule=rule)
             v_b = det.threshold_for_pfa(p, 1e-4, method, rule)
             assert curve.threshold == v_b
             single = [tx.compound_survival(v_b, replace(p, S=float(S)),
@@ -92,7 +94,7 @@ def test_pd_failure_names_sir_and_node(monkeypatch):
     with pytest.raises(NoConvergence,
                        match=rf"S=2\.0, power level v=3\.0, "
                              rf"texture node u={rule.nodes[3]}\]"):
-        det.pd_curve(p, 1e-4, sirs, "eff-sp", texture_order=8)
+        det.pd_curve(p, 1e-4, sirs, "eff-sp", rule=rule)
 
 
 def test_pd_grid_must_be_sorted():
@@ -139,5 +141,7 @@ def test_pd_diag_within_one_percent_of_eff():
 
 
 def test_db_round_trip():
-    s = np.array([0.5, 1.0, 10.0])
-    assert np.allclose(det.db_to_linear(det.linear_to_db(s)), s, rtol=1e-14)
+    s_db = np.array([-10.0, 0.0, 3.0, 20.0])
+    s = det.db_to_linear(s_db)
+    assert s == pytest.approx([0.1, 1.0, 10.0 ** 0.3, 100.0], rel=1e-15)
+    assert np.allclose(10.0 * np.log10(s), s_db, rtol=1e-14, atol=1e-14)

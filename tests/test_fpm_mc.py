@@ -60,15 +60,6 @@ def test_golden_vector_seed42():
     assert np.array_equal(got, want)
 
 
-def test_empirical_survival_counting():
-    dist = fp.EmpiricalDistribution(np.array([1.0, 2.0, 3.0]), 3)
-    assert fp.empirical_survival(dist, 0.5) == 1.0
-    assert fp.empirical_survival(dist, 3.0) == 0.0
-    assert fp.empirical_survival(dist, 3.5) == 0.0
-    assert fp.empirical_survival(dist, 2.0) == pytest.approx(1.0 / 3.0)
-    assert fp.empirical_survival(dist, 1.999) == pytest.approx(2.0 / 3.0)
-
-
 def test_gaussian_channel_matches_nakagami_route():
     kw = dict(M=4, kappa=1, S=3.0, q=0.5, nu=2.0, rho_c=0.4, rho_s=0.8)
     n = 100000

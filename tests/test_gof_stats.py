@@ -51,18 +51,6 @@ def test_ks_invariant_under_monotone_transform():
     assert d1 == pytest.approx(d2, abs=1e-15)
 
 
-def test_dkw_epsilon_values():
-    assert gs.dkw_epsilon(10 ** 4, 0.01) == pytest.approx(
-        math.sqrt(math.log(200.0) / 2e4), rel=1e-15)
-    # closed-form endpoint: alpha = 2 e^{-2n}  =>  epsilon = 1
-    n = 3
-    assert gs.dkw_epsilon(n, 2.0 * math.exp(-2.0 * n)) == pytest.approx(1.0)
-    assert gs.dkw_epsilon(4 * 100, 0.05) == pytest.approx(
-        0.5 * gs.dkw_epsilon(100, 0.05))
-    with pytest.raises(InvalidScenario):
-        gs.dkw_epsilon(0, 0.01)
-
-
 def test_perturbation_identities():
     assert gs.delta_max(0.0) == 0.0
     eps = gs.epsilon_from_delta(0.003)
@@ -83,20 +71,6 @@ def test_perturbation_identities():
     assert g(0.0) == pytest.approx(1.0)
     out = g(xs)
     assert np.all(np.diff(out) <= 0) and out[-1] < 1e-5
-
-
-def test_ks_report_fields():
-    rng = np.random.default_rng(3)
-    x = np.sort(rng.exponential(size=2000))
-    rep = gs.ks_report(fp.EmpiricalDistribution(x, 2000),
-                       lambda v: np.exp(-np.asarray(v)))
-    assert 0.0 <= rep.statistic <= 1.0
-    assert 0.0 <= rep.p_value <= 1.0
-    assert rep.reject_at[0.01] == (
-        rep.statistic * math.sqrt(2000) > kolmogi(0.01))
-    with pytest.raises(InvalidScenario):
-        gs.ks_report(fp.EmpiricalDistribution(x, 2000),
-                     lambda v: np.exp(-np.asarray(v)), alphas=(0.01, 1.5))
 
 
 def test_ensemble_null_coverage_and_json():
@@ -151,6 +125,14 @@ def test_ensemble_rejects_alpha_outside_unit_interval():
     for alpha in (-0.1, 0.0, 1.0, 1.5):
         with pytest.raises(InvalidScenario):
             gs.ks_ensemble(p, ErlangSF(3), K=4, n=50, seed=2, alpha=alpha)
+
+
+def test_power_study_rejects_bad_trials_and_delta():
+    # trials=0 divided by zero; a negative delta tested the untilted model
+    p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    for delta, trials in ((0.01, 0), (-0.01, 1), (math.nan, 1)):
+        with pytest.raises(InvalidScenario, match="trials >= 1 and delta"):
+            gs.power_study(p, delta, ErlangSF(3), K=4, n=50, trials=trials)
 
 
 def test_rejection_scan_consecutive_rule():

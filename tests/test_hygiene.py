@@ -1,17 +1,25 @@
-"""Source hygiene: no module imports a name it never references.
+"""Source hygiene: no module imports a name it never references, and the
+package exports no name that only tests call.
 
-No linter ships with the project, so this AST scan stands in for the
+No linter ships with the project, so these AST scans stand in for the
 unused-import check over the library, the tests and the scripts.  Package
 ``__init__`` modules are skipped, since their imports are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_INIT = ROOT / "src" / "gammaclutter" / "__init__.py"
 SOURCES = sorted(path for top in ("src", "tests", "scripts")
                  for path in (ROOT / top).rglob("*.py")
                  if path.name != "__init__.py")
+# Where an exported name counts as called: the library, the scripts and the
+# benchmark; the README's backticked names count as documented.
+CALLERS = sorted(path for top in ("src/gammaclutter", "scripts", "perfbench")
+                 for path in (ROOT / top).rglob("*.py")
+                 if path != PACKAGE_INIT)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +51,23 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
              for path in SOURCES}
     assert SOURCES and not {k: v for k, v in found.items() if v}
+
+
+def loaded_names(source: str) -> set[str]:
+    """Names read as a bare name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_export_has_a_caller():
+    exports = {alias.asname or alias.name
+               for node in ast.parse(PACKAGE_INIT.read_text()).body
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    called = set().union(*(loaded_names(path.read_text())
+                           for path in CALLERS))
+    documented = set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text()))
+    uncalled = sorted(exports - called - documented)
+    assert exports and not uncalled, uncalled

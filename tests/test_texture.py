@@ -54,11 +54,29 @@ def test_rule_degenerate_texture():
 def test_rule_guards():
     with pytest.raises(InvalidShape):
         tx.gamma_texture_rule(0.0, 32)
+    for order in ("8", 8.5, 8.0, 0):
+        with pytest.raises(InvalidShape, match="integer >= 1"):
+            tx.gamma_texture_rule(2.0, order)
     with pytest.raises(OrderTooLarge):
         tx.gamma_texture_rule(2.0, 300)
     with pytest.warns(UserWarning):
         rule = tx.gamma_texture_rule(0.3, 32)
     assert rule.order == 128
+
+
+def test_rule_for_another_nu_is_rejected():
+    # a nu = 5 rule on the nu = 2 scenario once gave eff-sp F(12) = 0.04806
+    # instead of 0.04851 without a word
+    p = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    rule = tx.gamma_texture_rule(5.0, 8)
+    for call in (lambda: tx.survival_curve([12.0], p, "eff-sp", rule),
+                 lambda: tx.compound_survival(12.0, p, "eff-sp", rule),
+                 lambda: tx.survival_interpolator(p, "eff-sp", rule=rule),
+                 lambda: det.threshold_for_pfa(p, 1e-4, "eff-sp", rule),
+                 lambda: det.pd_curve(p, 1e-4, [1.0], "eff-sp", rule)):
+        with pytest.raises(InvalidScenario, match="nu=5.0 .* nu=2.0"):
+            call()
 
 
 def test_method_parsing():
@@ -121,10 +139,11 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
     base = dict(M=6, q=0.8, nu=2.0, rho_c=0.5, rho_s=0.8)
     grid = np.array([0.0, 1.0, 2.5, 4.0, 7.0])
     order = 8
+    rule = tx.gamma_texture_rule(base["nu"], order)
     p = mc.scenario(kappa=2, S=2.0, **base)
     for method in ("eff-sdp", "eff-sp"):
         calls.clear()
-        tx.survival_curve(grid, p, method, texture_order=order)
+        tx.survival_curve(grid, p, method, rule=rule)
         assert len(calls) == 4 * order
         assert len({u for _, u in calls}) == order
     for params, method in ((p, "dmg-sdp"), (p, "diag-sdp"),
@@ -132,13 +151,13 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
                             "eff-sdp"),
                            (mc.scenario(kappa=2, S=0.0, **base), "eff-sdp")):
         calls.clear()
-        tx.survival_curve(grid, params, method, texture_order=order)
+        tx.survival_curve(grid, params, method, rule=rule)
         assert calls == []
     # a P_D curve decomposes once per (S > 0, texture node) pair; its
     # threshold search runs at S = 0 and decomposes nothing
     calls.clear()
     det.pd_curve(mc.scenario(kappa=2, S=0.0, **base), 1e-3,
-                 [0.0, 1.0, 3.0], "eff-sdp", texture_order=order)
+                 [0.0, 1.0, 3.0], "eff-sdp", rule=rule)
     assert len(calls) == len(set(calls)) == 2 * order
     assert {S for S, _ in calls} == {1.0, 3.0}
 
@@ -153,15 +172,16 @@ def test_dmg_curves_build_no_eigensystem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     grid = np.array([0.5, 2.0, 6.0])
+    rule = tx.gamma_texture_rule(2.0, 8)
     for kappa in (2, np.inf):
         p = mc.scenario(M=100, kappa=kappa, S=3.0, q=0.8, nu=2.0,
                         rho_c=0.75, rho_s=0.95)
         for method in ("dmg-sdp", "dmg-sp"):
-            vals = tx.survival_curve(grid, p, method, texture_order=8)
+            vals = tx.survival_curve(grid, p, method, rule=rule)
             assert np.all((0.0 < vals) & (vals < 1.0))
     p = mc.scenario(M=100, kappa=2, S=0.0, q=0.8, nu=2.0,
                     rho_c=0.75, rho_s=0.95)
-    curve = det.pd_curve(p, 1e-4, [1.0, 10.0], "dmg-sp", texture_order=8)
+    curve = det.pd_curve(p, 1e-4, [1.0, 10.0], "dmg-sp", rule=rule)
     assert 0.0 < curve.pd[0] < curve.pd[1] < 1.0
 
 
