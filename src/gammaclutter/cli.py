@@ -128,7 +128,7 @@ def cmd_survival(args) -> int:
 def cmd_pd(args) -> int:
     cfg = load_scenario(args.scenario)
     methods = [Method.parse(m) for m in args.methods.split(",")]
-    pfa = args.pfa or cfg["pfa"]
+    pfa = cfg["pfa"] if args.pfa is None else args.pfa
     if args.sir_grid_db:
         lo, hi, n = args.sir_grid_db.split(":")
     else:
@@ -149,7 +149,7 @@ def cmd_pd(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_scenario(args.scenario)
     params = scenario_params(cfg)
-    method = args.method or cfg["method"]
+    method = cfg["method"] if args.method is None else args.method
     seed = args.seed if args.seed is not None else cfg["seed"]
     gof_stats.check_ensemble(args.replicates, args.samples, args.alpha)
     rule = _texture_rule(args, cfg, params.nu)

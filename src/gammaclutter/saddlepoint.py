@@ -53,8 +53,9 @@ the same principal branch and with the same signed zeros.
 
 ``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
 of the same engine.  ``solve_saddle`` builds its own tau row, and
-``tau_phase`` and its derivative evaluate it in the exact log form as the
-reference.
+``tau_phase`` evaluates it in the exact log form as the reference.  Each
+pair's saddle s0 can come back next to its survival (``survival_pairs``),
+for the slope of the texture sum.
 """
 
 from __future__ import annotations
@@ -434,17 +435,15 @@ def _survival_block(v, tab, integrator):
                 z = _invert_nodes(ev, t, r2, pairs)
                 corr[pairs] = z.imag @ w
             val = np.exp(phase0) / (math.pi * v) * corr
-    return _assemble(val, left)
+    # the tail integral is the survival's complement on the left tail
+    return np.clip(np.where(left, 1.0 - val, val), 0.0, 1.0), s0
 
 
-def _assemble(val, left):
-    """Survival from the tail integral: the complement on the left tail."""
-    return np.clip(np.where(left, 1.0 - val, val), 0.0, 1.0)
-
-
-def survival_pairs(v, table, rows, integrator: str = "sdp") -> np.ndarray:
+def survival_pairs(v, table, rows, integrator: str = "sdp", saddles=None):
     """Survival at every pair (v[i], row rows[i] of the MGF table) in one
-    batched pass; a single MGF row serves as a one-row table.
+    batched pass; a single MGF row serves as a one-row table.  An array
+    ``saddles`` of v's size receives each pair's saddle s0 (left as it is
+    where the survival is exactly 1).
 
     ``integrator`` is "sdp" (steepest-descent path, numerically exact) or
     "sp" (basic saddle-point approximation).  Survival is exactly 1 at or
@@ -467,10 +466,12 @@ def survival_pairs(v, table, rows, integrator: str = "sdp") -> np.ndarray:
     for start in range(0, live.size, per):
         blk = live[start:start + per]
         try:
-            out[blk] = _survival_block(v[blk], _PoleTable(table, rows[blk]),
-                                       integrator)
+            out[blk], s0 = _survival_block(
+                v[blk], _PoleTable(table, rows[blk]), integrator)
         except NoConvergence as exc:
             raise _at(exc, blk[exc.pair])
+        if saddles is not None:
+            saddles[blk] = s0
     return out
 
 
@@ -529,17 +530,6 @@ def tau_phase(z, state: SaddleState):
     one_m = 1.0 - np.multiply.outer(z, state.c)
     return (state.lam * z + np.log(one_m) @ state.w
             - (np.multiply.outer(z, state.g) / one_m).sum(axis=-1))
-
-
-def _tau_prime(z, state: SaddleState):
-    one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), state.c)
-    return (state.lam - (state.c / one_m) @ state.w
-            - (state.g / one_m ** 2).sum(axis=-1))
-
-
-def _state_ev(state: SaddleState):
-    """Element evaluator (tau, tau') over one state's exact phase."""
-    return lambda z, p: (tau_phase(z, state), _tau_prime(z, state))
 
 
 def survival_sdp(v: float, mgf) -> float:

@@ -105,9 +105,10 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     return TextureRule(vals / nu, weights, order, nu)
 
 
-def _texture_sum(v, S, params, method, rule, ctx):
-    """Texture average sum_l w_l F_spk(v[i]; S[i], u_l) at every point i (v
-    and S broadcast against each other), clipped to [0, 1].
+def _texture_sum(v, S, params, method, rule, ctx, table=None):
+    """Texture average F = sum_l w_l F_spk(v[i]; S[i], u_l) at every point i
+    (v and S broadcast against each other), clipped to [0, 1], and its
+    slope d ln F/dv.
 
     Nodes ascend in u, so the light ones come last, and a suffix of nodes
     whose weights sum to at most 2^-53 F cannot move F by an ulp: it is not
@@ -117,26 +118,32 @@ def _texture_sum(v, S, params, method, rule, ctx):
     2^-53 times that sum, so the bound holds in the far tail too, where the
     light nodes dominate.
 
+    The slope needs no inversion: by the envelope theorem a node's tail
+    integral T_l (F_l right of its mean, 1 - F_l left of it) has
+    d ln T_l/dv ~ s0_l - 1/v at its saddle s0_l (Daniels, Ann. Math. Stat.
+    25, 1954; Lugannani & Rice, Adv. Appl. Prob. 12, 1980).
+
     The finite-kappa effective model at S > 0 decomposes its aggregated
     matrix at every pair it inverts (the cost the commuting approximations
     exist to avoid), so each pass builds a table of its own pairs, as it
     does where S varies over the points; otherwise (S = 0 leaves no
-    aggregated matrix) one row per node serves every point and pass.
+    aggregated matrix) one row per node serves every point and pass, and
+    a caller summing at one S again and again may pass that ``table``.
     """
     if rule.nu != params.nu:
         raise InvalidScenario(f"rule nu={rule.nu} != scenario nu={params.nu}")
     v, S = np.broadcast_arrays(np.atleast_1d(np.asarray(v, dtype=float)),
                                np.asarray(S, dtype=float))
     if v.size == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0)
     n = rule.order
     per_pair = ((method.scheme is Scheme.EFFECTIVE and not params.steady
                  and S[0] != 0.0) or np.any(S != S[0]))
-    if not per_pair:
+    if table is None and not per_pair:
         table = pole_table(params, np.repeat(S[:1], n), rule.nodes,
                            method.scheme, ctx)
     tail = np.cumsum(rule.weights[::-1])[::-1]
-    vals = np.zeros((v.size, n))
+    vals, s0 = np.zeros((v.size, n)), np.zeros((v.size, n))
     done = np.zeros(vals.shape, dtype=bool)
     F = np.full(v.size, F_FLOOR)
     for _ in range(2):
@@ -146,10 +153,11 @@ def _texture_sum(v, S, params, method, rule, ctx):
             if per_pair:
                 table = pole_table(params, S[pts], rule.nodes[nodes],
                                    method.scheme, ctx)
+            saddles = np.zeros(pts.size)
             try:
                 vals[todo] = saddlepoint.survival_pairs(
                     v[pts], table, np.arange(pts.size) if per_pair else nodes,
-                    method.integrator)
+                    method.integrator, saddles)
             except GammaClutterError as exc:
                 i = getattr(exc, "pair", None)
                 if i is not None:
@@ -158,9 +166,14 @@ def _texture_sum(v, S, params, method, rule, ctx):
                                 f"v={v[pts[i]]}, texture node "
                                 f"u={rule.nodes[nodes[i]]}]",)
                 raise
+            s0[todo] = saddles
             done |= todo
             F = vals @ rule.weights
-    return np.clip(F, 0.0, 1.0)
+    # dF_l/dv = +-T_l (s0_l - 1/v); s0 = 0: not summed, or F_l = 1 exactly
+    T = np.where(s0 < 0.0, vals, np.where(s0 > 0.0, vals - 1.0, 0.0))
+    dF = (T * (s0 - 1.0 / v[:, None])) @ rule.weights
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.clip(F, 0.0, 1.0), dF / F
 
 
 def compound_survival(v: float, params: ScenarioParams, method="eff-sdp",
@@ -185,7 +198,8 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     v_grid = np.atleast_1d(np.asarray(v_grid, dtype=float))
     out = np.ones(v_grid.size)
     pos = (v_grid > 0.0) | ~np.isfinite(v_grid)
-    out[pos] = _texture_sum(v_grid[pos], params.S, params, method, rule, ctx)
+    out[pos] = _texture_sum(v_grid[pos], params.S, params, method, rule,
+                            ctx)[0]
     return out
 
 

@@ -129,6 +129,19 @@ def test_exit_codes(tmp_path):
                      "--alpha", "1.5"]) == cli.EXIT_CONFIG
 
 
+def test_zero_pfa_and_empty_method_are_config_errors(tmp_path, capsys):
+    # --pfa 0 and --method "" once fell back on the scenario's pfa and
+    # method and exited 0
+    scen = write_scenario(tmp_path)
+    assert cli.main(["pd", "--scenario", scen, "--pfa", "0"]) \
+        == cli.EXIT_CONFIG
+    assert "pfa 0.0 outside (0, 1]" in capsys.readouterr().err
+    assert cli.main(["compare", "--scenario", scen, "--threads", "1",
+                     "--replicates", "4", "--samples", "50",
+                     "--method", ""]) == cli.EXIT_CONFIG
+    assert "unknown method ''" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order", ["8", 8.5])
 def test_non_integer_texture_order_is_a_config_error(tmp_path, order, capsys):
     # "8" once died with a TypeError traceback and 8.5 inside numpy

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,18 +9,93 @@ import gammaclutter.detector as det
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.errors import InvalidScenario, NoConvergence
+from gammaclutter.errors import BracketFail, InvalidScenario, NoConvergence
 
 from oracles import compound_bromwich
 
 
 def test_threshold_unit_exponential_closed_form():
     p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
-    # at 1e-75 and 1e-300 the first bracket end (1 + 10 n_fa / M) is so far
-    # out that the survival there underflows to 0
     for pfa in (1e-2, 1e-4, 1e-6, 1e-75, 1e-300):
         vb = det.threshold_for_pfa(p, pfa)
         assert vb == pytest.approx(-math.log(pfa), rel=2e-3)
+
+
+def test_threshold_bisects_back_from_an_underflowed_start(monkeypatch):
+    # a start so far out that the survival underflows to 0 there (F = e^-v
+    # at v = 1e6): the search bisects back down to the closed form
+    p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    monkeypatch.setattr(det, "gammainccinv", lambda a, y: 1e6)
+    for pfa in (1e-4, 1e-75, 1e-300):
+        vb = det.threshold_for_pfa(p, pfa)
+        assert vb == pytest.approx(-math.log(pfa), rel=2e-3)
+
+
+def _engine_calls(monkeypatch):
+    calls = []
+    pairs = sp.survival_pairs
+    monkeypatch.setattr(sp, "survival_pairs",
+                        lambda v, *a: calls.append(len(v)) or pairs(v, *a))
+    return calls
+
+
+def test_threshold_search_engine_calls(monkeypatch):
+    # the pd benchmark's scenarios: F > F_FLOOR, so each survival
+    # evaluation is one engine call; the bracket-and-secant search made
+    # 5.6-5.9 of them per search.  The S = 0 pole table is built once per
+    # search, by the search, and never by the texture sum.
+    calls, tables = _engine_calls(monkeypatch), []
+    build = mc.pole_table
+    for mod in (det, tx):
+        monkeypatch.setattr(mod, "pole_table", lambda *a, mod=mod:
+                            tables.append(mod.__name__) or build(*a))
+    counts = []
+    for kappa in (1, 2, math.inf):
+        p = mc.scenario(M=10, kappa=kappa, S=0.0, q=0.5, nu=2.0,
+                        rho_c=0.75, rho_s=0.9)
+        for method in tx.ALL_METHODS:
+            for pfa in (1e-4, 1e-6, 1e-8):
+                calls.clear()
+                tables.clear()
+                det.threshold_for_pfa(p, pfa, method)
+                counts.append(len(calls))
+                assert tables == [det.__name__]
+    assert np.mean(counts) <= 3.5 and max(counts) <= 5, counts
+
+
+def test_threshold_envelope():
+    # from P_FA 0.9 (threshold below the mean) down to 1e-20, light and
+    # heavy textures, M = 1 to 100: every threshold meets its tolerance on
+    # an independent survival evaluation
+    for M, nu, kappa in itertools.product((1, 10, 100), (0.3, 2.0, math.inf),
+                                          (1, math.inf)):
+        p = mc.scenario(M=M, kappa=kappa, S=0.0, q=0.5, nu=nu,
+                        rho_c=0.75, rho_s=0.9)
+        rule = tx.gamma_texture_rule(nu, 128 if nu < tx.HEAVY_TAIL_NU else 32)
+        for method in ("eff-sdp", "diag-sp"):
+            for pfa in (0.9, 0.5, 1e-2, 1e-6, 1e-12, 1e-20):
+                vb = det.threshold_for_pfa(p, pfa, method, rule)
+                sf = tx.compound_survival(vb, p, method, rule)
+                assert abs(sf - pfa) < det.PFA_REL_TOL * pfa, \
+                    (M, nu, kappa, method, pfa, sf)
+
+
+def test_threshold_fails_fast_at_a_survival_jump(monkeypatch):
+    # the sp survival switches tails at a texture node's mean, so here F
+    # jumps over pfa = 1e-2, from 0.010334 to 0.009993 at v = 9.8858; the
+    # bracket-and-secant search spent 204 engine calls before giving up
+    p = mc.scenario(M=10, kappa=1, S=0.0, q=1.0, nu=0.3,
+                    rho_c=0.75, rho_s=0.9)
+    rule = tx.gamma_texture_rule(p.nu, 128)
+    calls = _engine_calls(monkeypatch)
+    for method in ("eff-sp", "diag-sp"):
+        calls.clear()
+        with pytest.raises(BracketFail,
+                           match=r"jumps across pfa=0\.01 between "
+                                 r"v=9\.8858\d* \(F=0\.01033\d*\) and "
+                                 r"v=9\.8858\d* \(F=0\.00999\d*\)"):
+            det.threshold_for_pfa(p, 1e-2, method, rule)
+        assert len(calls) <= 60
 
 
 def test_threshold_degenerate_pfa_one():

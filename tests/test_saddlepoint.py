@@ -19,9 +19,22 @@ def fig_scenario():
                        rho_c=0.75, rho_s=0.95)
 
 
+def _tau_prime(z, state):
+    """tau'(z) of a SaddleState, exact log form (the derivative of
+    sp.tau_phase)."""
+    one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), state.c)
+    return (state.lam - (state.c / one_m) @ state.w
+            - (state.g / one_m ** 2).sum(axis=-1))
+
+
+def _state_ev(state):
+    """Element evaluator (tau, tau') over one state's exact phase."""
+    return lambda z, p: (sp.tau_phase(z, state), _tau_prime(z, state))
+
+
 def _invert(tau, st):
     """Root z of tau(z) = tau on the steepest-descent branch (Im z > 0)."""
-    z = sp._invert_nodes(sp._state_ev(st), np.array([tau]), np.array([st.r2]),
+    z = sp._invert_nodes(_state_ev(st), np.array([tau]), np.array([st.r2]),
                          np.zeros(1, dtype=int))
     return complex(z[0, 0])
 
@@ -263,6 +276,28 @@ def test_batch_equals_one_pair_calls(integrator):
     assert np.max(np.abs(shared - want)) <= 1e-14
 
 
+def test_batch_returns_each_pair_saddle():
+    # the saddles survival_pairs hands back are the one-pair solver's, and
+    # a pair at its support shift (survival exactly 1) leaves its entry
+    pairs = _mixed_batch()
+    mgfs = [m for _, m in pairs]
+    v = np.array([x for x, _ in pairs])
+    saddles = np.full(v.size, np.nan)
+    sp.survival_pairs(v, _stack(mgfs), np.arange(len(pairs)), "sp", saddles)
+    want = [sp.solve_saddle(x, m).s0 for x, m in pairs]
+    assert np.allclose(saddles, want, rtol=1e-12, atol=0.0)
+    # the steady target in fully correlated clutter has a positive shift
+    steady = mc.speckle_coeffs(mc.scenario(M=10, kappa=math.inf, S=3.0,
+                                           q=1.0, nu=2.0, rho_c=1.0,
+                                           rho_s=0.9), 1.0)
+    shift = float(sp.support_shift(steady))
+    assert shift > 0.0
+    out = np.full(2, np.nan)
+    sp.survival_pairs([0.5 * shift, 2.0 * float(steady.mean)], steady,
+                      [0, 0], "sp", out)
+    assert np.isnan(out[0]) and out[1] < 0.0
+
+
 def test_march_fallback_inside_batch_matches(monkeypatch):
     pairs = _mixed_batch()
     mgfs = _stack([m for _, m in pairs])
@@ -338,7 +373,7 @@ def test_tau_rows_match_exact_phase_near_and_far():
             z = np.array([0.3j, 0.4 * top * (0.2 + 1j), 0.9 * top * 1j,
                           1.5 * top * (0.1 + 1j), 3.0 * top * 1j])
             tau, dtau = rows(z, np.zeros(z.size, dtype=int))
-            ref, dref = sp.tau_phase(z, st), sp._tau_prime(z, st)
+            ref, dref = sp.tau_phase(z, st), _tau_prime(z, st)
             assert np.all(np.abs(tau - ref) <= 1e-12 * np.maximum(1.0, abs(ref)))
             assert np.all(np.abs(dtau - dref)
                           <= 1e-12 * np.maximum(1.0, abs(dref)))
@@ -350,7 +385,7 @@ def test_newton_step_halving_recovers_poor_starts():
     p = fig_scenario()
     st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0))
     t, _ = sp._TAU_RULE
-    ev = sp._state_ev(st)
+    ev = _state_ev(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
     want = np.array([_invert(float(x), st) for x in t])
     for scale, re in ((0.05, 0.0), (0.2, 1.0), (3.0, -1.0)):

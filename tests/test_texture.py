@@ -320,6 +320,23 @@ def test_survival_interpolator_raises_beyond_search_range():
         tx.survival_interpolator(p, "eff-sp")
 
 
+def test_texture_sum_slope_matches_finite_difference():
+    # the slope from the saddles, d ln T_l/dv ~ s0_l - 1/v per node, is
+    # within 6 % of a central difference of ln F on both tails, for the
+    # exact and the basic saddle-point survival alike
+    p = mc.scenario(M=10, kappa=2, S=0.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    rule, ctx = tx.gamma_texture_rule(p.nu), mc.ScenarioContext(p)
+    for method in (tx.Method.parse("eff-sdp"), tx.Method.parse("diag-sp")):
+        v = np.array([0.3, 3.0, 5.0, 8.0, 20.0])
+        F, slope = tx._texture_sum(v, 0.0, p, method, rule, ctx)
+        up, _ = tx._texture_sum(v * (1.0 + 1e-5), 0.0, p, method, rule, ctx)
+        down, _ = tx._texture_sum(v * (1.0 - 1e-5), 0.0, p, method, rule, ctx)
+        fd = (np.log(up) - np.log(down)) / (2e-5 * v)
+        assert F[0] > 0.9 and F[-1] < 1e-8
+        assert np.all(np.abs(slope / fd - 1.0) < 0.06), slope / fd
+
+
 def _all_node_sum(grid, p, method, rule):
     # every (level, node) pair inverted in one call, then summed
     m = tx.Method.parse(method)
