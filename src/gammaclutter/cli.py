@@ -151,7 +151,7 @@ def cmd_compare(args) -> int:
     params = scenario_params(cfg)
     method = cfg["method"] if args.method is None else args.method
     seed = args.seed if args.seed is not None else cfg["seed"]
-    gof_stats.check_ensemble(args.replicates, args.samples, args.alpha)
+    gof_stats.check_ensemble(args.replicates, args.samples, args.alpha, seed)
     rule = _texture_rule(args, cfg, params.nu)
     sf = texture.survival_interpolator(params, method, rule=rule)
     ens = gof_stats.ks_ensemble(

@@ -14,12 +14,23 @@ kappa = inf).
 
 Streams are counter-based (Philox) keyed by (seed, stream), with draws
 generated in a fixed vectorized order per stream, so results are bit
-identical no matter how streams are distributed over threads.
+identical no matter how streams are distributed over threads.  That order
+is frozen: texture, noise block, clutter block, target sign integers,
+target gammas, each one call over the whole (n, 2, M) block (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11).  Chunking over n or
+a narrower integer dtype would reorder the stream.
+
+The arithmetic around the draws works in place on the drawn blocks and
+forms the same products and sums as the textbook expressions: the sum
+starts from the first scaled block, the AR(1) recursion overwrites its
+normal block, and a target sign is applied by flipping the float sign bit,
+which is exact negation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +51,8 @@ class McConfig:
     target_rotation: str = "limit"
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InvalidScenario("n_samples must be >= 1")
+        check_integer("n_samples", self.n_samples, 1)
+        check_integer("seed", self.seed, 0, 64)
         if self.target_rotation not in ("limit", "identity", "clutter"):
             raise InvalidScenario(
                 f"unknown target rotation '{self.target_rotation}'")
@@ -61,36 +72,54 @@ class EmpiricalDistribution:
         return float(self.sorted_samples.var(ddof=1))
 
 
+def check_integer(name: str, value, lo: int, bits: int | None = None
+                  ) -> None:
+    """Raise InvalidScenario unless value is an integer (not a bool) >= lo,
+    and below 2^bits if bits is given: a float seed or count would
+    otherwise be truncated without a word."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < lo or (bits is not None and value >= 2 ** bits):
+        bound = f">= {lo}" if bits is None else f"in [{lo}, 2^{bits})"
+        raise InvalidScenario(f"{name} must be an integer {bound}; "
+                              f"got {value!r}")
+
+
 def _rng(seed: int, stream: int = 0) -> Generator:
-    return Generator(Philox(key=np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF),
+    check_integer("seed", seed, 0, 64)
+    check_integer("stream", stream, 0, 64)
+    return Generator(Philox(key=np.uint64(seed),
                             counter=[0, 0, 0, int(stream)]))
 
 
 def _clutter_speckle(rng, n, M, spec_c, eig_c):
     """(n, 2, M) unit-variance correlated clutter quadrature components."""
-    H = rng.standard_normal((n, 2, M))
+    X = rng.standard_normal((n, 2, M))
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
         if rho == 0.0:
-            return H
-        X = np.empty_like(H)
-        X[..., 0] = H[..., 0]
+            return X
+        # X[m] = rho X[m-1] + fac H[m], overwriting H; X[0] = H[0]
         fac = math.sqrt(1.0 - rho * rho)
         for m in range(1, M):
-            X[..., m] = rho * X[..., m - 1] + fac * H[..., m]
+            X[..., m] *= fac
+            X[..., m] += rho * X[..., m - 1]
         return X
-    return H @ loading_matrix(eig_c)
+    return X @ loading_matrix(eig_c)
 
 
 def _target_quadrature(rng, n, M, kappa, L_s):
     """(n, 2, M) two-sided-Nakagami target components colored by L_s."""
-    signs = 2.0 * rng.integers(0, 2, size=(n, 2, M)).astype(float) - 1.0
+    flip = rng.integers(0, 2, size=(n, 2, M))
     if kappa == KAPPA_INF:
-        Y = signs
+        Y = np.ones((n, 2, M))
     else:
-        shape = kappa / 2.0
-        G = rng.standard_gamma(shape, size=(n, 2, M)) * (2.0 / kappa)
-        Y = signs * np.sqrt(G)
+        Y = rng.standard_gamma(kappa / 2.0, size=(n, 2, M))
+        Y *= 2.0 / kappa
+        np.sqrt(Y, out=Y)
+    # drawn bit 0 is the sign -1: set the sign bit where it was drawn
+    flip ^= 1
+    flip <<= 63
+    Y.view(np.int64)[...] ^= flip
     return Y @ L_s
 
 
@@ -101,17 +130,26 @@ def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
         U = np.ones(n)
     else:
         U = rng.standard_gamma(nu, size=n) / nu
-    total = np.zeros((n, 2, M))
+    total = None
     if q < 1.0:
-        total += math.sqrt(1.0 - q) * rng.standard_normal((n, 2, M))
+        total = rng.standard_normal((n, 2, M))
+        total *= math.sqrt(1.0 - q)
     if q > 0.0:
         Xc = _clutter_speckle(rng, n, M, params.spec_c, ctx.eig_c)
-        total += np.sqrt(q * U)[:, None, None] * Xc
+        Xc *= np.sqrt(q * U)[:, None, None]
+        if total is None:
+            total = Xc
+        else:
+            total += Xc
     if S > 0.0:
-        L_s = ctx.fp_loading(target_rotation)
-        Xs = _target_quadrature(rng, n, M, params.kappa, L_s)
-        total += math.sqrt(S) * Xs
-    return np.sum(total * total, axis=(1, 2)) / (2.0 * M)
+        Xs = _target_quadrature(rng, n, M, params.kappa,
+                                ctx.fp_loading(target_rotation))
+        Xs *= math.sqrt(S)
+        total += Xs
+    total *= total
+    z = np.sum(total, axis=(1, 2))
+    z /= 2.0 * M
+    return z
 
 
 def simulate_returns(config: McConfig, stream: int = 0,

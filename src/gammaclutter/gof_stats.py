@@ -25,7 +25,8 @@ from numpy.random import Generator, Philox
 from scipy.special import kolmogorov, ndtri
 
 from .errors import InvalidScenario, NonMonotoneSF
-from .fpm_mc import EmpiricalDistribution, McConfig, simulate_returns
+from .fpm_mc import (EmpiricalDistribution, McConfig, check_integer,
+                     simulate_returns)
 from .mgf_core import ScenarioContext, ScenarioParams
 
 BOOTSTRAP_RESAMPLES = 1000
@@ -129,20 +130,36 @@ class KSEnsemble:
         return json.dumps(payload, indent=indent)
 
 
-def _replicate_stats(params, sf, K, n, seed, stream_base):
-    out = np.empty(K)
+def _replicate_stats(params, sfs, K, n, seed, stream_base):
+    """(len(sfs), K) KS statistics: each replicate draw is scored against
+    every survival function in ``sfs``."""
+    out = np.empty((len(sfs), K))
     ctx = ScenarioContext(params)
+    cfg = McConfig(n, seed, params)
     for r in range(K):
-        cfg = McConfig(n, seed, params)
         dist = simulate_returns(cfg, stream=stream_base + r, ctx=ctx)
-        out[r] = ks_statistic(dist, sf)
+        for i, sf in enumerate(sfs):
+            out[i, r] = ks_statistic(dist, sf)
     return out
 
 
 def _stats_worker(args):
-    params, sf, k_lo, k_hi, n, seed, stream_base = args
-    return _replicate_stats(params, sf, k_hi - k_lo, n, seed,
+    params, sfs, k_lo, k_hi, n, seed, stream_base = args
+    return _replicate_stats(params, sfs, k_hi - k_lo, n, seed,
                             stream_base + k_lo)
+
+
+def _ensemble_stats(params, sfs, K, n, seed, stream_base, threads):
+    """_replicate_stats, with the replicates split over ``threads`` worker
+    processes when threads > 1; a replicate's stream does not depend on
+    the split."""
+    if not threads or threads <= 1:
+        return _replicate_stats(params, sfs, K, n, seed, stream_base)
+    chunks = np.array_split(np.arange(K), threads)
+    jobs = [(params, sfs, int(ch[0]), int(ch[-1]) + 1, n, seed, stream_base)
+            for ch in chunks if ch.size]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(_stats_worker, jobs)), axis=1)
 
 
 def rejection_scan(dkw_curve, band_lo) -> bool:
@@ -157,11 +174,14 @@ def rejection_scan(dkw_curve, band_lo) -> bool:
     return False
 
 
-def check_ensemble(K: int, n: int, alpha: float) -> None:
-    """Raise InvalidScenario unless K >= 1, n >= 1 and 0 < alpha < 1."""
-    if K < 1 or n < 1 or not 0.0 < alpha < 1.0:
-        raise InvalidScenario(f"need K >= 1, n >= 1 and 0 < alpha < 1; got "
-                              f"K={K}, n={n}, alpha={alpha}")
+def check_ensemble(K: int, n: int, alpha: float, seed: int) -> None:
+    """Raise InvalidScenario unless K and n are integers >= 1, the seed an
+    integer in [0, 2^64) and 0 < alpha < 1."""
+    check_integer("K", K, 1)
+    check_integer("n", n, 1)
+    check_integer("seed", seed, 0, 64)
+    if not 0.0 < alpha < 1.0:
+        raise InvalidScenario(f"need 0 < alpha < 1; got alpha={alpha}")
 
 
 def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
@@ -173,17 +193,16 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
     Kolmogorov theoretical curve (as function of the raw statistic), the DKW
     tracking curve, and the rejection decision.
     """
-    check_ensemble(K, n, alpha)
-    if threads and threads > 1:
-        chunks = np.array_split(np.arange(K), threads)
-        jobs = [(params, method_sf, int(ch[0]), int(ch[-1]) + 1, n, seed,
-                 stream_base) for ch in chunks if ch.size]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_stats_worker, jobs))
-        stats = np.concatenate(parts)
-    else:
-        stats = _replicate_stats(params, method_sf, K, n, seed, stream_base)
+    check_ensemble(K, n, alpha, seed)
+    stats = _ensemble_stats(params, [method_sf], K, n, seed, stream_base,
+                            threads)[0]
+    return _ensemble(stats, n, seed, alpha, stream_base, config_echo or {})
 
+
+def _ensemble(stats, n, seed, alpha, stream_base, config_echo) -> KSEnsemble:
+    """The bands, curves and rejection decision of K replicate statistics;
+    the bootstrap stream is keyed by (seed, stream_base)."""
+    K = stats.size
     grid = np.linspace(0.0, 1.2 * float(stats.max()), BAND_GRID_POINTS)
     sorted_stats = np.sort(stats)
     counts = K - np.searchsorted(sorted_stats, grid, side="right")
@@ -209,25 +228,32 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
     rejected = rejection_scan(dkw, green_lo)
     return KSEnsemble(stats, grid, ens_sf, boot_lo, boot_hi, green_lo,
                       green_hi, kolm, dkw, n, K, alpha, rejected,
-                      config_echo or {})
+                      config_echo)
 
 
-def power_study(params: ScenarioParams, delta: float, sf, K: int = 400,
+def power_study(params: ScenarioParams, deltas, sf, K: int = 400,
                 n: int = 10000, alpha: float = 0.01, seed: int = 1,
-                trials: int = 20, threads: int = 0) -> float:
-    """Fraction of replicate ensembles that reject the tilted survival model.
+                trials: int = 20, threads: int = 0) -> np.ndarray:
+    """Fraction of replicate ensembles that reject the tilted survival
+    model, one per peak deviation in ``deltas``.
 
     The null being tested is G = sf^(1+eps) with eps chosen so the peak
-    deviation from the true curve equals ``delta``; samples always come from
-    the untilted first-principles simulator.
+    deviation from the true curve equals delta; samples always come from
+    the untilted first-principles simulator.  Every tilt is scored on the
+    same replicate draws, and each gets the ensemble (bootstrap stream
+    included) that ks_ensemble would build for it alone.
     """
-    if trials < 1 or not delta >= 0.0:
-        raise InvalidScenario(f"need trials >= 1 and delta >= 0; got "
-                              f"trials={trials}, delta={delta}")
-    g = PerturbedSF(sf, epsilon_from_delta(delta)) if delta > 0.0 else sf
-    hits = 0
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    check_integer("trials", trials, 1)
+    if deltas.size == 0 or not np.all(deltas >= 0.0):
+        raise InvalidScenario(f"need one or more deltas, each >= 0; got "
+                              f"{deltas.tolist()}")
+    check_ensemble(K, n, alpha, seed)
+    sfs = [PerturbedSF(sf, epsilon_from_delta(d)) if d > 0.0 else sf
+           for d in deltas]
+    hits = np.zeros(deltas.size)
     for t in range(trials):
-        ens = ks_ensemble(params, g, K, n, seed, alpha,
-                          stream_base=t * K, threads=threads)
-        hits += int(ens.rejected)
+        stats = _ensemble_stats(params, sfs, K, n, seed, t * K, threads)
+        for i, row in enumerate(stats):
+            hits[i] += _ensemble(row, n, seed, alpha, t * K, {}).rejected
     return hits / trials

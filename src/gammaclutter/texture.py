@@ -231,11 +231,60 @@ class SurvivalInterpolator:
         return np.where(v <= 0.0, 1.0, out)
 
 
+def _floor_rung(params, method, rule, ctx) -> float:
+    """The interpolator's grid end; see survival_interpolator."""
+    rungs = [1.0 + params.S]
+    while rungs[-1] * 1.4 <= V_SEARCH_MAX:
+        rungs.append(rungs[-1] * 1.4)
+    rungs = np.array(rungs)
+    F, slope = _texture_sum(rungs[:1], params.S, params, method, rule, ctx)
+    if F[0] <= SF_FLOOR:
+        return float(rungs[0])
+    a, b = 0, None      # highest rung above the floor, lowest one at/below
+    while b != a + 1:
+        if b is not None:
+            k = np.arange(a + 1, b)
+        elif a == rungs.size - 1:
+            raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
+                                f"v={V_SEARCH_MAX:g}")
+        else:
+            cross = rungs[a]
+            if slope[-1] < 0.0:
+                cross += (math.log(SF_FLOOR) - math.log(F[-1])) / slope[-1]
+            top = min(a + 1 + int(np.searchsorted(rungs[a + 1:], cross)),
+                      rungs.size - 1)
+            k = np.arange(max(a + 1, top - 1), top + 1)
+        F, slope = _texture_sum(rungs[k], params.S, params, method, rule,
+                                ctx)
+        below = np.flatnonzero(F <= SF_FLOOR)
+        if below.size == 0:
+            a = int(k[-1])
+            continue
+        b = int(k[below[0]])
+        if below[0]:
+            a = b - 1
+    return float(rungs[b])
+
+
 def survival_interpolator(params: ScenarioParams, method="eff-sdp",
                           n_points: int = 400,
                           rule: TextureRule | None = None
                           ) -> SurvivalInterpolator:
-    """Build a fast survival callable covering survival down to SF_FLOOR."""
+    """Build a fast survival callable covering survival down to SF_FLOOR.
+
+    The grid ends at the first rung of the ladder (1 + S) 1.4^k, each rung
+    built by repeated ``*= 1.4``, whose survival is at most SF_FLOOR.  The
+    rungs are not walked one by one: from the highest rung known above the
+    floor, the tangent of ln F (its slope comes with F from
+    ``_texture_sum``) picks the first rung at or past its crossing of
+    ln SF_FLOOR, and that rung and the one before it are summed in one
+    call.  The end is accepted only as F(rung k-1) > SF_FLOOR >= F(rung k):
+    a tangent that stops short (convex K tails) is taken again from the new
+    highest rung, and one that overshoots (concave gamma tails) is followed
+    by one call over the rungs it skipped.  The README's scenario takes two
+    texture sums.  No rung above V_SEARCH_MAX is tried, and NoConvergence
+    is raised when every rung is above the floor.
+    """
     if n_points < 2:
         raise InvalidScenario(f"n_points {n_points} must be >= 2")
     if isinstance(method, str):
@@ -243,12 +292,7 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     if rule is None:
         rule = gamma_texture_rule(params.nu)
     ctx = ScenarioContext(params)
-    hi = 1.0 + params.S
-    while compound_survival(hi, params, method, rule, ctx) > SF_FLOOR:
-        hi *= 1.4
-        if hi > V_SEARCH_MAX:
-            raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
-                                f"v={V_SEARCH_MAX:g}")
+    hi = _floor_rung(params, method, rule, ctx)
     grid = np.linspace(0.0, hi, n_points)
     vals = survival_curve(grid[1:], params, method, rule, ctx)
     log_sf = np.concatenate(([0.0], np.log(np.clip(vals, 1e-300, 1.0))))

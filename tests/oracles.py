@@ -7,8 +7,10 @@ survival by the Bromwich integral on a vertical contour (from the
 library's MGF coefficients, independent of its saddle-point engine),
 Monte Carlo returns with a plain normal target in place of the library's
 two-sided Nakagami one, moments from finite differences of the compound
-CGF, and the closed-form fully correlated target MGF.  The pairwise-cosh steady-target MGFs are exact
-only for M <= 2 and serve as references there alone.
+CGF, the closed-form fully correlated target MGF, and the survival
+interpolator's grid end by a rung-by-rung walk.  The pairwise-cosh
+steady-target MGFs are exact only for M <= 2 and serve as references there
+alone.
 """
 
 import cmath
@@ -29,7 +31,8 @@ from gammaclutter.mgf_core import (
     Scheme,
     speckle_coeffs,
 )
-from gammaclutter.texture import gamma_texture_rule
+from gammaclutter.texture import (SF_FLOOR, V_SEARCH_MAX, compound_survival,
+                                  gamma_texture_rule)
 
 # Step halvings of the contour oracle's trapezoid rule.
 _ORACLE_HALVINGS = 12
@@ -325,6 +328,19 @@ def compound_bromwich(v, params, rule=None, ctx=None,
     vals = [bromwich_oracle(float(v), params, float(u), scheme, ctx)
             for u in rule.nodes]
     return float(np.dot(rule.weights, vals))
+
+
+def floor_rung_walk(params, method, rule, ctx) -> float:
+    """The first rung of (1 + S) 1.4^k, k = 0, 1, ..., whose compound
+    survival is at most SF_FLOOR, one scalar survival per rung; raises
+    NoConvergence once the next rung passes V_SEARCH_MAX."""
+    hi = 1.0 + params.S
+    while compound_survival(hi, params, method, rule, ctx) > SF_FLOOR:
+        hi *= 1.4
+        if hi > V_SEARCH_MAX:
+            raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
+                                f"v={V_SEARCH_MAX:g}")
+    return hi
 
 
 def compound_log_mgf(params: ScenarioParams, s, rule,

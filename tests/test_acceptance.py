@@ -273,10 +273,9 @@ def test_criterion_09_power_study():
     t0 = time.time()
     p = fig45_params(2)
     sf = cached_sf(2, "eff-sdp")
-    power = gof_stats.power_study(p, 0.003, K=400, n=10000, alpha=0.01,
-                                  seed=909, trials=20, sf=sf, threads=2)
-    null_rate = gof_stats.power_study(p, 0.0, K=400, n=10000, alpha=0.01,
-                                      seed=909, trials=20, sf=sf, threads=2)
+    power, null_rate = gof_stats.power_study(
+        p, (0.003, 0.0), K=400, n=10000, alpha=0.01, seed=909, trials=20,
+        sf=sf, threads=2)
     dt = time.time() - t0
     ok = power >= 0.95 and null_rate <= 0.05
     assert report(9, ok, f"power(delta=0.003)={power:.2f} (need >=0.95), "

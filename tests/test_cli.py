@@ -165,6 +165,23 @@ def test_compare_checks_arguments_before_building(tmp_path, monkeypatch):
                          flag, value]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, 2 ** 64, "7", True])
+def test_compare_rejects_a_bad_seed_before_building(tmp_path, seed,
+                                                    monkeypatch, capsys):
+    # "seed": 1.5 was echoed as 1.5 while seed 1's stream was drawn, and
+    # "seed": -1 escaped as an OverflowError traceback
+    def unreachable(*args, **kwargs):
+        raise AssertionError("interpolator built before the seed check")
+
+    monkeypatch.setattr(texture, "survival_interpolator", unreachable)
+    scen = write_scenario(tmp_path, seed=seed)
+    args = ["compare", "--scenario", scen, "--threads", "1",
+            "--replicates", "4", "--samples", "50"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "seed must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert cli.main(args + ["--seed", "-1"]) == cli.EXIT_CONFIG
+
+
 def test_bench_vmax_raises_beyond_search_range():
     from gammaclutter.errors import NoConvergence
     from gammaclutter.mgf_core import ScenarioContext, scenario

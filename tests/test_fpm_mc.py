@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 import gammaclutter.fpm_mc as fp
 import gammaclutter.mgf_core as mc
+from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import InvalidScenario
 from oracles import (WorstCaseLaw, mgf_first_principles_steady,
                      simulate_gaussian_target_channel, worst_case_mgf)
@@ -58,6 +59,71 @@ def test_golden_vector_seed42():
         3.133864731827892, 3.3820923989368734,
     ])
     assert np.array_equal(got, want)
+
+
+# _draw_block at seed 2024, stream 3, n=4, one case per branch of the
+# sampler: each departs from _BRANCH_BASE in the named parameter.  The values were
+# recorded from the textbook form of the sampler (zero-initialized sum,
+# astype signs, out-of-place AR(1)) and pin the Philox call order and the
+# arithmetic around it bit for bit.
+_BRANCH_BASE = dict(M=3, kappa=2, S=2.0, q=0.5, nu=2.0, rho_s=0.6, rho_c=0.5)
+_BRANCH_CASES = {
+    "kappa1": dict(kappa=1),
+    "kappa2": dict(),
+    "kappa_inf": dict(kappa=math.inf),
+    "q0": dict(q=0.0),
+    "q1": dict(q=1.0),
+    "rho_c0": dict(rho_c=0.0),
+    "nu_inf": dict(nu=math.inf),
+    "S0": dict(S=0.0),
+    "M1": dict(M=1, rho_s=0.0, rho_c=0.0),
+    "toeplitz_c": dict(spec_c=CorrelationSpec.toeplitz([1.0, 0.5, 0.2])),
+}
+_BRANCH_DRAWS = {
+    "kappa1": [3.106469921304075, 4.672407712412993,
+               2.276829959709359, 1.0772787297373954],
+    "kappa2": [2.1064255607986793, 1.5926121562890474,
+               1.3045784954668944, 2.400207796223343],
+    "kappa_inf": [1.9402650655786806, 1.6118422626858904,
+                  1.5187531659735305, 1.6092175560033952],
+    "q0": [4.3764134876401855, 4.877809783923912,
+           4.849132378266771, 2.6622743750862914],
+    "q1": [2.778792356539928, 4.505738053865266,
+           6.804912384364115, 2.218369973720394],
+    "rho_c0": [2.1497835472391205, 1.6701158852066518,
+               1.9128293645382122, 2.4973228302953867],
+    "nu_inf": [3.4557241651352215, 3.7347310401199323,
+               2.689160392093486, 1.9515926747921737],
+    "S0": [1.482271879120595, 1.2302639826440707,
+           1.6852811189321655, 1.1269322621589026],
+    "M1": [0.4392747125089762, 5.605111485568177,
+           3.8556475390251648, 5.350419341509876],
+    "toeplitz_c": [0.91817647608116, 0.8982364264489965,
+                   1.6648215589808952, 2.393232184607731],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
+def test_draw_block_frozen_per_branch(case):
+    p = mc.scenario(**{**_BRANCH_BASE, **_BRANCH_CASES[case]})
+    got = fp._draw_block(fp._rng(2024, 3), 4, p, mc.ScenarioContext(p))
+    assert np.array_equal(got, np.array(_BRANCH_DRAWS[case]))
+
+
+def test_non_integer_seed_or_count_is_rejected():
+    # a float seed was truncated (1.5 drew seed 1's stream), a negative one
+    # raised OverflowError and a float count leaked numpy's TypeError
+    p = mc.scenario(M=2, kappa=2, S=1.0, q=0.5, nu=2.0)
+    for n, seed in ((10, 1.5), (10, -1), (10, 2 ** 64), (10, True),
+                    (10.0, 1), (2.5, 1), (0, 1)):
+        with pytest.raises(InvalidScenario, match="must be an integer"):
+            fp.McConfig(n, seed, p)
+    for seed, stream in ((1.5, 0), (-1, 0), (1, 0.5), (1, -2)):
+        with pytest.raises(InvalidScenario, match="must be an integer"):
+            fp._rng(seed, stream)
+    # numpy integers are integers
+    cfg = fp.McConfig(np.int64(8), np.uint64(42), p)
+    assert fp.simulate_returns(cfg, stream=np.int64(0)).n == 8
 
 
 def test_gaussian_channel_matches_nakagami_route():

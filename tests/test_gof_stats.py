@@ -127,12 +127,44 @@ def test_ensemble_rejects_alpha_outside_unit_interval():
             gs.ks_ensemble(p, ErlangSF(3), K=4, n=50, seed=2, alpha=alpha)
 
 
+def test_ensemble_rejects_non_integer_counts_and_seeds():
+    # K=4.5 leaked numpy's TypeError, seed=2.5 drew seed 2's stream
+    p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    for K, n, seed in ((4.5, 50, 2), (4, 50.0, 2), (4, 50, 2.5),
+                       (4, 50, -1)):
+        with pytest.raises(InvalidScenario, match="must be an integer"):
+            gs.ks_ensemble(p, ErlangSF(3), K=K, n=n, seed=seed)
+
+
 def test_power_study_rejects_bad_trials_and_delta():
     # trials=0 divided by zero; a negative delta tested the untilted model
     p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
-    for delta, trials in ((0.01, 0), (-0.01, 1), (math.nan, 1)):
-        with pytest.raises(InvalidScenario, match="trials >= 1 and delta"):
-            gs.power_study(p, delta, ErlangSF(3), K=4, n=50, trials=trials)
+    for trials in (0, 1.5):
+        with pytest.raises(InvalidScenario, match="trials must be an integer"):
+            gs.power_study(p, [0.01], ErlangSF(3), K=4, n=50, trials=trials)
+    for deltas in ([-0.01], [math.nan], [0.0, -0.01], []):
+        with pytest.raises(InvalidScenario, match="need one or more deltas"):
+            gs.power_study(p, deltas, ErlangSF(3), K=4, n=50, trials=1)
+
+
+def test_power_study_scores_every_tilt_on_one_draw():
+    # one power per delta, each equal to the rejection rate of the
+    # ensembles ks_ensemble builds for that tilt alone
+    M = 3
+    p = mc.scenario(M=M, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    sf = ErlangSF(M)
+    deltas = (0.0, 0.05, 0.2)
+    K, n, trials = 20, 400, 3
+    power = gs.power_study(p, deltas, sf, K=K, n=n, seed=4, trials=trials)
+    for d, got in zip(deltas, power):
+        g = gs.PerturbedSF(sf, gs.epsilon_from_delta(d)) if d else sf
+        ens = [gs.ks_ensemble(p, g, K, n, 4, stream_base=t * K)
+               for t in range(trials)]
+        assert got == np.mean([e.rejected for e in ens])
+    assert power[0] == 0.0 and power[2] == 1.0
+    assert np.array_equal(
+        gs.power_study(p, deltas, sf, K=K, n=n, seed=4, trials=trials,
+                       threads=2), power)
 
 
 def test_rejection_scan_consecutive_rule():

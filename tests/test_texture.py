@@ -12,7 +12,7 @@ from gammaclutter.errors import (DegenerateV, InvalidScenario, InvalidShape,
                                  NoConvergence, OrderTooLarge)
 
 import oracles
-from oracles import bromwich_oracle, gamma_moment
+from oracles import bromwich_oracle, floor_rung_walk, gamma_moment
 
 
 def test_rule_normalization_and_mean():
@@ -314,10 +314,65 @@ def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
 
 def test_survival_interpolator_raises_beyond_search_range():
     # S = 50 dB: the exponential survival is still e^-7.5 at v = 7.5e5,
-    # the last level the expanding search reaches below 1e6
-    p = mc.scenario(M=1, kappa=1, S=1e5, q=0.0, nu=np.inf)
-    with pytest.raises(NoConvergence):
-        tx.survival_interpolator(p, "eff-sp")
+    # the last level the expanding search reaches below 1e6; at S = 2e6 the
+    # first rung is already past it
+    for S in (1e5, 2e6):
+        p = mc.scenario(M=1, kappa=1, S=S, q=0.0, nu=np.inf)
+        with pytest.raises(NoConvergence, match="up to v=1e"):
+            tx.survival_interpolator(p, "eff-sp")
+
+
+def _floor_rung_calls(monkeypatch, p, method):
+    """_floor_rung's end and the power levels of each texture sum it made."""
+    calls = []
+    texture_sum = tx._texture_sum
+
+    def counting(v, *args, **kwargs):
+        calls.append(np.atleast_1d(v).copy())
+        return texture_sum(v, *args, **kwargs)
+
+    monkeypatch.setattr(tx, "_texture_sum", counting)
+    rule = tx.gamma_texture_rule(p.nu)
+    hi = tx._floor_rung(p, tx.Method.parse(method), rule,
+                        mc.ScenarioContext(p))
+    monkeypatch.undo()
+    return hi, calls
+
+
+@pytest.mark.parametrize("method", ["eff-sdp", "dmg-sp"])
+def test_floor_rung_matches_the_rung_walk(monkeypatch, method):
+    # the tangent only picks which rungs to sum: the end is the same float
+    # as the rung-by-rung walk's, and the ks-m10 scenario takes two sums
+    ks = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                     rho_c=0.75, rho_s=0.9)
+    # the first tangent stops short of the crossing (convex K tail) ...
+    short = mc.scenario(M=10, kappa=2, S=0.0, q=0.9, nu=0.6,
+                        rho_c=0.5, rho_s=0.5)
+    # ... or passes the rung below it (concave tail of a steady target), so
+    # the skipped rungs are filled in
+    over = mc.scenario(M=10, kappa=np.inf, S=11.0, q=0.2, nu=np.inf,
+                       rho_c=0.5, rho_s=0.5)
+    rng = np.random.default_rng(16)
+    draws = [mc.scenario(M=int(rng.choice([1, 2, 4, 10])),
+                         kappa=rng.choice([1, 2, 3, np.inf]),
+                         S=float(rng.choice([0.0, rng.uniform(0, 20)])),
+                         q=float(rng.uniform(0, 1)),
+                         nu=float(rng.choice([0.6, 1.0, 2.0, 8.0, np.inf])),
+                         rho_c=float(rng.uniform(0, 0.95)),
+                         rho_s=float(rng.uniform(0, 0.95)))
+             for _ in range(6)]
+    for p in [ks, short, over] + draws:
+        rule = tx.gamma_texture_rule(p.nu)
+        want = floor_rung_walk(p, method, rule, mc.ScenarioContext(p))
+        hi, calls = _floor_rung_calls(monkeypatch, p, method)
+        assert hi == want
+        first_pick = calls[1] if len(calls) > 1 else calls[0]
+        if p is ks:
+            assert len(calls) <= 2
+        elif p is short:
+            assert first_pick.max() < want
+        elif p is over:
+            assert first_pick.min() >= want and len(calls) == 3
 
 
 def test_texture_sum_slope_matches_finite_difference():
