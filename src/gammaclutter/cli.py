@@ -165,20 +165,30 @@ def cmd_compare(args) -> int:
 
 
 def _bench_vmax(params, rule, ctx) -> float:
-    lo, hi = 1.0 + params.S, 2.0 * (1.0 + params.S)
-    while texture.compound_survival(hi, params, "eff-sdp", rule, ctx) > 1e-3:
-        hi *= 1.5
-        if hi > texture.V_SEARCH_MAX:
+    """The draw's grid end: hi with F(hi) <= 1e-3 < F(lo), hi - lo < 1e-3 hi,
+    by the bracketed Newton of threshold_for_pfa on ln F(v) = ln 1e-3.  A
+    step under 3e-3 v gives way to the two points v (1 -+ 4e-4) in one sum.
+    """
+    eff, goal = texture.Method.parse("eff-sdp"), math.log(1e-3)
+    lo, hi, f_p = 0.0, math.inf, math.inf
+    pts = np.array([min(detector._gamma_quantile(params, 1e-3),
+                        texture.V_SEARCH_MAX)])
+    while hi - lo >= 1e-3 * hi:
+        if hi == math.inf and pts[-1] > texture.V_SEARCH_MAX:
             raise NoConvergence("eff-sdp survival stays above 1e-3 up to "
                                 f"v={texture.V_SEARCH_MAX:g}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if texture.compound_survival(mid, params, "eff-sdp", rule, ctx) > 1e-3:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-3 * hi:
-            break
+        F, slope = texture._texture_sum(pts, params.S, params, eff, rule, ctx)
+        lo, hi = max([lo, *pts[F > 1e-3]]), min([hi, *pts[F <= 1e-3]])
+        with np.errstate(all="ignore"):
+            v, f = pts[-1], np.log(F[-1]) - goal
+            t = float(v - f / slope[-1])
+        if hi == math.inf:
+            t = t if v < t < 2.0 * v else 2.0 * v
+        elif not (lo < t < hi and abs(f) <= 0.5 * abs(f_p)):
+            t = 0.5 * (lo + hi)
+        f_p = f
+        pts = np.array([t]) if abs(t - v) >= 3e-3 * t else \
+            t * np.array([1.0 - 4e-4, 1.0 + 4e-4])
     return hi
 
 

@@ -38,6 +38,13 @@ class DetectionCurve:
     method: str
 
 
+def _gamma_quantile(params: ScenarioParams, p: float) -> float:
+    """Upper-p quantile of the gamma law with the return's two moments."""
+    mom = analytic_moments(params)
+    scale = mom.variance / mom.mean
+    return scale * gammainccinv(mom.mean / scale, p)
+
+
 def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
                       rule: TextureRule | None = None) -> float:
     """Threshold v_b with |F(v_b; 0) - pfa| < PFA_REL_TOL * pfa.
@@ -71,9 +78,7 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         return (F, math.log(F / (1.0 - F)) - goal,
                 2.0 * x * slope[0] / (1.0 - F))
 
-    mom = analytic_moments(null)
-    scale = mom.variance / mom.mean
-    x = math.sqrt(scale * gammainccinv(mom.mean / scale, pfa))
+    x = math.sqrt(_gamma_quantile(null, pfa))
     lo, hi, F_lo, F_hi = 0.0, math.inf, 1.0, 0.0   # F(lo^2) > pfa > F(hi^2)
     x_p = f_p = g_p = math.nan
     for _ in range(100):

@@ -199,15 +199,27 @@ def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
     return _ensemble(stats, n, seed, alpha, stream_base, config_echo or {})
 
 
+def _greenwood(stats, n, alpha):
+    """Grid, ensemble survival, Greenwood limits and DKW curve of K replicate
+    statistics, and the rejection decision, which reads only these."""
+    K = stats.size
+    grid = np.linspace(0.0, 1.2 * float(stats.max()), BAND_GRID_POINTS)
+    ens_sf = (K - np.searchsorted(np.sort(stats), grid, side="right")) / K
+    z = ndtri(1.0 - alpha / 2.0)
+    se = np.sqrt(ens_sf * (1.0 - ens_sf) / K)
+    green_lo = np.clip(ens_sf - z * se, 0.0, 1.0)
+    green_hi = np.clip(ens_sf + z * se, 0.0, 1.0)
+    dkw = np.minimum(1.0, 2.0 * np.exp(-2.0 * n * grid ** 2))
+    return (grid, ens_sf, green_lo, green_hi, dkw,
+            rejection_scan(dkw, green_lo))
+
+
 def _ensemble(stats, n, seed, alpha, stream_base, config_echo) -> KSEnsemble:
     """The bands, curves and rejection decision of K replicate statistics;
     the bootstrap stream is keyed by (seed, stream_base)."""
     K = stats.size
-    grid = np.linspace(0.0, 1.2 * float(stats.max()), BAND_GRID_POINTS)
-    sorted_stats = np.sort(stats)
-    counts = K - np.searchsorted(sorted_stats, grid, side="right")
-    ens_sf = counts / K
-
+    grid, ens_sf, green_lo, green_hi, dkw, rejected = _greenwood(stats, n,
+                                                                 alpha)
     rng = Generator(Philox(key=np.uint64(seed),
                            counter=[0, 0, 1, np.uint64(2 ** 31 + stream_base)]))
     boot = np.empty((BOOTSTRAP_RESAMPLES, grid.size))
@@ -216,19 +228,9 @@ def _ensemble(stats, n, seed, alpha, stream_base, config_echo) -> KSEnsemble:
         boot[b] = (K - np.searchsorted(res, grid, side="right")) / K
     boot_lo = np.quantile(boot, alpha / 2.0, axis=0)
     boot_hi = np.quantile(boot, 1.0 - alpha / 2.0, axis=0)
-
-    z = ndtri(1.0 - alpha / 2.0)
-    se = np.sqrt(ens_sf * (1.0 - ens_sf) / K)
-    green_lo = np.clip(ens_sf - z * se, 0.0, 1.0)
-    green_hi = np.clip(ens_sf + z * se, 0.0, 1.0)
-
-    rootn = math.sqrt(n)
-    kolm = kolmogorov(grid * rootn)
-    dkw = np.minimum(1.0, 2.0 * np.exp(-2.0 * n * grid ** 2))
-    rejected = rejection_scan(dkw, green_lo)
     return KSEnsemble(stats, grid, ens_sf, boot_lo, boot_hi, green_lo,
-                      green_hi, kolm, dkw, n, K, alpha, rejected,
-                      config_echo)
+                      green_hi, kolmogorov(grid * math.sqrt(n)), dkw, n, K,
+                      alpha, rejected, config_echo)
 
 
 def power_study(params: ScenarioParams, deltas, sf, K: int = 400,
@@ -240,8 +242,8 @@ def power_study(params: ScenarioParams, deltas, sf, K: int = 400,
     The null being tested is G = sf^(1+eps) with eps chosen so the peak
     deviation from the true curve equals delta; samples always come from
     the untilted first-principles simulator.  Every tilt is scored on the
-    same replicate draws, and each gets the ensemble (bootstrap stream
-    included) that ks_ensemble would build for it alone.
+    same replicate draws, and each gets the rejection decision that
+    ks_ensemble would make for it alone; no bootstrap band is built.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     check_integer("trials", trials, 1)
@@ -255,5 +257,5 @@ def power_study(params: ScenarioParams, deltas, sf, K: int = 400,
     for t in range(trials):
         stats = _ensemble_stats(params, sfs, K, n, seed, t * K, threads)
         for i, row in enumerate(stats):
-            hits[i] += _ensemble(row, n, seed, alpha, t * K, {}).rejected
+            hits[i] += _greenwood(row, n, alpha)[-1]
     return hits / trials

@@ -18,9 +18,9 @@ pole row per (S, u) pair,
 ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s);
 ``speckle_coeffs`` and ``steady_coeffs`` are its one-row calls.
 
-Three coefficient schemes are supported: the full effective model (fresh
-aggregated eigenvalues per texture node), the commuting "diagonal"
-approximation, and the simplified one-spike DMG spectra, which come from
+Three schemes: the full effective model (aggregated eigenvalues per (S, u)
+pair, each from Cantoni & Butler's centrosymmetric split), the commuting
+"diagonal" approximation, and the one-spike DMG spectra, which come from
 the effective looks alone and decompose no matrix.
 """
 
@@ -208,21 +208,26 @@ class ScenarioContext:
     def aggregated_eigenvalues(self, S, u) -> np.ndarray:
         """Ascending eigenvalues of C_sc at every pair (S[i], u[i]).
 
-        Decomposed afresh for every pair: the survival pipeline does this
-        per (power level, texture node) pair, which is the effective model's
-        defining extra cost relative to the commuting approximations.  The
-        stacks given to LAPACK hold at most _EIG_CHUNK matrix entries, so
-        they stay small at large M.
+        Decomposed afresh for every pair, the effective model's defining
+        cost.  C_sc is symmetric Toeplitz with first row r (mixed in O(M)):
+        with m = M // 2, A_ij = r_|i-j| and H_ij = r_(M-1-i-j), its spectrum
+        is that of the m x m blocks A - H and A + H, the latter bordered for
+        odd M by sqrt(2) r_(m-i) and r_0 (Cantoni & Butler, Linear Algebra
+        Appl. 13, 1976, on centrosymmetric matrices).
         """
         p = self.params
-        S, u = np.atleast_1d(S), np.atleast_1d(u)
-        per = max(1, _EIG_CHUNK // (p.M * p.M))
-        got = np.empty((u.size, p.M))
-        for i in range(0, u.size, per):
-            got[i:i + per] = np.linalg.eigvalsh(aggregated_corr(
-                self.C_c, self.C_s, p.q, u[i:i + per], S[i:i + per], p.kappa))
-        np.clip(got, 0.0, None, out=got)
-        return got
+        m, i = p.M // 2, np.arange((p.M + 1) // 2)[:, None]
+        A, H = np.abs(i - i.T), p.M - 1 - i - i.T
+        w = np.where(i < m, 1.0, math.sqrt(0.5))   # odd M: the border
+        r = aggregated_corr(self.C_c[:1], self.C_s[:1], p.q, np.atleast_1d(u),
+                            np.atleast_1d(S), p.kappa)[:, 0]
+        per = max(1, _EIG_CHUNK // i.size ** 2)
+        got = np.empty((r.shape[0], p.M))
+        for k in range(0, r.shape[0], per):
+            a, h = r[k:k + per, A], r[k:k + per, H]
+            got[k:k + per, :m] = np.linalg.eigvalsh((a - h)[:, :m, :m])
+            got[k:k + per, m:] = np.linalg.eigvalsh((a + h) * (w * w.T))
+        return np.clip(np.sort(got, axis=1), 0.0, None)
 
 
 def aggregated_corr(Cc, Cs, q, u, S, kappa) -> np.ndarray:

@@ -182,6 +182,31 @@ def test_compare_rejects_a_bad_seed_before_building(tmp_path, seed,
     assert cli.main(args + ["--seed", "-1"]) == cli.EXIT_CONFIG
 
 
+def test_bench_vmax_brackets_in_few_texture_sums(monkeypatch):
+    # the first seed-1 bench draw: a Newton search on ln F with the texture
+    # sum's slope, not a scalar ladder and bisection (12 sums before)
+    from gammaclutter.mgf_core import ScenarioContext, scenario
+    from gammaclutter.texture import gamma_texture_rule
+    rng = np.random.default_rng(1)
+    p = scenario(M=100, kappa=2, S=rng.uniform(1.0, 10.0),
+                 q=rng.uniform(0.5, 1.0), nu=rng.uniform(1.0, 10.0),
+                 rho_s=0.95, rho_c=0.75)
+    rule = gamma_texture_rule(p.nu)
+    sums = []
+    original = texture._texture_sum
+
+    def counting(v, *args):
+        sums.append(v)
+        return original(v, *args)
+
+    monkeypatch.setattr(texture, "_texture_sum", counting)
+    hi = cli._bench_vmax(p, rule, ScenarioContext(p))
+    assert len(sums) <= 5
+    monkeypatch.undo()
+    F = texture.survival_curve([hi, hi * (1.0 - 1e-3)], p, "eff-sdp", rule)
+    assert F[0] <= 1e-3 < F[1]
+
+
 def test_bench_vmax_raises_beyond_search_range():
     from gammaclutter.errors import NoConvergence
     from gammaclutter.mgf_core import ScenarioContext, scenario

@@ -167,6 +167,23 @@ def test_power_study_scores_every_tilt_on_one_draw():
                        threads=2), power)
 
 
+def test_greenwood_decision_matches_full_ensemble():
+    # power_study reads the rejection decision without the bootstrap band;
+    # it and the limits it rests on must be the full ensemble's
+    n = 400
+    null = kolmogi(np.linspace(0.02, 0.98, 30)) / math.sqrt(n)
+    for stats in (null, 2.5 * null, null + 0.1):
+        grid, ens_sf, lo, hi, dkw, rejected = gs._greenwood(stats, n, 0.01)
+        ens = gs._ensemble(stats, n, 4, 0.01, 20, {})
+        assert rejected == ens.rejected
+        for got, want in ((grid, ens.grid), (ens_sf, ens.ensemble_sf),
+                          (lo, ens.green_lo), (hi, ens.green_hi),
+                          (dkw, ens.dkw_curve)):
+            assert got.tobytes() == want.tobytes()
+    assert not gs._greenwood(null, n, 0.01)[-1]
+    assert gs._greenwood(null + 0.1, n, 0.01)[-1]
+
+
 def test_rejection_scan_consecutive_rule():
     need = gs.CONSECUTIVE_EXITS
     dkw = np.full(12, 0.5)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
+from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import (cgf_moment_check, decimal_rational_mgf, gm_matrix,
@@ -99,8 +100,9 @@ def test_sum_rule_randomized(M, kap, S, q, rc, rs, u):
 
 
 def _node_row(p, S, u, scheme, ctx):
-    """One pole row built node by node: the per-pulse coefficients from one
-    decomposition of the node's aggregated matrix, merged by np.unique."""
+    """One pole row built node by node: the per-pulse coefficients from a
+    one-pair decomposition of the node's aggregated matrix, merged by
+    np.unique."""
     M, q, k = p.M, p.q, p.kappa
     dmg = scheme is mc.Scheme.DMG
     gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
@@ -114,8 +116,7 @@ def _node_row(p, S, u, scheme, ctx):
     elif scheme is mc.Scheme.EFFECTIVE:
         gam = gam_s
         if q * u != 0.0:
-            gam = np.clip(np.linalg.eigvalsh(
-                mc.aggregated_corr(ctx.C_c, ctx.C_s, q, u, S, k)), 0.0, None)
+            gam = ctx.aggregated_eigenvalues([S], [u])[0]
         a = (1.0 - q + (q * u + S / k) * gam) / M
     else:
         a = aq + S * gam_s / (k * M)
@@ -154,6 +155,33 @@ def test_pole_table_rows_equal_per_node_rows():
                     assert empty.a.shape[0] == 0
                     assert empty.mean.shape == empty.a_max.shape == (0,)
                     assert sp.survival_pairs([], empty, []).shape == (0,)
+
+
+def test_aggregated_eigenvalues_match_full_decomposition():
+    # the centrosymmetric split gives the spectrum of the full aggregated
+    # matrix, ascending, at even and odd M, at the rho = 0 / 1 extremes and
+    # for a first row outside the Gauss-Markov family
+    row = [1.0, 0.6, 0.1, -0.2, -0.1, 0.05, 0.0, 0.02, 0.0, 0.0]
+    for M in (1, 2, 3, 10, 11, 100, 101):
+        specs = [(CorrelationSpec.gauss_markov(rs, M),
+                  CorrelationSpec.gauss_markov(rc, M))
+                 for rs, rc in ((0.0, 0.0), (1.0, 1.0), (0.95, 0.75),
+                                (0.0, 1.0), (1.0, 0.0))]
+        if M == 10:
+            specs.append((CorrelationSpec.toeplitz(row),
+                          CorrelationSpec.gauss_markov(0.5, M)))
+        for kappa in (1, 3):
+            for spec_s, spec_c in specs:
+                p = mc.scenario(M=M, kappa=kappa, S=0.0, q=0.5, nu=2.0,
+                                spec_s=spec_s, spec_c=spec_c)
+                ctx = mc.ScenarioContext(p)
+                u = np.repeat([1e-3, 0.1, 1.0, 5.0], 2) / p.q
+                S = np.tile([0.5, 4.0], 4)
+                got = ctx.aggregated_eigenvalues(S, u)
+                want = np.clip(np.linalg.eigvalsh(mc.aggregated_corr(
+                    ctx.C_c, ctx.C_s, p.q, u, S, kappa)), 0.0, None)
+                assert np.all(np.diff(got, axis=1) >= 0.0)
+                assert np.abs(got - want).max() <= 1e-13 * want.max()
 
 
 def test_mgf_eval_normalization_and_kappa1():
