@@ -20,7 +20,6 @@ from .errors import (
     InvalidCorrelation,
     InvalidScenario,
     InvalidShape,
-    NoConvergence,
 )
 from .mgf_core import ScenarioContext, ScenarioParams, scenario
 from .texture import Method, TextureRule, gamma_texture_rule
@@ -33,11 +32,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_inf(value, name):
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValueError(f"{name}: expected number or 'inf', got {value!r}")
+def _number(value, name):
+    """A scenario value as a JSON number, never a bool: an integer for M,
+    and for kappa and nu also 'inf'."""
+    if name in ("kappa", "nu") and isinstance(value, str) \
+            and value.lower() in ("inf", "infinity"):
+        return math.inf
+    want = "integer" if name == "M" else "number"
+    if isinstance(value, bool) or \
+            not isinstance(value, int if name == "M" else (int, float)):
+        inf = " or 'inf'" if name in ("kappa", "nu") else ""
+        raise ValueError(f"{name}: expected {want}{inf}, got {value!r}")
     return value
 
 
@@ -50,12 +55,15 @@ def load_scenario(path: str) -> dict:
         if key not in raw:
             raise ValueError(f"scenario missing required key '{key}'")
     out = dict(raw)
-    out["kappa"] = _parse_inf(raw["kappa"], "kappa")
-    out["nu"] = _parse_inf(raw["nu"], "nu")
     out.setdefault("S", 0.0)
     out.setdefault("pfa", 1e-6)
     out.setdefault("method", "eff-sdp")
     out.setdefault("seed", 1)
+    for key in ("M", "kappa", "q", "nu", "S", "pfa", "rho_s", "rho_c"):
+        if key in out:
+            out[key] = _number(out[key], key)
+    if not isinstance(out["method"], str):
+        raise ValueError(f"method: expected a string, got {out['method']!r}")
     return out
 
 
@@ -164,34 +172,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _bench_vmax(params, rule, ctx) -> float:
-    """The draw's grid end: hi with F(hi) <= 1e-3 < F(lo), hi - lo < 1e-3 hi,
-    by the bracketed Newton of threshold_for_pfa on ln F(v) = ln 1e-3.  A
-    step under 3e-3 v gives way to the two points v (1 -+ 4e-4) in one sum.
-    """
-    eff, goal = texture.Method.parse("eff-sdp"), math.log(1e-3)
-    lo, hi, f_p = 0.0, math.inf, math.inf
-    pts = np.array([min(detector._gamma_quantile(params, 1e-3),
-                        texture.V_SEARCH_MAX)])
-    while hi - lo >= 1e-3 * hi:
-        if hi == math.inf and pts[-1] > texture.V_SEARCH_MAX:
-            raise NoConvergence("eff-sdp survival stays above 1e-3 up to "
-                                f"v={texture.V_SEARCH_MAX:g}")
-        F, slope = texture._texture_sum(pts, params.S, params, eff, rule, ctx)
-        lo, hi = max([lo, *pts[F > 1e-3]]), min([hi, *pts[F <= 1e-3]])
-        with np.errstate(all="ignore"):
-            v, f = pts[-1], np.log(F[-1]) - goal
-            t = float(v - f / slope[-1])
-        if hi == math.inf:
-            t = t if v < t < 2.0 * v else 2.0 * v
-        elif not (lo < t < hi and abs(f) <= 0.5 * abs(f_p)):
-            t = 0.5 * (lo + hi)
-        f_p = f
-        pts = np.array([t]) if abs(t - v) >= 3e-3 * t else \
-            t * np.array([1.0 - 4e-4, 1.0 + 4e-4])
-    return hi
-
-
 def cmd_bench(args) -> int:
     for flag, n in (("--draws", args.draws),
                     ("--grid-points", args.grid_points)):
@@ -209,9 +189,8 @@ def cmd_bench(args) -> int:
                           nu=rng.uniform(1.0, 10.0),
                           rho_s=0.95, rho_c=0.75)
         rule = _texture_rule(args, {}, params.nu)
-        ctx = ScenarioContext(params)
-        grid = np.linspace(0.0, _bench_vmax(params, rule, ctx),
-                           args.grid_points + 1)[1:]
+        v_max = detector.survival_quantile(params, 1e-3, "eff-sdp", rule)
+        grid = np.linspace(0.0, v_max, args.grid_points + 1)[1:]
         ref = None
         for m in names:
             # fresh per method: the timed curve builds the fields it reads

@@ -4,13 +4,14 @@ The threshold v_b solves P_FA = F(v_b; S=0) on the null (interference only)
 survival curve; the detection probability is then P_D(S) = F(v_b; S) at the
 same threshold across a grid of signal-to-interference ratios.
 
-The threshold search is Newton's method on the log-odds ln F - ln(1 - F)
-in x = sqrt(v), where gamma-like and K-distributed tails are near-linear.
-Its slope is d ln F/dv from the saddles the texture sum solves anyway,
-scaled by the ratio of the last secant to the mean of the last two slopes.
-Started at the pfa quantile of the gamma law with the null's mean and
-variance, it takes about three survival evaluations on one S = 0 table.
-"""
+One search solves F(v; S) = p at any S (``survival_quantile``): the
+threshold is its S = 0 case, and the ``bench`` command's grid end its
+p = 1e-3 level at the drawn S.  It is Newton's method on the log-odds
+ln F - ln(1 - F) in x = sqrt(v), where gamma-like and K-distributed tails
+are near-linear.  Its slope is d ln F/dv from the saddles the texture sum
+solves anyway, scaled by the ratio of the last secant to the mean of the
+last two slopes.  Started at the p quantile of the gamma law with the
+scenario's mean and variance, it takes about three survival evaluations."""
 
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainccinv
 
-from .errors import BracketFail, InvalidScenario
+from .errors import BracketFail, InvalidScenario, NoConvergence
 from .mgf_core import (ScenarioContext, ScenarioParams, analytic_moments,
                        pole_table)
-from .texture import Method, TextureRule, _texture_sum, gamma_texture_rule
+from .texture import (V_SEARCH_MAX, Method, TextureRule, _texture_sum,
+                      gamma_texture_rule)
 
 # Relative accuracy of the threshold search in P_FA.
 PFA_REL_TOL = 1e-3
@@ -45,43 +47,50 @@ def _gamma_quantile(params: ScenarioParams, p: float) -> float:
     return scale * gammainccinv(mom.mean / scale, p)
 
 
-def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
+def survival_quantile(params: ScenarioParams, p: float, method="eff-sdp",
                       rule: TextureRule | None = None) -> float:
-    """Threshold v_b with |F(v_b; 0) - pfa| < PFA_REL_TOL * pfa.
+    """Level v with |F(v; params.S) - p| < PFA_REL_TOL * p.
 
     The Newton iterates keep a bracket of x = sqrt(v).  A step that leaves
     it, or that follows one which did not halve the residual, bisects it
-    instead (doubles x while no point is below pfa).  A bracket a few ulps
-    wide means F jumps across pfa, as the sp survival does where a texture
-    node switches tails, and raises BracketFail naming both sides.
+    instead (doubles x while no point is below p; a level past
+    V_SEARCH_MAX raises NoConvergence).  A bracket a few ulps wide means F
+    jumps across p, as the sp survival does where a texture node switches
+    tails, and raises BracketFail naming both sides.  At S = 0 the search builds one
+    pole table for all its sums; at S > 0 each sum builds its own.
     """
-    if not 0.0 < pfa <= 1.0:
-        raise InvalidScenario(f"pfa {pfa} outside (0, 1]")
-    if pfa == 1.0:
+    if not 0.0 < p <= 1.0:
+        raise InvalidScenario(f"pfa {p} outside (0, 1]")
+    if p == 1.0:
         return 0.0
     if isinstance(method, str):
         method = Method.parse(method)
-    null = replace(params, S=0.0)
     if rule is None:
-        rule = gamma_texture_rule(null.nu)
-    ctx = ScenarioContext(null)
-    table = pole_table(null, 0.0, rule.nodes, method.scheme, ctx)
-    target, tol = math.log(pfa), math.log1p(PFA_REL_TOL * 0.5)
-    goal = target - math.log1p(-pfa)
+        rule = gamma_texture_rule(params.nu)
+    ctx = ScenarioContext(params)
+    table = None if params.S else \
+        pole_table(params, 0.0, rule.nodes, method.scheme, ctx)
+    target, tol = math.log(p), math.log1p(PFA_REL_TOL * 0.5)
+    goal = target - math.log1p(-p)
 
     def at(x):
         """F at v = x^2, its log-odds less goal and that one's x-slope."""
-        F, slope = _texture_sum(x * x, 0.0, null, method, rule, ctx, table)
+        F, slope = _texture_sum(x * x, params.S, params, method, rule, ctx,
+                                table)
         F = float(F[0])
         if not 0.0 < F < 1.0:
-            return F, math.copysign(math.inf, F - pfa), math.nan
+            return F, math.copysign(math.inf, F - p), math.nan
         return (F, math.log(F / (1.0 - F)) - goal,
                 2.0 * x * slope[0] / (1.0 - F))
 
-    x = math.sqrt(_gamma_quantile(null, pfa))
-    lo, hi, F_lo, F_hi = 0.0, math.inf, 1.0, 0.0   # F(lo^2) > pfa > F(hi^2)
+    x_max = math.sqrt(V_SEARCH_MAX)
+    x = math.sqrt(min(_gamma_quantile(params, p), V_SEARCH_MAX))
+    lo, hi, F_lo, F_hi = 0.0, math.inf, 1.0, 0.0   # F(lo^2) > p > F(hi^2)
     x_p = f_p = g_p = math.nan
     for _ in range(100):
+        if x > x_max:
+            raise NoConvergence(f"{method.name} survival stays above {p} up "
+                                f"to v={V_SEARCH_MAX:g}")
         F, f, g = at(x)
         if F > 0.0 and abs(math.log(F) - target) < tol:
             return x * x
@@ -90,7 +99,7 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
         else:
             hi, F_hi = x, F
         if hi - lo <= 4.0 * math.ulp(lo):
-            raise BracketFail(f"survival jumps across pfa={pfa} between "
+            raise BracketFail(f"survival jumps across pfa={p} between "
                               f"v={lo * lo!r} (F={F_lo}) and v={hi * hi!r} "
                               f"(F={F_hi})")
         with np.errstate(all="ignore"):
@@ -102,8 +111,15 @@ def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
             x = newton if x < newton < 2.0 * x else 2.0 * x
         else:
             x = newton if lo < newton < hi and halved else 0.5 * (lo + hi)
-    raise BracketFail(f"could not bracket pfa={pfa}" if hi == math.inf else
-                      f"threshold iteration failed to reach pfa={pfa}")
+    raise BracketFail(f"could not bracket pfa={p}" if hi == math.inf else
+                      f"threshold iteration failed to reach pfa={p}")
+
+
+def threshold_for_pfa(params: ScenarioParams, pfa: float, method="eff-sdp",
+                      rule: TextureRule | None = None) -> float:
+    """Threshold v_b with |F(v_b; 0) - pfa| < PFA_REL_TOL * pfa: the
+    survival_quantile of the null (S = 0) scenario."""
+    return survival_quantile(replace(params, S=0.0), pfa, method, rule)
 
 
 def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",

@@ -85,7 +85,8 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     """
     if not nu > 0:
         raise InvalidShape(f"texture shape nu {nu} must be positive")
-    if not isinstance(order, (int, np.integer)) or order < 1:
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) \
+            or order < 1:
         raise InvalidShape(f"texture order {order!r} must be an integer >= 1")
     if nu == math.inf:
         return TextureRule(np.ones(1), np.ones(1), 1, nu)

@@ -142,9 +142,9 @@ def test_zero_pfa_and_empty_method_are_config_errors(tmp_path, capsys):
     assert "unknown method ''" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("order", ["8", 8.5])
+@pytest.mark.parametrize("order", ["8", 8.5, True])
 def test_non_integer_texture_order_is_a_config_error(tmp_path, order, capsys):
-    # "8" once died with a TypeError traceback and 8.5 inside numpy
+    # "8" and true once died with a TypeError traceback and 8.5 inside numpy
     scen = write_scenario(tmp_path, nu=2.0, texture_order=order)
     for command in ("survival", "pd"):
         assert cli.main([command, "--scenario", scen]) == cli.EXIT_CONFIG
@@ -182,36 +182,20 @@ def test_compare_rejects_a_bad_seed_before_building(tmp_path, seed,
     assert cli.main(args + ["--seed", "-1"]) == cli.EXIT_CONFIG
 
 
-def test_bench_vmax_brackets_in_few_texture_sums(monkeypatch):
-    # the first seed-1 bench draw: a Newton search on ln F with the texture
-    # sum's slope, not a scalar ladder and bisection (12 sums before)
-    from gammaclutter.mgf_core import ScenarioContext, scenario
-    from gammaclutter.texture import gamma_texture_rule
-    rng = np.random.default_rng(1)
-    p = scenario(M=100, kappa=2, S=rng.uniform(1.0, 10.0),
-                 q=rng.uniform(0.5, 1.0), nu=rng.uniform(1.0, 10.0),
-                 rho_s=0.95, rho_c=0.75)
-    rule = gamma_texture_rule(p.nu)
-    sums = []
-    original = texture._texture_sum
-
-    def counting(v, *args):
-        sums.append(v)
-        return original(v, *args)
-
-    monkeypatch.setattr(texture, "_texture_sum", counting)
-    hi = cli._bench_vmax(p, rule, ScenarioContext(p))
-    assert len(sums) <= 5
-    monkeypatch.undo()
-    F = texture.survival_curve([hi, hi * (1.0 - 1e-3)], p, "eff-sdp", rule)
-    assert F[0] <= 1e-3 < F[1]
-
-
-def test_bench_vmax_raises_beyond_search_range():
-    from gammaclutter.errors import NoConvergence
-    from gammaclutter.mgf_core import ScenarioContext, scenario
-    from gammaclutter.texture import gamma_texture_rule
-    # exponential survival with mean 2e5: still e^-4.5 at v = 9e5
-    p = scenario(M=1, kappa=1, S=2e5, q=0.0, nu=np.inf)
-    with pytest.raises(NoConvergence):
-        cli._bench_vmax(p, gamma_texture_rule(p.nu), ScenarioContext(p))
+@pytest.mark.parametrize("command,key,value", [
+    ("pd", "pfa", "1e-6"),      # a TypeError traceback
+    ("pd", "pfa", True),        # P_D = 1 at every SIR, exit 0
+    ("compare", "method", 5),   # an AttributeError traceback
+    ("survival", "S", True),    # silently S = 1
+    ("survival", "kappa", True),
+    ("survival", "M", 4.5),     # silently M = 4
+    ("pd", "rho_c", "0.5"),
+])
+def test_scenario_values_of_the_wrong_type_are_config_errors(
+        tmp_path, command, key, value, capsys):
+    scen = write_scenario(tmp_path, **{key: value})
+    args = [command, "--scenario", scen]
+    if command == "compare":
+        args += ["--threads", "1", "--replicates", "4", "--samples", "50"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert f"{key}: expected" in capsys.readouterr().err

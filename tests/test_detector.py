@@ -103,6 +103,41 @@ def test_threshold_degenerate_pfa_one():
     assert det.threshold_for_pfa(p, 1.0) == 0.0
 
 
+def test_survival_quantile_at_a_signal_level(monkeypatch):
+    # the first seed-1 bench draw (M = 100) and the pd benchmark's scenario
+    # at S = 5: the level where eff-sdp crosses 1e-3, in a few texture
+    # sums (a scalar ladder and bisection made 12), each building its own
+    # pole table, since the finite-kappa effective model decomposes per pair
+    rng = np.random.default_rng(1)
+    draw = mc.scenario(M=100, kappa=2, S=rng.uniform(1.0, 10.0),
+                       q=rng.uniform(0.5, 1.0), nu=rng.uniform(1.0, 10.0),
+                       rho_s=0.95, rho_c=0.75)
+    pd_s5 = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                        rho_c=0.75, rho_s=0.9)
+    sums, tables = [], []
+    texture_sum, build = det._texture_sum, mc.pole_table
+    monkeypatch.setattr(det, "_texture_sum", lambda v, *a:
+                        sums.append(v) or texture_sum(v, *a))
+    for mod in (det, tx):
+        monkeypatch.setattr(mod, "pole_table", lambda *a, mod=mod:
+                            tables.append(mod.__name__) or build(*a))
+    for p in (draw, pd_s5):
+        sums.clear()
+        tables.clear()
+        rule = tx.gamma_texture_rule(p.nu)
+        v = det.survival_quantile(p, 1e-3, "eff-sdp", rule)
+        assert len(sums) <= 5 and det.__name__ not in tables, (sums, tables)
+        F = tx.compound_survival(v, p, "eff-sdp", rule)
+        assert abs(F / 1e-3 - 1.0) < det.PFA_REL_TOL, (p, F)
+
+
+def test_survival_quantile_raises_beyond_search_range():
+    # exponential survival with mean 2e5: still e^-4.5 at v = 9e5
+    p = mc.scenario(M=1, kappa=1, S=2e5, q=0.0, nu=np.inf)
+    with pytest.raises(NoConvergence, match="stays above 0.001"):
+        det.survival_quantile(p, 1e-3)
+
+
 def test_threshold_matches_oracle_root():
     p = mc.scenario(M=10, kappa=2, S=0.0, q=1.0, nu=10.0, rho_c=0.75)
     pfa = 1e-6
@@ -214,6 +249,27 @@ def test_pd_diag_within_one_percent_of_eff():
     b = det.pd_curve(p, 1e-3, sirs, "diag-sdp")
     mask = a.pd > 1e-3
     assert np.max(np.abs(a.pd[mask] - b.pd[mask]) / a.pd[mask]) < 0.01
+
+
+def test_correlation_raises_the_required_sir():
+    # the paper's headline claim: a model that ignores correlation
+    # under-states the SIR a given P_D needs.  The README scenario at
+    # P_FA 1e-6, over a (rho_c, rho_s) ladder, with the required SIR for
+    # P_D 0.5 and 0.9 read off a 0.25 dB grid
+    s_db = np.linspace(0.0, 20.0, 81)
+    ladder = ((0.0, 0.0), (0.75, 0.0), (0.75, 0.9), (0.95, 0.95))
+    for kappa in (1, 2, math.inf):
+        need = {}
+        for method in ("eff-sdp", "diag-sdp"):
+            need[method] = np.array([
+                np.interp((0.5, 0.9), det.pd_curve(
+                    mc.scenario(M=10, kappa=kappa, S=0.0, q=0.5, nu=2.0,
+                                rho_c=rho_c, rho_s=rho_s),
+                    1e-6, det.db_to_linear(s_db), method).pd, s_db)
+                for rho_c, rho_s in ladder])
+            assert np.all(np.diff(need[method], axis=0) >= 0.0), need
+            assert np.all(need[method][2] - need[method][0] >= 2.0), need
+        assert np.abs(need["eff-sdp"] - need["diag-sdp"]).max() <= 0.05, need
 
 
 def test_db_round_trip():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never references, and the
-package exports no name that only tests call.
+"""Source hygiene: no module imports a name it never references, the
+package exports no name that only tests call, and the command layer reads
+no private name of another package module.
 
 No linter ships with the project, so these AST scans stand in for the
 unused-import check over the library, the tests and the scripts.  Package
@@ -71,3 +72,28 @@ def test_every_export_has_a_caller():
     documented = set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text()))
     uncalled = sorted(exports - called - documented)
     assert exports and not uncalled, uncalled
+
+
+def private_reads(source: str) -> list[str]:
+    """Underscore names read from another package module, by a relative
+    ``from .mod import _name`` or as ``mod._name`` after
+    ``from . import mod``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module is None:
+                modules |= {alias.asname or alias.name for alias in node.names}
+            else:
+                found += [f"{node.module}.{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    return found + [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # the command layer goes through each module's public functions
+    cli = ROOT / "src" / "gammaclutter" / "cli.py"
+    assert private_reads(cli.read_text()) == []
