@@ -5,6 +5,7 @@ config-echo header; KS ensembles as JSON."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -44,6 +45,22 @@ def _number(value, name):
         inf = " or 'inf'" if name in ("kappa", "nu") else ""
         raise ValueError(f"{name}: expected {want}{inf}, got {value!r}")
     return value
+
+
+def _count(n, name):
+    """A point or draw count: an integer >= 1, never a bool."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} {n!r} must be >= 1 and an integer")
+    return n
+
+
+def _grid(value, name):
+    """lo, hi and points of a linspace grid given as [lo, hi, points]: two
+    finite numbers and a count."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(
+            type(x) in (int, float) and math.isfinite(x) for x in value[:2])):
+        raise ValueError(f"{name}: expected [lo, hi, points], got {value!r}")
+    return float(value[0]), float(value[1]), _count(value[2], f"{name} points")
 
 
 def load_scenario(path: str) -> dict:
@@ -107,18 +124,20 @@ def _write(path, lines):
 
 
 def _threads(args) -> int:
-    n = args.threads
+    n, name = args.threads, "--threads"
     if n is None:
         n = int(os.environ.get("GAMMACLUTTER_THREADS", "0"))
-    if n == 0:
-        n = os.cpu_count() or 1
-    return n
+        name = "GAMMACLUTTER_THREADS"
+    if n < 0:
+        raise ValueError(f"{name} {n} must be >= 0 (0 = auto)")
+    return n or os.cpu_count() or 1
 
 
 def cmd_survival(args) -> int:
     cfg = load_scenario(args.scenario)
     params = scenario_params(cfg)
     methods = [Method.parse(m) for m in args.methods.split(",")]
+    _count(args.v_points, "--v-points")
     v_max = args.v_max if args.v_max is not None else 4.0 * (1.0 + params.S)
     grid = np.linspace(args.v_min, v_max, args.v_points)
     rule = _texture_rule(args, cfg, params.nu)
@@ -137,11 +156,13 @@ def cmd_pd(args) -> int:
     cfg = load_scenario(args.scenario)
     methods = [Method.parse(m) for m in args.methods.split(",")]
     pfa = cfg["pfa"] if args.pfa is None else args.pfa
+    key, grid = "S_grid_dB", cfg.get("S_grid_dB", (0.0, 20.0, 41))
     if args.sir_grid_db:
-        lo, hi, n = args.sir_grid_db.split(":")
-    else:
-        lo, hi, n = cfg.get("S_grid_dB", (0.0, 20.0, 41))
-    s_db = np.linspace(float(lo), float(hi), int(n))
+        # lo:hi:points, read as JSON numbers so that a count 4.5 stays 4.5
+        key, grid = "--sir-grid-db", args.sir_grid_db
+        with contextlib.suppress(json.JSONDecodeError):
+            grid = json.loads(f"[{grid.replace(':', ',')}]")
+    s_db = np.linspace(*_grid(grid, key))
     sirs = detector.db_to_linear(s_db)
     params = scenario_params(cfg, S=0.0)
     rule = _texture_rule(args, cfg, params.nu)
@@ -160,11 +181,12 @@ def cmd_compare(args) -> int:
     method = cfg["method"] if args.method is None else args.method
     seed = args.seed if args.seed is not None else cfg["seed"]
     gof_stats.check_ensemble(args.replicates, args.samples, args.alpha, seed)
+    threads = _threads(args)
     rule = _texture_rule(args, cfg, params.nu)
     sf = texture.survival_interpolator(params, method, rule=rule)
     ens = gof_stats.ks_ensemble(
         params, sf, K=args.replicates, n=args.samples, seed=seed,
-        alpha=args.alpha, threads=_threads(args),
+        alpha=args.alpha, threads=threads,
         config_echo={**cfg, "method": method, "texture_order": rule.order,
                      "replicates": args.replicates, "samples": args.samples,
                      "seed": seed})
@@ -173,10 +195,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for flag, n in (("--draws", args.draws),
-                    ("--grid-points", args.grid_points)):
-        if n < 1:
-            raise ValueError(f"{flag} {n} must be >= 1")
+    _count(args.draws, "--draws")
+    _count(args.grid_points, "--grid-points")
     rng = np.random.default_rng(args.seed)
     names = [m.name for m in texture.ALL_METHODS]
     times = {m: [] for m in names}

@@ -67,15 +67,10 @@ class PerturbedSF:
         return np.asarray(self.sf(x), dtype=float) ** (1.0 + self.eps)
 
 
-def delta_max(eps: float) -> float:
-    """Peak difference sup_x |sf - sf^(1+eps)| = eps (1/(1+eps))^(1+1/eps)."""
-    if eps == 0.0:
-        return 0.0
-    return eps * (1.0 / (1.0 + eps)) ** (1.0 + 1.0 / eps)
-
-
 def epsilon_from_delta(delta: float) -> float:
-    """Invert delta_max exactly by Newton, seeded with eps ~ e * delta."""
+    """The tilt eps whose peak difference
+    sup_x |sf - sf^(1+eps)| = eps (1/(1+eps))^(1+1/eps) is delta, exactly
+    by Newton, seeded with eps ~ e * delta."""
     if delta == 0.0:
         return 0.0
     if not 0.0 < delta < 0.3:

@@ -7,16 +7,17 @@ kappa and texture value u the speckle MGF is the rational form
 
     M(s; u) = prod_m [1 + aq_m(u) s]^(kappa-1) / prod_m [1 + a_m(u) s]^kappa
 
-with per-pulse coefficients (``pulse_coeffs``) built from the eigenvalues of
-the clutter correlation matrix and of the aggregated target/clutter matrix.
+with per-pulse coefficients built from the eigenvalues of the clutter
+correlation matrix and of the aggregated target/clutter matrix.
 The steady target (kappa -> inf) swaps the rational form for
 
     ln M(s; u) = -sum_m [ln(1 + a_m s) + S b_m s / (1 + a_m s)].
 
 The builder ``pole_table`` returns both as a ``PoleMgf`` table with one
 pole row per (S, u) pair,
-ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s);
-``speckle_coeffs`` and ``steady_coeffs`` are its one-row calls.
+ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s), the
+only MGF type the saddle-point engine reads; ``speckle_coeffs`` and
+``steady_coeffs`` are its one-row calls.
 
 Three schemes: the full effective model (aggregated eigenvalues per (S, u)
 pair, each from Cantoni & Butler's centrosymmetric split), the commuting
@@ -316,19 +317,6 @@ def pole_table(params: ScenarioParams, S, u,
     return _merged(x, y, params.kappa)
 
 
-def pulse_coeffs(params: ScenarioParams, u: float,
-                 scheme: Scheme = Scheme.EFFECTIVE,
-                 ctx: ScenarioContext | None = None):
-    """Per-pulse coefficients (a_m(u), aq_m(u)) of a finite fluctuation
-    class, unmerged."""
-    if params.steady:
-        raise InvalidScenario("finite-kappa coefficients requested for "
-                              "steady target; use steady_coeffs")
-    a, aq = _pulse_rows(params, np.array([params.S]), np.array([float(u)]),
-                        scheme, ctx or ScenarioContext(params))
-    return a[0], aq[0]
-
-
 def speckle_coeffs(params: ScenarioParams, u: float,
                    scheme: Scheme = Scheme.EFFECTIVE,
                    ctx: ScenarioContext | None = None) -> PoleMgf:
@@ -351,16 +339,16 @@ class PoleMgf:
     The rational form has beta = 0; the steady form has alpha = -1 and
     beta = -S b.  One MGF is a row of 1-D arrays; a table of MGFs holds
     (pairs, width) arrays, one left-packed row per pair, padded with
-    entries a = alpha = beta = 0 that contribute nothing.  ``log_mgf`` and
-    ``dlog`` take one row.
+    entries a = alpha = beta = 0 that contribute nothing.
     """
 
-    __slots__ = ("a", "alpha", "beta")
+    __slots__ = ("a", "alpha", "beta", "has_beta")
 
     def __init__(self, a, alpha, beta):
         self.a = np.asarray(a, dtype=float)
         self.alpha = np.asarray(alpha, dtype=float)
         self.beta = np.asarray(beta, dtype=float)
+        self.has_beta = bool(self.beta.any())
 
     @property
     def a_max(self):
@@ -370,22 +358,44 @@ class PoleMgf:
 
     @property
     def mean(self):
-        return (-np.einsum("...j,...j->...", self.alpha, self.a)
-                - self.beta.sum(axis=-1))
+        return -_rowdot(self.alpha, self.a) - self.beta.sum(axis=-1)
+
+    def take(self, rows) -> PoleMgf:
+        """Rows ``rows`` of the table (or of the single row) as a table,
+        trimmed to the widest of them."""
+        tab = np.stack([np.atleast_2d(x)[rows]
+                        for x in (self.a, self.alpha, self.beta)])
+        width = 1 + np.flatnonzero(tab.any(axis=(0, 1))).max(initial=-1)
+        return PoleMgf(*tab[:, :, :width])
+
+    def derivatives(self, i, s):
+        """d ln M / ds and d^2 ln M / ds^2 of table rows i at real s."""
+        a = self.a[i]
+        inv = 1.0 / (1.0 + a * s[:, None])
+        t = a * inv
+        al = self.alpha[i]
+        d1, d2 = _rowdot(al, t), -_rowdot(al, t * t)
+        if self.has_beta:
+            be = self.beta[i] * inv * inv
+            d1 += be.sum(axis=1)
+            d2 -= 2.0 * _rowdot(be, t)
+        return d1, d2
 
     def log_mgf(self, s):
-        s = np.asarray(s)
-        d = 1.0 + np.multiply.outer(s, self.a)
+        """ln M: of table row i at s[i], or of a single row at every s
+        (real or complex)."""
+        s = np.asarray(s)[..., None]
+        d = 1.0 + self.a * s
         if np.any(np.abs(d) < 1e-300):
             raise PoleHit("MGF evaluated at a pole")
-        frac = np.multiply.outer(s, self.beta) / d
-        return np.log(d) @ self.alpha + frac.sum(axis=-1)
+        val = _rowdot(self.alpha, np.log(d))
+        if self.has_beta:
+            val += _rowdot(self.beta, s / d)
+        return val
 
-    def dlog(self, s):
-        with np.errstate(over="ignore"):
-            d = 1.0 + self.a * s
-            return float(np.dot(self.alpha, self.a / d)
-                         + np.sum(self.beta / d ** 2))
+
+def _rowdot(a, b):
+    return np.einsum("...j,...j->...", a, b)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   builder returns it: (pairs, width) arrays of
   ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
   which holds the rational form (beta = 0) and the steady form alike, one
-  left-packed, zero-padded row per MGF.  A block of pairs slices its rows,
+  left-packed, zero-padded row per MGF.  A block of pairs gathers its rows
+  (``PoleMgf.take``), which also give ln M and its first two derivatives,
   and the mean, largest pole and support shift are row reductions.
 - The saddle bracket search and the bisection-safeguarded Newton run on
   all pairs at once; a pair leaves the active set when it converges.  The
@@ -52,22 +53,19 @@ complex log of 1 - c z (26 vs 244 ns per element on a 2-vCPU Xeon), on
 the same principal branch and with the same signed zeros.
 
 ``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
-of the same engine.  ``solve_saddle`` builds its own tau row, and
-``tau_phase`` evaluates it in the exact log form as the reference.  Each
-pair's saddle s0 can come back next to its survival (``survival_pairs``),
-for the slope of the texture sum.
+of the same engine; ``solve_saddle`` returns the saddle, r2 and the tail.
+Each pair's saddle s0 can come back next to its survival
+(``survival_pairs``), for the slope of the texture sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateV, NoConvergence
-from .mgf_core import PoleMgf
+from .mgf_core import _rowdot
 
 SADDLE_MAX_ITER = 200
 NEWTON_MAX_ITER = 60
@@ -79,11 +77,6 @@ _BLOCK_ELEMENTS = 1 << 14
 _NEWTON_ELEMENTS = 1 << 12
 # Every _COARSE_STRIDE-th tau node is solved first (see _invert_nodes).
 _COARSE_STRIDE = 4
-
-
-class Side(Enum):
-    RIGHT_TAIL = "right"   # s0 < 0, direct survival integral
-    LEFT_TAIL = "left"     # s0 > 0, CDF integral, survival = 1 - value
 
 
 def support_shift(mgf):
@@ -113,10 +106,6 @@ def _at(exc, pair):
     return exc
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
-
-
 def _one_minus(c, x, y):
     """1 - c z for z = x + i y, as real part, imaginary part and squared
     modulus.  0.0 - c y gives the imaginary part numpy's complex product
@@ -134,42 +123,6 @@ def _log1m(xp, yp, d):
     return np.log(d), np.arctan2(yp, xp)
 
 
-class _PoleTable:
-    """Zero-padded (a, alpha, beta) rows of a block of pairs: pair i uses
-    row rows[i] of an MGF table (or of a single row), trimmed to the
-    widest row of the block."""
-
-    def __init__(self, table, rows):
-        tab = np.stack([np.atleast_2d(x)[rows]
-                        for x in (table.a, table.alpha, table.beta)])
-        width = 1 + np.flatnonzero(tab.any(axis=(0, 1))).max(initial=-1)
-        blk = PoleMgf(*tab[:, :, :width])
-        self.a, self.alpha, self.beta = blk.a, blk.alpha, blk.beta
-        self.has_beta = bool(self.beta.any())
-        self.mean, self.a_max = blk.mean, blk.a_max
-
-    def derivatives(self, i, s):
-        """d ln M / ds and d^2 ln M / ds^2 of pairs i at real s."""
-        a = self.a[i]
-        inv = 1.0 / (1.0 + a * s[:, None])
-        t = a * inv
-        al = self.alpha[i]
-        d1, d2 = _rowdot(al, t), -_rowdot(al, t * t)
-        if self.has_beta:
-            be = self.beta[i] * inv * inv
-            d1 += be.sum(axis=1)
-            d2 -= 2.0 * _rowdot(be, t)
-        return d1, d2
-
-    def log_mgf(self, s):
-        """ln M of every pair at real s."""
-        d = 1.0 + self.a * s[:, None]
-        val = _rowdot(self.alpha, np.log(d))
-        if self.has_beta:
-            val += _rowdot(self.beta, s[:, None] / d)
-        return val
-
-
 def _solve_saddles(v, tab):
     """Real saddle of each pair's survival phase (v >= mean) or CDF phase.
 
@@ -182,8 +135,8 @@ def _solve_saddles(v, tab):
     A pair accepted at |f| < tol keeps its last step when that step is
     Newton's.  Returns s0, r2, the phase at s0 and the left-tail mask.
     """
-    left = v < tab.mean
-    lo = np.where(left, 1e-12, -(1.0 - 1e-12) / tab.a_max)
+    left, a_max = v < tab.mean, tab.a_max
+    lo = np.where(left, 1e-12, -(1.0 - 1e-12) / a_max)
     hi = np.where(left, 1.0, 0.5 * lo)
 
     def f(i, s):
@@ -209,7 +162,7 @@ def _solve_saddles(v, tab):
 
         x = 0.5 * (lo + hi)
         tol = 1e-11 * np.maximum(1.0, np.abs(v))
-        am = np.where(left, 0.0, tab.a_max)
+        am = np.where(left, 0.0, a_max)
         act = np.arange(v.size)
         for _ in range(SADDLE_MAX_ITER):
             xa = x[act]
@@ -467,7 +420,7 @@ def survival_pairs(v, table, rows, integrator: str = "sdp", saddles=None):
         blk = live[start:start + per]
         try:
             out[blk], s0 = _survival_block(
-                v[blk], _PoleTable(table, rows[blk]), integrator)
+                v[blk], table.take(rows[blk]), integrator)
         except NoConvergence as exc:
             raise _at(exc, blk[exc.pair])
         if saddles is not None:
@@ -475,61 +428,13 @@ def survival_pairs(v, table, rows, integrator: str = "sdp", saddles=None):
     return out
 
 
-@dataclass
-class SaddleState:
-    """Saddle point and exact tau row of one (v, texture-node) pair:
-
-        tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z)
-
-    with the ln(-+s) term (c = 1/(s0 v), w = 1) first in the row.
-    """
-
-    side: Side
-    s0: float
-    r2: float
-    c: np.ndarray
-    w: np.ndarray
-    g: np.ndarray
-    lam: float
-
-    @property
-    def r1(self) -> float:
-        return float((1.0 - self.lam) + np.dot(self.w, self.c) + self.g.sum())
-
-
-def phase(s, v: float, mgf, side: Side = Side.RIGHT_TAIL):
-    """Helstrom phase ln M(s) - ln(-+s) + s v on the chosen branch."""
-    sgn = -1.0 if side is Side.RIGHT_TAIL else 1.0
-    return mgf.log_mgf(s) - np.log(sgn * s) + s * v
-
-
-def solve_saddle(v: float, mgf) -> SaddleState:
-    """Locate the real saddle of the survival/CDF phase and bundle path data
-    for the exact reference phase ``tau_phase``."""
+def solve_saddle(v: float, mgf):
+    """Real saddle s0 of one MGF row's survival phase at v (or its CDF
+    phase below the mean), r2 = Phi''(s0) / v^2 and the left-tail flag."""
     if not 0.0 < v < math.inf:
         raise DegenerateV(f"power level v {v} must be positive and finite")
-    tab = _PoleTable(mgf, [0])
-    s0, r2, _, left = _solve_saddles(np.array([float(v)]), tab)
-    s0 = float(s0[0])
-    side = Side.LEFT_TAIL if left[0] else Side.RIGHT_TAIL
-    d0 = 1.0 + mgf.a * s0
-    g = -mgf.beta / (v * d0 * d0)
-    # Zero-eigenvalue poles carry exactly linear tau terms; fold them
-    # into the linear coefficient to avoid catastrophic cancellation.
-    nz = mgf.a > 0.0
-    c = np.concatenate(([1.0 / (s0 * v)], mgf.a[nz] / (v * d0[nz])))
-    w = np.concatenate(([1.0], -mgf.alpha[nz]))
-    return SaddleState(side, s0, float(r2[0]), c, w,
-                       np.concatenate(([0.0], g[nz])),
-                       1.0 - float(g[~nz].sum()))
-
-
-def tau_phase(z, state: SaddleState):
-    """tau(z) = Phi(s0) - Phi(s0 - z/v), exact log form, upper branch."""
-    z = np.asarray(z, dtype=complex)
-    one_m = 1.0 - np.multiply.outer(z, state.c)
-    return (state.lam * z + np.log(one_m) @ state.w
-            - (np.multiply.outer(z, state.g) / one_m).sum(axis=-1))
+    s0, r2, _, left = _solve_saddles(np.array([float(v)]), mgf.take([0]))
+    return float(s0[0]), float(r2[0]), bool(left[0])
 
 
 def survival_sdp(v: float, mgf) -> float:

@@ -7,10 +7,14 @@ survival by the Bromwich integral on a vertical contour (from the
 library's MGF coefficients, independent of its saddle-point engine),
 Monte Carlo returns with a plain normal target in place of the library's
 two-sided Nakagami one, moments from finite differences of the compound
-CGF, the closed-form fully correlated target MGF, and the survival
-interpolator's grid end by a rung-by-rung walk.  The pairwise-cosh
+CGF, the closed-form fully correlated target MGF, the survival
+interpolator's grid end by a rung-by-rung walk, and the steepest-descent
+phase tau(z) of one saddle as an exact complex-log row (``ExactTauRow``,
+apart from the engine's real-arithmetic rows).  The pairwise-cosh
 steady-target MGFs are exact only for M <= 2 and serve as references there
-alone.
+alone.  Small closed forms the library does not need live here too: the
+saddle phase, d ln M/ds term by term, the unmerged per-pulse coefficients
+and the tilt's peak survival difference.
 """
 
 import cmath
@@ -29,8 +33,10 @@ from gammaclutter.mgf_core import (
     ScenarioContext,
     ScenarioParams,
     Scheme,
+    _pulse_rows,
     speckle_coeffs,
 )
+from gammaclutter.saddlepoint import solve_saddle
 from gammaclutter.texture import (SF_FLOOR, V_SEARCH_MAX, compound_survival,
                                   gamma_texture_rule)
 
@@ -249,6 +255,81 @@ def worst_case_mgf(S: float, M: int, s):
         - (S / M) * s / (1.0 + s)
     cosh_arg = (S / (M * M)) * s * s / (1.0 + s)
     return np.exp(base + M * (M - 1) * _log_cosh(cosh_arg))
+
+
+def pulse_coeffs(params: ScenarioParams, u: float,
+                 scheme: Scheme = Scheme.EFFECTIVE,
+                 ctx: ScenarioContext | None = None):
+    """Per-pulse coefficients (a_m(u), aq_m(u)) of a finite fluctuation
+    class, unmerged."""
+    if params.steady:
+        raise InvalidScenario("finite-kappa coefficients requested for "
+                              "steady target; use steady_coeffs")
+    a, aq = _pulse_rows(params, np.array([params.S]), np.array([float(u)]),
+                        scheme, ctx or ScenarioContext(params))
+    return a[0], aq[0]
+
+
+def dlog(mgf, s: float) -> float:
+    """d ln M / ds of one MGF row at real s, term by term."""
+    with np.errstate(over="ignore"):
+        d = 1.0 + mgf.a * s
+        return float(np.dot(mgf.alpha, mgf.a / d) + np.sum(mgf.beta / d ** 2))
+
+
+def phase(s, v: float, mgf, left: bool = False):
+    """Helstrom phase ln M(s) - ln(-+s) + s v: the survival branch, or the
+    CDF branch (ln s) when ``left``."""
+    return mgf.log_mgf(s) - np.log(s if left else -s) + s * v
+
+
+class ExactTauRow:
+    """Saddle point and exact tau row of one (v, MGF row) pair:
+
+        tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z)
+
+    with the ln(-+s) term (c = 1/(s0 v), w = 1) first in the row, built
+    from the MGF and ``solve_saddle``'s s0 and evaluated with numpy's
+    complex log.
+    """
+
+    def __init__(self, v: float, mgf):
+        self.s0, self.r2, self.left = solve_saddle(v, mgf)
+        d0 = 1.0 + mgf.a * self.s0
+        g = -mgf.beta / (v * d0 * d0)
+        # Zero-eigenvalue poles carry exactly linear tau terms; fold them
+        # into the linear coefficient to avoid catastrophic cancellation.
+        nz = mgf.a > 0.0
+        self.c = np.concatenate(([1.0 / (self.s0 * v)],
+                                 mgf.a[nz] / (v * d0[nz])))
+        self.w = np.concatenate(([1.0], -mgf.alpha[nz]))
+        self.g = np.concatenate(([0.0], g[nz]))
+        self.lam = 1.0 - float(g[~nz].sum())
+
+    @property
+    def r1(self) -> float:
+        """tau'(0), which is 1 at the saddle."""
+        return float((1.0 - self.lam) + np.dot(self.w, self.c) + self.g.sum())
+
+    def tau(self, z):
+        """tau(z) = Phi(s0) - Phi(s0 - z/v), upper branch."""
+        z = np.asarray(z, dtype=complex)
+        one_m = 1.0 - np.multiply.outer(z, self.c)
+        return (self.lam * z + np.log(one_m) @ self.w
+                - (np.multiply.outer(z, self.g) / one_m).sum(axis=-1))
+
+    def dtau(self, z):
+        """tau'(z), the derivative of ``tau``."""
+        one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), self.c)
+        return (self.lam - (self.c / one_m) @ self.w
+                - (self.g / one_m ** 2).sum(axis=-1))
+
+
+def delta_max(eps: float) -> float:
+    """Peak difference sup_x |sf - sf^(1+eps)| = eps (1/(1+eps))^(1+1/eps)."""
+    if eps == 0.0:
+        return 0.0
+    return eps * (1.0 / (1.0 + eps)) ** (1.0 + 1.0 / eps)
 
 
 def bromwich_oracle(v: float, params: ScenarioParams, u: float,

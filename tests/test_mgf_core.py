@@ -18,7 +18,7 @@ from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import (cgf_moment_check, decimal_rational_mgf, gm_matrix,
                      mgf_first_principles_steady, mgf_fully_correlated,
-                     worst_case_mgf)
+                     pulse_coeffs, worst_case_mgf)
 
 
 def test_scenario_validation():
@@ -61,13 +61,13 @@ def test_aggregated_corr_limits():
 
 def test_speckle_coeffs_null_signal():
     p = mc.scenario(M=6, kappa=3, S=0.0, q=0.8, nu=2, rho_c=0.5, rho_s=0.7)
-    a, aq = mc.pulse_coeffs(p, 1.2)
+    a, aq = pulse_coeffs(p, 1.2)
     assert np.array_equal(a, aq)
 
 
 def test_speckle_coeffs_uncorrelated_white():
     p = mc.scenario(M=5, kappa=2, S=3.0, q=0.0, nu=np.inf)
-    a, aq = mc.pulse_coeffs(p, 1.0)
+    a, aq = pulse_coeffs(p, 1.0)
     assert np.allclose(aq, 0.2)
     assert np.allclose(a, (1.0 + 1.5) / 5.0)
 
@@ -78,7 +78,7 @@ def test_speckle_sum_rule_from_independent_matrices():
     M, kap, S, q, u = 10, 2, 5.0, 1.0, 1.0
     Cc, Cs = gm_matrix(0.75, M), gm_matrix(0.95, M)
     p = mc.scenario(M=M, kappa=kap, S=S, q=q, nu=2, rho_c=0.75, rho_s=0.95)
-    co_a, co_aq = mc.pulse_coeffs(p, u)
+    co_a, co_aq = pulse_coeffs(p, u)
     assert abs(np.sum(co_a - co_aq) - S / kap) < 1e-10
     gam_c = np.linalg.eigvalsh(Cc)
     gam_sc = np.linalg.eigvalsh((q * u * Cc + (S / kap) * Cs) / (q * u + S / kap))
@@ -95,7 +95,7 @@ def test_speckle_sum_rule_from_independent_matrices():
        u=st.floats(0.05, 4.0))
 def test_sum_rule_randomized(M, kap, S, q, rc, rs, u):
     p = mc.scenario(M=M, kappa=kap, S=S, q=q, nu=2, rho_c=rc, rho_s=rs)
-    a, aq = mc.pulse_coeffs(p, u)
+    a, aq = pulse_coeffs(p, u)
     assert abs(np.sum(a - aq) - S / kap) < 1e-10
 
 
@@ -189,7 +189,7 @@ def test_mgf_eval_normalization_and_kappa1():
     mgf = mc.speckle_coeffs(p, 0.9)
     assert np.exp(mgf.log_mgf(0.0)) == 1.0
     s = 1.7
-    a, _ = mc.pulse_coeffs(p, 0.9)
+    a, _ = pulse_coeffs(p, 0.9)
     direct = np.prod(1.0 / (1.0 + a * s))
     assert np.exp(mgf.log_mgf(s)) == pytest.approx(direct, rel=1e-14)
 
@@ -197,10 +197,43 @@ def test_mgf_eval_normalization_and_kappa1():
 def test_mgf_eval_against_decimal_oracle():
     p = mc.scenario(M=2, kappa=2, S=1.5, q=0.5, nu=np.inf,
                     rho_c=0.3, rho_s=0.9)
-    a, aq = mc.pulse_coeffs(p, 1.0)
+    a, aq = pulse_coeffs(p, 1.0)
     want = decimal_rational_mgf(a, aq, 2, 1.0)
     mgf = mc.speckle_coeffs(p, 1.0)
     assert np.exp(mgf.log_mgf(1.0)) == pytest.approx(want, rel=1e-13)
+
+
+def test_table_rows_evaluate_as_single_rows():
+    # finite-kappa rows (beta = 0) and steady rows of several widths in one
+    # zero-padded table, two spare columns wider than any row
+    rows = [mc.speckle_coeffs(mc.scenario(M=M, kappa=kappa, S=S, q=0.8,
+                                          nu=2.0, rho_c=0.75, rho_s=0.9), u)
+            for M, kappa, S, u in ((1, 1, 3.0, 0.7), (10, 2, 3.0, 1.3),
+                                   (3, math.inf, 3.0, 0.4),
+                                   (10, math.inf, 0.0, 1.1),
+                                   (10, math.inf, 3.0, 2.0), (3, 2, 0.0, 0.9))]
+    widths = [m.a.size for m in rows]
+    assert len(set(widths)) > 2
+    tab = np.zeros((3, len(rows), max(widths) + 2))
+    for i, m in enumerate(rows):
+        for dst, src in zip(tab, (m.a, m.alpha, m.beta)):
+            dst[i, :src.size] = src
+    table = mc.PoleMgf(*tab)
+    for pick in ([0, 5, 1], [4, 2, 2, 3], [5, 0], list(range(len(rows)))):
+        blk = table.take(pick)
+        assert blk.a.shape == (len(pick), max(widths[i] for i in pick))
+        assert blk.has_beta == any(rows[i].has_beta for i in pick)
+        for s_frac in (-0.6, 0.4):
+            s = np.array([s_frac / float(rows[i].a_max) for i in pick])
+            val = blk.log_mgf(s)
+            d1, d2 = blk.derivatives(np.arange(len(pick)), s)
+            for k, i in enumerate(pick):
+                one = rows[i].take([0])
+                want = rows[i].log_mgf(s[k])
+                w1, w2 = one.derivatives(np.zeros(1, dtype=int), s[k:k + 1])
+                assert abs(val[k] - want) <= 1e-15 * abs(want)
+                assert abs(d1[k] - w1[0]) <= 1e-15 * abs(w1[0])
+                assert abs(d2[k] - w2[0]) <= 1e-15 * abs(w2[0])
 
 
 def test_analytic_moments_special_cases():

@@ -11,6 +11,7 @@ import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 from gammaclutter import detector, texture
 from gammaclutter.errors import DegenerateV, NoConvergence
+from oracles import ExactTauRow, dlog, phase
 
 
 def fig_scenario():
@@ -19,17 +20,9 @@ def fig_scenario():
                        rho_c=0.75, rho_s=0.95)
 
 
-def _tau_prime(z, state):
-    """tau'(z) of a SaddleState, exact log form (the derivative of
-    sp.tau_phase)."""
-    one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), state.c)
-    return (state.lam - (state.c / one_m) @ state.w
-            - (state.g / one_m ** 2).sum(axis=-1))
-
-
 def _state_ev(state):
     """Element evaluator (tau, tau') over one state's exact phase."""
-    return lambda z, p: (sp.tau_phase(z, state), _tau_prime(z, state))
+    return lambda z, p: (state.tau(z), state.dtau(z))
 
 
 def _invert(tau, st):
@@ -44,20 +37,20 @@ def test_single_pole_saddle_quadratic_oracle():
     p = mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=np.inf)
     co = mc.speckle_coeffs(p, 1.0)
     for v in (1.5, 2.0, 5.0):
-        st = sp.solve_saddle(v, co)
+        s0, _, left = sp.solve_saddle(v, co)
         a, b, c = v, v - 2.0, -1.0
         root = (-b - math.sqrt(b * b - 4 * a * c)) / (2 * a)
-        assert st.s0 == pytest.approx(root, abs=1e-12)
-        assert st.side is sp.Side.RIGHT_TAIL
+        assert s0 == pytest.approx(root, abs=1e-12)
+        assert not left
 
 
 def test_phase_is_minimum_along_real_axis():
     p = fig_scenario()
     mgf = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(9.0, mgf)
-    base = sp.phase(st.s0, 9.0, mgf, st.side)
+    s0, _, left = sp.solve_saddle(9.0, mgf)
+    base = phase(s0, 9.0, mgf, left)
     for ds in (-1e-5, 1e-5):
-        assert sp.phase(st.s0 + ds, 9.0, mgf, st.side) > base
+        assert phase(s0 + ds, 9.0, mgf, left) > base
 
 
 def test_saddle_residual_and_r1_across_grid():
@@ -69,8 +62,8 @@ def test_saddle_residual_and_r1_across_grid():
         for u in (0.3, 1.0, 2.5):
             mgf = mc.speckle_coeffs(p, u, ctx=ctx)
             for v in np.linspace(0.2, 20.0, 40):
-                st = sp.solve_saddle(v, mgf)
-                resid = mgf.dlog(st.s0) - 1.0 / st.s0 + v
+                st = ExactTauRow(v, mgf)
+                resid = dlog(mgf, st.s0) - 1.0 / st.s0 + v
                 assert abs(resid) < 1e-10 * max(1.0, v)
                 assert abs(st.r1 - 1.0) < 1e-8
                 assert st.r2 > 0
@@ -80,10 +73,12 @@ def test_saddle_side_selection():
     p = fig_scenario()
     mgf = mc.speckle_coeffs(p, 1.0)
     mean = mgf.mean
-    assert sp.solve_saddle(mean * 1.2, mgf).side is sp.Side.RIGHT_TAIL
-    assert sp.solve_saddle(mean * 1.2, mgf).s0 < 0
-    assert sp.solve_saddle(mean * 0.8, mgf).side is sp.Side.LEFT_TAIL
-    assert sp.solve_saddle(mean * 0.8, mgf).s0 > 0
+    s0, _, left = sp.solve_saddle(mean * 1.2, mgf)
+    assert not left
+    assert s0 < 0
+    s0, _, left = sp.solve_saddle(mean * 0.8, mgf)
+    assert left
+    assert s0 > 0
     with pytest.raises(DegenerateV):
         sp.solve_saddle(0.0, mgf)
 
@@ -91,7 +86,7 @@ def test_saddle_side_selection():
 def test_tau_at_zero_and_small_tau_leading_order():
     p = fig_scenario()
     co = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(10.0, co)
+    st = ExactTauRow(10.0, co)
     assert _invert(0.0, st) == 0.0
     z = _invert(1e-6, st)
     z0 = 1j * math.sqrt(2e-6 / st.r2)
@@ -103,11 +98,11 @@ def test_tau_round_trip_on_quadrature_nodes():
     p = fig_scenario()
     ctx = mc.ScenarioContext(p)
     co = mc.speckle_coeffs(p, 1.0, ctx=ctx)
-    st = sp.solve_saddle(12.0, co)
+    st = ExactTauRow(12.0, co)
     t, _ = roots_genlaguerre(64, 0.5)
     for tau in t:
         z = _invert(float(tau), st)
-        assert abs(sp.tau_phase(z, st) - tau) < 1e-10 * max(1.0, tau)
+        assert abs(st.tau(z) - tau) < 1e-10 * max(1.0, tau)
         assert z.imag > 0
 
 
@@ -115,9 +110,9 @@ def test_tau_series_quadratic_leading_term():
     # tau(z) + r2 z^2 / 2 = O(z^3): the linear term cancels at the saddle
     p = fig_scenario()
     co = mc.speckle_coeffs(p, 1.0)
-    st = sp.solve_saddle(10.0, co)
+    st = ExactTauRow(10.0, co)
     for z in (1e-3, 1e-3j, (1 + 1j) * 1e-3):
-        resid = sp.tau_phase(z, st) + st.r2 * z * z / 2.0
+        resid = st.tau(z) + st.r2 * z * z / 2.0
         assert abs(resid) < 10.0 * abs(z) ** 3 * max(1.0, st.r2)
 
 
@@ -284,7 +279,7 @@ def test_batch_returns_each_pair_saddle():
     v = np.array([x for x, _ in pairs])
     saddles = np.full(v.size, np.nan)
     sp.survival_pairs(v, _stack(mgfs), np.arange(len(pairs)), "sp", saddles)
-    want = [sp.solve_saddle(x, m).s0 for x, m in pairs]
+    want = [sp.solve_saddle(x, m)[0] for x, m in pairs]
     assert np.allclose(saddles, want, rtol=1e-12, atol=0.0)
     # the steady target in fully correlated clutter has a positive shift
     steady = mc.speckle_coeffs(mc.scenario(M=10, kappa=math.inf, S=3.0,
@@ -365,15 +360,15 @@ def test_tau_rows_match_exact_phase_near_and_far():
                         rho_c=0.75, rho_s=0.9)
         mgf = mc.speckle_coeffs(p, 0.7)
         for v in (0.7 * mgf.mean, 1.6 * mgf.mean):
-            st = sp.solve_saddle(v, mgf)
-            tab = sp._PoleTable(mgf, [0])
+            st = ExactTauRow(v, mgf)
+            tab = mgf.take([0])
             s0, _, _, _ = sp._solve_saddles(np.array([v]), tab)
             rows = sp._TauRows(np.array([v]), tab, s0)
             top = 10.0
             z = np.array([0.3j, 0.4 * top * (0.2 + 1j), 0.9 * top * 1j,
                           1.5 * top * (0.1 + 1j), 3.0 * top * 1j])
             tau, dtau = rows(z, np.zeros(z.size, dtype=int))
-            ref, dref = sp.tau_phase(z, st), _tau_prime(z, st)
+            ref, dref = st.tau(z), st.dtau(z)
             assert np.all(np.abs(tau - ref) <= 1e-12 * np.maximum(1.0, abs(ref)))
             assert np.all(np.abs(dtau - dref)
                           <= 1e-12 * np.maximum(1.0, abs(dref)))
@@ -383,7 +378,7 @@ def test_newton_step_halving_recovers_poor_starts():
     # full Newton steps from these starts leave the upper half plane or
     # raise the residual; only the step halving brings them in
     p = fig_scenario()
-    st = sp.solve_saddle(12.0, mc.speckle_coeffs(p, 1.0))
+    st = ExactTauRow(12.0, mc.speckle_coeffs(p, 1.0))
     t, _ = sp._TAU_RULE
     ev = _state_ev(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
@@ -409,12 +404,11 @@ def test_saddle_newton_matches_scalar_root(kappa, q, M, S, rho_c, u, e):
     mgf = mc.speckle_coeffs(p, u)
     shift = float(sp.support_shift(mgf))
     v = shift + (mgf.mean - shift) * 10.0 ** e
-    s0, r2, _, left = sp._solve_saddles(np.array([v]),
-                                         sp._PoleTable(mgf, [0]))
+    s0, r2, _, left = sp._solve_saddles(np.array([v]), mgf.take([0]))
     s0 = float(s0[0])
 
     def f(s):
-        return mgf.dlog(s) - 1.0 / s + v
+        return dlog(mgf, s) - 1.0 / s + v
 
     if left[0]:
         assert s0 > 0.0
@@ -449,8 +443,8 @@ def _engine_counts(monkeypatch):
 
     monkeypatch.setattr(sp._TauRows, "__call__", counted(
         sp._TauRows.__call__, tau=lambda rows, z, p: z.size, evals=one))
-    monkeypatch.setattr(sp._PoleTable, "derivatives", counted(
-        sp._PoleTable.derivatives, derivatives=one))
+    monkeypatch.setattr(mc.PoleMgf, "derivatives", counted(
+        mc.PoleMgf.derivatives, derivatives=one))
     monkeypatch.setattr(sp, "_invert_nodes", counted(
         sp._invert_nodes, inverts=one,
         elements=lambda ev, t, r2, pairs: t.size * pairs.size))
