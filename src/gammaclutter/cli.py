@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -126,8 +125,12 @@ def _write(path, lines):
 def _threads(args) -> int:
     n, name = args.threads, "--threads"
     if n is None:
-        n = int(os.environ.get("GAMMACLUTTER_THREADS", "0"))
         name = "GAMMACLUTTER_THREADS"
+        raw = os.environ.get(name, "0")
+        try:
+            n = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} {raw!r} must be an integer") from None
     if n < 0:
         raise ValueError(f"{name} {n} must be >= 0 (0 = auto)")
     return n or os.cpu_count() or 1
@@ -197,42 +200,13 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     _count(args.draws, "--draws")
     _count(args.grid_points, "--grid-points")
-    rng = np.random.default_rng(args.seed)
-    names = [m.name for m in texture.ALL_METHODS]
-    times = {m: [] for m in names}
-    abs_dev = {m: [] for m in names}
-    rel_dev = {m: [] for m in names}
-    for _ in range(args.draws):
-        params = scenario(M=args.M, kappa=2,
-                          S=rng.uniform(1.0, 10.0),
-                          q=rng.uniform(0.5, 1.0),
-                          nu=rng.uniform(1.0, 10.0),
-                          rho_s=0.95, rho_c=0.75)
-        rule = _texture_rule(args, {}, params.nu)
-        v_max = detector.survival_quantile(params, 1e-3, "eff-sdp", rule)
-        grid = np.linspace(0.0, v_max, args.grid_points + 1)[1:]
-        ref = None
-        for m in names:
-            # fresh per method: the timed curve builds the fields it reads
-            ctx_timed = ScenarioContext(params)
-            t0 = time.perf_counter()
-            curve = texture.survival_curve(grid, params, m, rule, ctx_timed)
-            times[m].append(time.perf_counter() - t0)
-            if m == "eff-sdp":
-                ref = curve
-            else:
-                dev = np.abs(curve - ref)
-                abs_dev[m].append(float(dev.max()))
-                rel_dev[m].append(float((dev / np.clip(ref, 1e-300, None))
-                                        .max()))
+    table = detector.bench(args.draws, args.grid_points, args.M, args.seed,
+                           args.texture_order)
     lines = [f"# bench: draws={args.draws} M={args.M} grid={args.grid_points} "
              f"seed={args.seed}",
              "method,mean_time_s,max_abs_dev,max_rel_dev"]
-    for m in names:
-        t = float(np.mean(times[m]))
-        ad = float(np.mean(abs_dev[m])) if abs_dev[m] else float("nan")
-        rd = float(np.mean(rel_dev[m])) if rel_dev[m] else float("nan")
-        lines.append(f"{m},{_fmt(t)},{_fmt(ad)},{_fmt(rd)}")
+    for m, rows in table.items():
+        lines.append(",".join([m] + [_fmt(np.mean(r)) for r in rows]))
     _write(args.out, lines)
     return 0
 
@@ -296,8 +270,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, InvalidScenario,
-            InvalidCorrelation, InvalidShape) as exc:
+    except (ValueError, OSError, InvalidScenario, InvalidCorrelation,
+            InvalidShape) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GammaClutterError as exc:

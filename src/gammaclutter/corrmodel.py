@@ -85,10 +85,6 @@ class EigenSystem:
     rotation: np.ndarray
     is_identity: bool = False
 
-    @property
-    def M(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def build_matrix(spec: CorrelationSpec) -> np.ndarray:
     """Realize the symmetric Toeplitz matrix; unit diagonal, trace M."""

@@ -1,21 +1,23 @@
-"""Detection thresholds and probability-of-detection curves.
+"""Detection thresholds, P_D curves and the run-time/accuracy benchmark.
 
 The threshold v_b solves P_FA = F(v_b; S=0) on the null (interference only)
 survival curve; the detection probability is then P_D(S) = F(v_b; S) at the
 same threshold across a grid of signal-to-interference ratios.
 
 One search solves F(v; S) = p at any S (``survival_quantile``): the
-threshold is its S = 0 case, and the ``bench`` command's grid end its
-p = 1e-3 level at the drawn S.  It is Newton's method on the log-odds
-ln F - ln(1 - F) in x = sqrt(v), where gamma-like and K-distributed tails
-are near-linear.  Its slope is d ln F/dv from the saddles the texture sum
-solves anyway, scaled by the ratio of the last secant to the mean of the
-last two slopes.  Started at the p quantile of the gamma law with the
-scenario's mean and variance, it takes about three survival evaluations."""
+threshold is its S = 0 case, and the grid end of ``bench`` (each method's
+curve timed and scored against eff-sdp's) its p = 1e-3 level at the drawn
+S.  It is Newton's method on the log-odds ln F - ln(1 - F) in x = sqrt(v),
+where gamma-like and K-distributed tails are near-linear.  Its slope is
+d ln F/dv from the saddles the texture sum solves anyway, scaled by the
+ratio of the last secant to the mean of the last two slopes.  Started at
+the p quantile of the gamma law with the scenario's mean and variance, it
+takes about three survival evaluations."""
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +25,9 @@ from scipy.special import gammainccinv
 
 from .errors import BracketFail, InvalidScenario, NoConvergence
 from .mgf_core import (ScenarioContext, ScenarioParams, analytic_moments,
-                       pole_table)
-from .texture import (V_SEARCH_MAX, Method, TextureRule, _texture_sum,
-                      gamma_texture_rule)
+                       pole_table, scenario)
+from .texture import (ALL_METHODS, V_SEARCH_MAX, Method, TextureRule,
+                      _texture_sum, gamma_texture_rule, survival_curve)
 
 # Relative accuracy of the threshold search in P_FA.
 PFA_REL_TOL = 1e-3
@@ -140,6 +142,42 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
         pd = _texture_sum(v_b, sir_grid, params, method, rule,
                           ScenarioContext(params))[0]
     return DetectionCurve(sir_grid, pd, v_b, pfa, method.name)
+
+
+def bench(draws: int, grid_points: int = 100, M: int = 100, seed: int = 1,
+          order: int | None = None) -> dict[str, np.ndarray]:
+    """Seconds per curve and deviation from eff-sdp of every method.
+
+    Each of the `draws` scenarios has M pulses, kappa = 2, rho_s = 0.95,
+    rho_c = 0.75 and S ~ U(1, 10), q ~ U(0.5, 1), nu ~ U(1, 10), drawn in
+    that order from default_rng(seed), and one texture rule of `order`.  A
+    curve spans `grid_points` levels up to eff-sdp's 1e-3 survival_quantile
+    and has a fresh ScenarioContext, so its time includes the fields it
+    reads.  Returns {method name: (3, draws) array} of seconds, max |F - G|
+    and max |F - G| / G, G being eff-sdp, whose deviations are NaN.
+    """
+    rng = np.random.default_rng(seed)
+    table = {m.name: np.full((3, draws), np.nan) for m in ALL_METHODS}
+    for k in range(draws):
+        params = scenario(M=M, kappa=2, S=rng.uniform(1.0, 10.0),
+                          q=rng.uniform(0.5, 1.0), nu=rng.uniform(1.0, 10.0),
+                          rho_s=0.95, rho_c=0.75)
+        rule = gamma_texture_rule(params.nu) if order is None else \
+            gamma_texture_rule(params.nu, order)
+        v_max = survival_quantile(params, 1e-3, "eff-sdp", rule)
+        grid = np.linspace(0.0, v_max, grid_points + 1)[1:]
+        for name, row in table.items():     # eff-sdp, the reference, first
+            ctx = ScenarioContext(params)
+            t0 = time.perf_counter()
+            curve = survival_curve(grid, params, name, rule, ctx)
+            row[0, k] = time.perf_counter() - t0
+            if name == "eff-sdp":
+                ref = curve
+            else:
+                dev = np.abs(curve - ref)
+                row[1, k] = dev.max()
+                row[2, k] = (dev / np.clip(ref, 1e-300, None)).max()
+    return table
 
 
 def db_to_linear(s_db):

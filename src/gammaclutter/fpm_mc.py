@@ -63,14 +63,6 @@ class EmpiricalDistribution:
     sorted_samples: np.ndarray
     n: int
 
-    @property
-    def mean(self) -> float:
-        return float(self.sorted_samples.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self.sorted_samples.var(ddof=1))
-
 
 def check_integer(name: str, value, lo: int, bits: int | None = None
                   ) -> None:

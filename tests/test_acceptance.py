@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 import gammaclutter as gc
-from gammaclutter import gof_stats, texture
+from gammaclutter import detector, gof_stats, texture
 from gammaclutter.mgf_core import (
     ScenarioContext,
     Scheme,
@@ -165,10 +165,8 @@ def test_criterion_05_sp_deviation_band_and_location():
         rule = gamma_texture_rule(p.nu, 24)
         ctx = ScenarioContext(p)
         vbar = 1.0 + p.S
-        hi = 2.0 * vbar
-        while texture.compound_survival(hi, p, "eff-sdp", rule, ctx) > 1e-3:
-            hi *= 1.3
-        grid = np.linspace(hi / 50.0, hi, 50)
+        hi = detector.survival_quantile(p, 1e-3, "eff-sdp", rule)
+        grid = np.linspace(0.0, hi, 51)[1:]
         eff = survival_curve(grid, p, "eff-sdp", rule, ctx)
         spv = survival_curve(grid, p, "eff-sp", rule, ctx)
         dev = np.abs(spv - eff)
@@ -281,39 +279,16 @@ def test_criterion_09_power_study():
 
 
 def test_criterion_10_benchmark_orderings():
-    rng = np.random.default_rng(1010)
-    methods = [m.name for m in texture.ALL_METHODS]
-    times = {m: [] for m in methods}
-    abs_dev = {m: [] for m in methods}
-    for _ in range(8):
-        p = gc.scenario(M=100, kappa=2, S=rng.uniform(1, 10),
-                        q=rng.uniform(0.5, 1), nu=rng.uniform(1, 10),
-                        rho_c=0.75, rho_s=0.95)
-        rule = gamma_texture_rule(p.nu, 32)
-        ctx0 = ScenarioContext(p)
-        hi = 2.0 * (1 + p.S)
-        while texture.compound_survival(hi, p, "eff-sdp", rule, ctx0) > 1e-3:
-            hi *= 1.3
-        grid = np.linspace(hi / 60.0, hi, 60)
-        ref = None
-        for m in methods:
-            ctx = ScenarioContext(p)
-            t0 = time.perf_counter()
-            curve = survival_curve(grid, p, m, rule, ctx)
-            times[m].append(time.perf_counter() - t0)
-            if m == "eff-sdp":
-                ref = curve
-            else:
-                abs_dev[m].append(float(np.max(np.abs(curve - ref))))
-    mt = {m: float(np.mean(v)) for m, v in times.items()}
-    diag_err = float(np.mean(abs_dev["diag-sdp"]))
+    table = detector.bench(8, 60, 100, 1010, 32)
+    mt = {m: float(np.mean(rows[0])) for m, rows in table.items()}
+    diag_err = float(np.mean(table["diag-sdp"][1]))
     ok = (mt["dmg-sp"] < mt["dmg-sdp"] < mt["eff-sdp"]
           and mt["diag-sdp"] < mt["eff-sdp"]
           and mt["dmg-sp"] == min(mt.values())
           and diag_err <= 1e-3)
     assert report(10, ok,
                   "mean times " +
-                  " ".join(f"{m}={mt[m]:.3f}s" for m in methods) +
+                  " ".join(f"{m}={t:.3f}s" for m, t in mt.items()) +
                   f"; diag-sdp max abs err {diag_err:.2e} (need <=1e-3)")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from gammaclutter import cli, texture
+from gammaclutter import cli, detector, texture
 
 
 def write_scenario(tmp_path, **overrides):
@@ -101,6 +101,13 @@ def test_bench_command_small(tmp_path):
     # deviations exist for every non-reference method
     for r in body[1:]:
         assert float(r[2]) < 0.2
+    # the command prints the means of the library loop's table
+    table = detector.bench(1, 8, 6, 3)
+    assert [[r[0]] + r[2:] for r in body] == [
+        [m, cli._fmt(np.mean(rows[1])), cli._fmt(np.mean(rows[2]))]
+        for m, rows in table.items()]
+    assert np.isnan(table["eff-sdp"][1:]).all()
+    assert all((rows[0] > 0).all() for rows in table.values())
 
 
 def test_bench_rejects_empty_runs(capsys):
@@ -232,3 +239,8 @@ def test_negative_worker_counts_are_config_errors(tmp_path, monkeypatch,
     monkeypatch.setenv("GAMMACLUTTER_THREADS", "-1")
     assert cli.main(args) == cli.EXIT_CONFIG
     assert "GAMMACLUTTER_THREADS -1 must be >= 0" in capsys.readouterr().err
+    # a non-integer value once failed in int() naming neither
+    monkeypatch.setenv("GAMMACLUTTER_THREADS", "two")
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "GAMMACLUTTER_THREADS 'two' must be an integer" \
+        in capsys.readouterr().err
