@@ -28,7 +28,7 @@ def main():
         params, sf, K=args.replicates, n=args.samples, seed=args.seed,
         threads=args.threads,
         config_echo={"kappa": args.kappa, "method": args.method})
-    text = ens.to_json(indent=2)
+    text = ens.to_json()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

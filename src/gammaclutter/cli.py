@@ -142,6 +142,9 @@ def cmd_survival(args) -> int:
     methods = [Method.parse(m) for m in args.methods.split(",")]
     _count(args.v_points, "--v-points")
     v_max = args.v_max if args.v_max is not None else 4.0 * (1.0 + params.S)
+    for flag, v in (("--v-min", args.v_min), ("--v-max", v_max)):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} {v} must be a finite number")
     grid = np.linspace(args.v_min, v_max, args.v_points)
     rule = _texture_rule(args, cfg, params.nu)
     ctx = ScenarioContext(params)
@@ -193,7 +196,7 @@ def cmd_compare(args) -> int:
         config_echo={**cfg, "method": method, "texture_order": rule.order,
                      "replicates": args.replicates, "samples": args.samples,
                      "seed": seed})
-    _write(args.out, [ens.to_json(indent=2)])
+    _write(args.out, [ens.to_json()])
     return 0
 
 

@@ -43,19 +43,15 @@ from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams
 
 @dataclass(frozen=True)
 class McConfig:
+    """n_samples draws of params; the target is coloured by loading_s."""
+
     n_samples: int
     seed: int
     params: ScenarioParams
-    # loading convention for a degenerate (uncorrelated) target spectrum:
-    # "limit" (vanishing-correlation eigenbasis), "identity", or "clutter"
-    target_rotation: str = "limit"
 
     def __post_init__(self):
         check_integer("n_samples", self.n_samples, 1)
         check_integer("seed", self.seed, 0, 64)
-        if self.target_rotation not in ("limit", "identity", "clutter"):
-            raise InvalidScenario(
-                f"unknown target rotation '{self.target_rotation}'")
 
 
 @dataclass(frozen=True)
@@ -115,8 +111,8 @@ def _target_quadrature(rng, n, M, kappa, L_s):
     return Y @ L_s
 
 
-def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
-                target_rotation: str = "limit") -> np.ndarray:
+def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext
+                ) -> np.ndarray:
     M, S, q, nu = params.M, params.S, params.q, params.nu
     if nu == math.inf:
         U = np.ones(n)
@@ -134,8 +130,7 @@ def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
         else:
             total += Xc
     if S > 0.0:
-        Xs = _target_quadrature(rng, n, M, params.kappa,
-                                ctx.fp_loading(target_rotation))
+        Xs = _target_quadrature(rng, n, M, params.kappa, ctx.loading_s)
         Xs *= math.sqrt(S)
         total += Xs
     total *= total
@@ -152,6 +147,6 @@ def simulate_returns(config: McConfig, stream: int = 0,
         ctx = ScenarioContext(config.params)
     rng = _rng(config.seed, stream)
     n = config.n_samples
-    z = _draw_block(rng, n, config.params, ctx, config.target_rotation)
+    z = _draw_block(rng, n, config.params, ctx)
     z.sort()
     return EmpiricalDistribution(z, n)

@@ -107,7 +107,7 @@ class KSEnsemble:
     rejected: bool
     config: dict = field(default_factory=dict)
 
-    def to_json(self, indent=None) -> str:
+    def to_json(self) -> str:
         payload = {
             "config": self.config,
             "n": self.n, "K": self.K, "alpha": self.alpha,
@@ -122,36 +122,36 @@ class KSEnsemble:
             "kolmogorov_curve": self.kolmogorov_curve.tolist(),
             "dkw_curve": self.dkw_curve.tolist(),
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
-def _replicate_stats(params, sfs, K, n, seed, stream_base):
+def _replicate_stats(params, sfs, K, n, seed, first_stream):
     """(len(sfs), K) KS statistics: each replicate draw is scored against
     every survival function in ``sfs``."""
     out = np.empty((len(sfs), K))
     ctx = ScenarioContext(params)
     cfg = McConfig(n, seed, params)
     for r in range(K):
-        dist = simulate_returns(cfg, stream=stream_base + r, ctx=ctx)
+        dist = simulate_returns(cfg, stream=first_stream + r, ctx=ctx)
         for i, sf in enumerate(sfs):
             out[i, r] = ks_statistic(dist, sf)
     return out
 
 
 def _stats_worker(args):
-    params, sfs, k_lo, k_hi, n, seed, stream_base = args
+    params, sfs, k_lo, k_hi, n, seed, first_stream = args
     return _replicate_stats(params, sfs, k_hi - k_lo, n, seed,
-                            stream_base + k_lo)
+                            first_stream + k_lo)
 
 
-def _ensemble_stats(params, sfs, K, n, seed, stream_base, threads):
+def _ensemble_stats(params, sfs, K, n, seed, first_stream, threads):
     """_replicate_stats, with the replicates split over ``threads`` worker
     processes when threads > 1; a replicate's stream does not depend on
     the split."""
     if not threads or threads <= 1:
-        return _replicate_stats(params, sfs, K, n, seed, stream_base)
+        return _replicate_stats(params, sfs, K, n, seed, first_stream)
     chunks = np.array_split(np.arange(K), threads)
-    jobs = [(params, sfs, int(ch[0]), int(ch[-1]) + 1, n, seed, stream_base)
+    jobs = [(params, sfs, int(ch[0]), int(ch[-1]) + 1, n, seed, first_stream)
             for ch in chunks if ch.size]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(list(pool.map(_stats_worker, jobs)), axis=1)
@@ -180,18 +180,17 @@ def check_ensemble(K: int, n: int, alpha: float, seed: int) -> None:
 
 
 def ks_ensemble(params: ScenarioParams, method_sf, K: int, n: int, seed: int,
-                alpha: float = 0.01, stream_base: int = 0,
-                threads: int = 0, config_echo: dict | None = None) -> KSEnsemble:
+                alpha: float = 0.01, threads: int = 0,
+                config_echo: dict | None = None) -> KSEnsemble:
     """K replicate KS statistics of n-sample MC runs against ``method_sf``.
 
     Returns the ensemble with its bootstrap band, Greenwood limits, the
     Kolmogorov theoretical curve (as function of the raw statistic), the DKW
-    tracking curve, and the rejection decision.
-    """
+    tracking curve, and the rejection decision.  Replicate r draws stream r
+    of ``seed`` at any thread count, the bootstrap band stream 2^31."""
     check_ensemble(K, n, alpha, seed)
-    stats = _ensemble_stats(params, [method_sf], K, n, seed, stream_base,
-                            threads)[0]
-    return _ensemble(stats, n, seed, alpha, stream_base, config_echo or {})
+    stats = _ensemble_stats(params, [method_sf], K, n, seed, 0, threads)[0]
+    return _ensemble(stats, n, seed, alpha, config_echo or {})
 
 
 def _greenwood(stats, n, alpha):
@@ -209,14 +208,14 @@ def _greenwood(stats, n, alpha):
             rejection_scan(dkw, green_lo))
 
 
-def _ensemble(stats, n, seed, alpha, stream_base, config_echo) -> KSEnsemble:
+def _ensemble(stats, n, seed, alpha, config_echo) -> KSEnsemble:
     """The bands, curves and rejection decision of K replicate statistics;
-    the bootstrap stream is keyed by (seed, stream_base)."""
+    the bootstrap stream is keyed by (seed, 2^31)."""
     K = stats.size
     grid, ens_sf, green_lo, green_hi, dkw, rejected = _greenwood(stats, n,
                                                                  alpha)
     rng = Generator(Philox(key=np.uint64(seed),
-                           counter=[0, 0, 1, np.uint64(2 ** 31 + stream_base)]))
+                           counter=[0, 0, 1, np.uint64(2 ** 31)]))
     boot = np.empty((BOOTSTRAP_RESAMPLES, grid.size))
     for b in range(BOOTSTRAP_RESAMPLES):
         res = np.sort(stats[rng.integers(0, K, K)])

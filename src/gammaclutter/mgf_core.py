@@ -75,10 +75,10 @@ class ScenarioParams:
     def __post_init__(self):
         if self.M < 1:
             raise InvalidScenario(f"M {self.M} must be >= 1")
-        if self.kappa != KAPPA_INF:
-            if self.kappa < 1 or self.kappa != int(self.kappa):
-                raise InvalidScenario(
-                    f"kappa {self.kappa} must be an integer >= 1 or inf")
+        if self.kappa != KAPPA_INF and not (
+                1 <= self.kappa < KAPPA_INF and self.kappa == int(self.kappa)):
+            raise InvalidScenario(
+                f"kappa: expected an integer >= 1 or inf, got {self.kappa}")
         if not 0.0 <= self.S < math.inf:
             raise InvalidScenario(f"S {self.S} must be finite and >= 0")
         if not 0.0 <= self.q <= 1.0:
@@ -100,9 +100,8 @@ def scenario(M, kappa, S, q, nu, rho_s=0.0, rho_c=0.0,
         spec_s = CorrelationSpec.gauss_markov(rho_s, M)
     if spec_c is None:
         spec_c = CorrelationSpec.gauss_markov(rho_c, M)
-    if kappa == KAPPA_INF:
-        kappa = math.inf
-    elif float(kappa) == int(kappa):
+    kappa = float(kappa)
+    if math.isfinite(kappa) and kappa == int(kappa):
         kappa = int(kappa)
     return ScenarioParams(int(M), kappa, float(S), float(q), float(nu),
                           spec_s, spec_c)
@@ -160,27 +159,12 @@ class ScenarioContext:
 
     @cached_property
     def loading_s(self) -> np.ndarray:
-        return loading_matrix(self.eig_s)
-
-    def fp_loading(self, rotation: str = "limit") -> np.ndarray:
-        """Target loading matrix for the first-principles constructions.
-
-        For a degenerate (exactly uncorrelated) target spectrum the rotation
-        is a free convention; ``limit`` uses the vanishing-correlation
-        eigenbasis of the Gauss-Markov family (right-continuous in rho),
-        ``identity`` the fully phase-uncorrelated choice, and ``clutter``
-        substitutes the clutter rotation, which brings the first-principles
-        model into exact agreement with the effective one.
-        """
-        if not self.eig_s.is_identity:
-            return self.loading_s
-        if rotation == "limit":
+        """The sampler's target loading, L_s^T L_s = C_s; an exactly
+        uncorrelated target, whose rotation is free, gets the Gauss-Markov
+        rho_s -> 0+ eigenbasis (right-continuous in rho_s)."""
+        if self.eig_s.is_identity:
             return corrmodel.gauss_markov_limit_basis(self.params.M)
-        if rotation == "identity":
-            return np.eye(self.params.M)
-        if rotation == "clutter":
-            return self.eig_c.rotation
-        raise InvalidScenario(f"unknown target rotation '{rotation}'")
+        return loading_matrix(self.eig_s)
 
     @cached_property
     def b_weights(self) -> np.ndarray:

@@ -204,15 +204,35 @@ def _log_cosh(z):
     return flip + np.log(1.0 + np.exp(-2.0 * flip)) - math.log(2.0)
 
 
+def target_context(params: ScenarioParams, convention: str
+                   ) -> ScenarioContext:
+    """A context whose target loading ``loading_s`` follows ``convention``
+    when the target is exactly uncorrelated, where the loading is free.
+
+    ``limit`` keeps the sampler's vanishing-correlation eigenbasis,
+    ``identity`` is the fully phase-uncorrelated choice, and ``clutter``
+    substitutes the clutter rotation, which brings the first-principles
+    model into exact agreement with the effective one.  A correlated target
+    keeps its own loading under every convention.
+    """
+    if convention not in ("limit", "identity", "clutter"):
+        raise ValueError(f"unknown target loading convention {convention!r}")
+    ctx = ScenarioContext(params)
+    if convention != "limit" and ctx.eig_s.is_identity:
+        ctx.loading_s = (np.eye(params.M) if convention == "identity"
+                         else ctx.eig_c.rotation)
+    return ctx
+
+
 def mgf_first_principles_steady(params: ScenarioParams, u: float, s,
-                                ctx: ScenarioContext | None = None,
-                                target_rotation: str = "limit"):
+                                ctx: ScenarioContext | None = None):
     """Quadrature-level steady-target MGF in the pairwise cosh approximation.
 
     Differs from the kappa -> inf effective MGF by the factor
     prod_{i<j} cosh^2((S/M) A_ij) with A = L_s N(s) L_s^T, which vanishes
-    identically for a fully correlated target.  ``target_rotation`` picks the
-    loading convention for a degenerate (uncorrelated) target spectrum.
+    identically for a fully correlated target.  L_s is ``ctx.loading_s``;
+    ``target_context`` builds a ctx with another convention for a
+    degenerate (uncorrelated) target spectrum.
 
     The product averages each pair's sign product Y_i Y_j as if the pairs
     were independent, which they are not once M > 2 (Y_1 Y_2 and Y_2 Y_3
@@ -231,7 +251,7 @@ def mgf_first_principles_steady(params: ScenarioParams, u: float, s,
     if np.any(np.abs(denom) < 1e-300):
         raise PoleHit("MGF evaluated at a pole")
     d = s / denom
-    V = ctx.eig_c.rotation @ ctx.fp_loading(target_rotation).T
+    V = ctx.eig_c.rotation @ ctx.loading_s.T
     trace = np.sum(d * np.sum(V * V, axis=1))
     A = V.T @ (d[:, None] * V)
     i, j = np.triu_indices(M, k=1)
@@ -509,8 +529,7 @@ def simulate_gaussian_target_channel(config: fpm_mc.McConfig,
         Xc = fpm_mc._clutter_speckle(rng, n, M, p.spec_c, ctx.eig_c)
         total += np.sqrt(p.q * U)[:, None, None] * Xc
     if p.S > 0.0:
-        Xs = rng.standard_normal((n, 2, M)) @ ctx.fp_loading(
-            config.target_rotation)
+        Xs = rng.standard_normal((n, 2, M)) @ ctx.loading_s
         total += math.sqrt(p.S) * Xs
     z = np.sort(np.sum(total * total, axis=(1, 2)) / (2.0 * M))
     return fpm_mc.EmpiricalDistribution(z, n)

@@ -25,6 +25,7 @@ small-correlation example used is an open question.
 import time
 
 import numpy as np
+import pytest
 
 import gammaclutter as gc
 from gammaclutter import detector, gof_stats, texture
@@ -62,6 +63,7 @@ def report(criterion, ok, detail):
     return ok
 
 
+@pytest.mark.slow
 def test_criterion_01_moment_identities():
     rng = np.random.default_rng(1001)
     t0 = time.time()
@@ -83,6 +85,7 @@ def test_criterion_01_moment_identities():
                          f"max rel var err {worst_var:.2e}, {dt:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_oracle_equivalence():
     rng = np.random.default_rng(2002)
     t0 = time.time()
@@ -155,6 +158,7 @@ def test_criterion_04_diagonal_accuracy_amplified():
                          f"{worst_log:.3e} (plain relative {worst_rel:.3e})")
 
 
+@pytest.mark.slow
 def test_criterion_05_sp_deviation_band_and_location():
     rng = np.random.default_rng(5005)
     max_devs, loc_offsets = [], []
@@ -180,6 +184,7 @@ def test_criterion_05_sp_deviation_band_and_location():
                          f"peak within 30% of the mean")
 
 
+@pytest.mark.slow
 def test_criterion_06_ks_null_non_rejection():
     t0 = time.time()
     outcomes = {}
@@ -245,7 +250,7 @@ def test_criterion_08b_small_correlation_agreement():
     model must sit in 8a's band.
     """
     S, M = 5.0, 10
-    loadings = {rho_s: ScenarioContext(_worst_case_params(rho_s)).fp_loading()
+    loadings = {rho_s: ScenarioContext(_worst_case_params(rho_s)).loading_s
                 for rho_s in (0.0, 1e-4)}
     # the oracle is fed the Gauss-Markov target it claims to describe
     L = loadings[1e-4]
@@ -265,6 +270,7 @@ def test_criterion_08b_small_correlation_agreement():
                             f"model {mean_ks_eff:.4f} (8a band 0.04 +- 0.01)")
 
 
+@pytest.mark.slow
 def test_criterion_09_power_study():
     t0 = time.time()
     p = fig45_params(2)
@@ -278,6 +284,7 @@ def test_criterion_09_power_study():
                          f"null rate={null_rate:.2f} (need <=0.05); {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_benchmark_orderings():
     table = detector.bench(8, 60, 100, 1010, 32)
     mt = {m: float(np.mean(rows[0])) for m, rows in table.items()}

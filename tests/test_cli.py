@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,8 @@ def test_compare_rejects_a_bad_seed_before_building(tmp_path, seed,
     ("compare", "method", 5),   # an AttributeError traceback
     ("survival", "S", True),    # silently S = 1
     ("survival", "kappa", True),
+    ("survival", "kappa", -math.inf),   # an OverflowError traceback
+    ("pd", "kappa", math.nan),          # a ValueError naming no key
     ("survival", "M", 4.5),     # silently M = 4
     ("pd", "rho_c", "0.5"),
 ])
@@ -216,6 +219,10 @@ def test_scenario_values_of_the_wrong_type_are_config_errors(
     ("pd", {"S_grid_dB": [0, 20, True]}, [], "S_grid_dB"),
     ("pd", {}, ["--sir-grid-db", "0:20:0"], "--sir-grid-db"),
     ("survival", {}, ["--v-points", "0"], "--v-points"),
+    # exit 3, "power level v nan is not finite", after a numpy warning
+    ("survival", {}, ["--v-max", "nan"], "--v-max"),
+    ("survival", {}, ["--v-max", "inf"], "--v-max"),
+    ("survival", {}, ["--v-min", "nan"], "--v-min"),
 ])
 def test_bad_grids_are_config_errors(tmp_path, command, overrides, extra,
                                      key, capsys):

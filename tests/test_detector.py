@@ -138,6 +138,7 @@ def test_survival_quantile_raises_beyond_search_range():
         det.survival_quantile(p, 1e-3)
 
 
+@pytest.mark.slow
 def test_threshold_matches_oracle_root():
     p = mc.scenario(M=10, kappa=2, S=0.0, q=1.0, nu=10.0, rho_c=0.75)
     pfa = 1e-6

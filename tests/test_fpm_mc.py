@@ -9,7 +9,8 @@ import gammaclutter.mgf_core as mc
 from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import InvalidScenario
 from oracles import (WorstCaseLaw, mgf_first_principles_steady,
-                     simulate_gaussian_target_channel, worst_case_mgf)
+                     simulate_gaussian_target_channel, target_context,
+                     worst_case_mgf)
 
 def _cfg(n, seed, **kw):
     p = mc.scenario(**kw)
@@ -58,6 +59,20 @@ def test_golden_vector_seed42():
         1.0417566633903597, 1.090847944881956, 1.3071010605693243,
         1.9383504080352703, 2.4146790520944883, 2.432888351577264,
         3.133864731827892, 3.3820923989368734,
+    ])
+    assert np.array_equal(got, want)
+
+
+def test_golden_vector_degenerate_target_seed42():
+    # rho_s=0: the sampler colours the target with the rho_s -> 0+ limit
+    # basis, a free convention that no other frozen vector reaches
+    cfg = _cfg(8, 42, M=4, kappa=math.inf, S=2.0, q=1.0, nu=2.0,
+               rho_c=1.0, rho_s=0.0)
+    got = fp.simulate_returns(cfg).sorted_samples
+    want = np.array([
+        1.6349171332390213, 1.9726185621402395, 2.3923157456668003,
+        2.6018787219437973, 3.0756262734846507, 3.288577073319619,
+        3.843757225212202, 5.807766565326606,
     ])
     assert np.array_equal(got, want)
 
@@ -191,26 +206,28 @@ def test_compound_factorization_variance():
 
 
 def test_target_rotation_conventions_differ_only_when_degenerate():
-    # non-degenerate target: rotation option is inert
+    # non-degenerate target: the loading convention is inert
     p = mc.scenario(M=4, kappa=3, S=2.0, q=0.5, nu=np.inf,
                     rho_c=0.5, rho_s=0.6)
     a = fp.simulate_returns(fp.McConfig(256, 3, p))
-    b = fp.simulate_returns(fp.McConfig(256, 3, p, target_rotation="clutter"))
+    b = fp.simulate_returns(fp.McConfig(256, 3, p), 0,
+                            target_context(p, "clutter"))
     assert np.array_equal(a.sorted_samples, b.sorted_samples)
 
     # degenerate target, kappa > 1: conventions give different laws
     p0 = mc.scenario(M=4, kappa=np.inf, S=2.0, q=1.0, nu=np.inf,
                      rho_c=1.0, rho_s=0.0)
     x = fp.simulate_returns(fp.McConfig(256, 3, p0))
-    y = fp.simulate_returns(fp.McConfig(256, 3, p0, target_rotation="identity"))
+    y = fp.simulate_returns(fp.McConfig(256, 3, p0), 0,
+                            target_context(p0, "identity"))
     assert not np.array_equal(x.sorted_samples, y.sorted_samples)
 
 
 def _worst_case_law(M, rotation, rho_s=0.0):
     p = mc.scenario(M=M, kappa=np.inf, S=5.0, q=1.0, nu=np.inf,
                     rho_s=rho_s, rho_c=1.0)
-    ctx = mc.ScenarioContext(p)
-    return p, ctx, WorstCaseLaw(ctx.fp_loading(rotation), 5.0)
+    ctx = target_context(p, rotation)
+    return p, ctx, WorstCaseLaw(ctx.loading_s, 5.0)
 
 
 def test_worst_case_law_oracle_self_check():
@@ -224,8 +241,7 @@ def test_worst_case_law_oracle_self_check():
     for rotation in ("limit", "identity", "clutter"):
         p, ctx, law = _worst_case_law(2, rotation)
         for s in (0.3, 1.0, 2.5):
-            want = mgf_first_principles_steady(p, 1.0, s, ctx,
-                                               target_rotation=rotation)
+            want = mgf_first_principles_steady(p, 1.0, s, ctx)
             assert law.mgf(s) == pytest.approx(want.real, rel=1e-12)
             if rotation == "identity":
                 assert law.mgf(s) == pytest.approx(

@@ -159,8 +159,8 @@ def test_power_study_scores_every_tilt_on_one_draw():
     power = gs.power_study(p, deltas, sf, K=K, n=n, seed=4, trials=trials)
     for d, got in zip(deltas, power):
         g = gs.PerturbedSF(sf, gs.epsilon_from_delta(d)) if d else sf
-        ens = [gs.ks_ensemble(p, g, K, n, 4, stream_base=t * K)
-               for t in range(trials)]
+        ens = [gs._ensemble(gs._ensemble_stats(p, [g], K, n, 4, t * K, 0)[0],
+                            n, 4, 0.01, {}) for t in range(trials)]
         assert got == np.mean([e.rejected for e in ens])
     assert power[0] == 0.0 and power[2] == 1.0
     assert np.array_equal(
@@ -175,7 +175,7 @@ def test_greenwood_decision_matches_full_ensemble():
     null = kolmogi(np.linspace(0.02, 0.98, 30)) / math.sqrt(n)
     for stats in (null, 2.5 * null, null + 0.1):
         grid, ens_sf, lo, hi, dkw, rejected = gs._greenwood(stats, n, 0.01)
-        ens = gs._ensemble(stats, n, 4, 0.01, 20, {})
+        ens = gs._ensemble(stats, n, 4, 0.01, {})
         assert rejected == ens.rejected
         for got, want in ((grid, ens.grid), (ens_sf, ens.ensemble_sf),
                           (lo, ens.green_lo), (hi, ens.green_hi),

@@ -18,7 +18,7 @@ from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import (cgf_moment_check, decimal_rational_mgf, gm_matrix,
                      mgf_first_principles_steady, mgf_fully_correlated,
-                     pulse_coeffs, worst_case_mgf)
+                     pulse_coeffs, target_context, worst_case_mgf)
 
 
 def test_scenario_validation():
@@ -40,6 +40,16 @@ def test_scenario_validation():
 def test_scenario_rejects_non_finite_S(S):
     with pytest.raises(InvalidScenario, match="finite"):
         mc.scenario(M=4, kappa=2, S=S, q=0.5, nu=2)
+
+
+@pytest.mark.parametrize("kappa", [-math.inf, math.nan])
+def test_scenario_rejects_non_finite_kappa_other_than_inf(kappa):
+    # -inf raised OverflowError and nan a ValueError naming no key
+    with pytest.raises(InvalidScenario, match="kappa"):
+        mc.scenario(M=4, kappa=kappa, S=1, q=0.5, nu=2)
+    spec = CorrelationSpec.gauss_markov(0.0, 4)
+    with pytest.raises(InvalidScenario, match="kappa"):
+        mc.ScenarioParams(4, kappa, 1.0, 0.5, 2.0, spec, spec)
 
 
 @pytest.mark.parametrize("S", [math.nan, math.inf])
@@ -394,9 +404,9 @@ def test_first_principles_steady_reductions():
     p2 = mc.scenario(M=2, kappa=np.inf, S=5.0, q=1.0, nu=np.inf,
                      rho_s=0.0, rho_c=1.0)
     ctx2 = mc.ScenarioContext(p2)
+    identity = target_context(p2, "identity")
     for s in (0.4, 1.5):
-        a = mgf_first_principles_steady(p2, 1.0, s, ctx2,
-                                        target_rotation="identity")
+        a = mgf_first_principles_steady(p2, 1.0, s, identity)
         assert abs(a - worst_case_mgf(5.0, 2, s)) < 1e-14
     assert mgf_first_principles_steady(p2, 1.0, 0.0, ctx2) == \
         pytest.approx(1.0, abs=1e-15)
