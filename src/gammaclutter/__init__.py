@@ -35,9 +35,7 @@ from .mgf_core import (
     Scheme,
     aggregated_corr,
     analytic_moments,
-    effsw0_survival,
     scenario,
-    swerling0_survival,
 )
 from .texture import (
     Method,

@@ -33,8 +33,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc
-from scipy.stats import ncx2
 
 from . import corrmodel
 from .corrmodel import CorrelationSpec, EigenSystem, loading_matrix
@@ -410,25 +408,3 @@ def analytic_moments(params: ScenarioParams) -> MomentReport:
     }
     return MomentReport(1.0 + S, sum(comp.values()), comp)
 
-
-def swerling0_survival(v, S: float, M: int):
-    """M-pulse steady-target (Rician) survival of the normalized average."""
-    v = np.asarray(v, dtype=float)
-    two_mv = 2.0 * M * np.clip(v, 0.0, None)
-    if S == 0.0:
-        out = gammaincc(M, M * np.clip(v, 0.0, None))
-    else:
-        out = ncx2.sf(two_mv, 2 * M, 2.0 * M * S)
-    return out if out.ndim else float(out)
-
-
-def effsw0_survival(v, S: float, M: int):
-    """Shifted single-pulse Rician survival: the worst-case effective model.
-
-    F(v) = Fsw0(v - (1 - 1/M) S; S/M, 1), equal to 1 below the shift.
-    """
-    v = np.asarray(v, dtype=float)
-    shifted = v - (1.0 - 1.0 / M) * S
-    out = np.where(shifted <= 0.0, 1.0,
-                   swerling0_survival(np.clip(shifted, 0.0, None), S / M, 1))
-    return out if out.ndim else float(out)

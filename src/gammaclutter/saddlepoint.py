@@ -44,7 +44,11 @@ Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
 zero.  Two bounds keep the working arrays small however many pairs a
 call has.  The evaluator takes its elements in chunks of at most
 _BLOCK_ELEMENTS (element x table column) entries, and a saddle solve
-takes at most _BLOCK_ELEMENTS (pair x column) entries.  Both Newton
+takes at most _BLOCK_ELEMENTS (pair x column) entries.  The evaluator's
+chunk-sized arrays are per-block buffers: allocated once per block of
+pairs and written in place by every call, so no call allocates (element
+x column) temporaries: at 128 KiB, glibc malloc's mmap threshold, fresh
+ones page-fault on every call.  Both Newton
 passes run on groups of at most _NEWTON_ELEMENTS (pair x tau node)
 elements whatever the row width, so wide rows do not shrink a pass to a
 few pairs.  ln(1 - c z) is computed in real arithmetic as
@@ -106,21 +110,24 @@ def _at(exc, pair):
     return exc
 
 
-def _one_minus(c, x, y):
-    """1 - c z for z = x + i y, as real part, imaginary part and squared
-    modulus.  0.0 - c y gives the imaginary part numpy's complex product
-    gives, signed zero included."""
-    xp = c * x
-    np.subtract(1.0, xp, out=xp)
-    yp = c * y
-    np.subtract(0.0, yp, out=yp)
-    return xp, yp, xp * xp + yp * yp
+def _cross(a, b, e, f, op, out, tmp):
+    """op(a b, e f) written into out, with tmp as scratch."""
+    return op(np.multiply(a, b, out=out), np.multiply(e, f, out=tmp), out=out)
 
 
-def _log1m(xp, yp, d):
-    """Twice the real part, and the imaginary part, of ln(1 - c z) from
-    ``_one_minus``."""
-    return np.log(d), np.arctan2(yp, xp)
+def _log1m(c, x, y, out):
+    """1 - c z for z = x + i y, as real part xp, imaginary part yp and
+    squared modulus d, then twice the real part lr and the imaginary part li
+    of ln(1 - c z), written into the arrays out = (xp, yp, d, lr, li).
+    0.0 - c y gives the imaginary part numpy's complex product gives,
+    signed zero included."""
+    xp, yp, d, lr, li = out
+    np.subtract(1.0, np.multiply(c, x, out=xp), out=xp)
+    np.subtract(0.0, np.multiply(c, y, out=yp), out=yp)
+    _cross(xp, xp, yp, yp, np.add, d, lr)
+    np.log(d, out=lr)
+    np.arctan2(yp, xp, out=li)
+    return out
 
 
 def _solve_saddles(v, tab):
@@ -197,7 +204,9 @@ class _TauRows:
 
     with c_j = a_j / (v (1 + a_j s0)), w_j = -alpha_j,
     g_j = -beta_j / (v (1 + a_j s0)^2), plus c = 1/(s0 v) with w = 1 from
-    ln(-+s); zero poles are linear in z and folded into lam.
+    ln(-+s); zero poles are linear in z and folded into lam.  The (element
+    x column) temporaries of every call live in work arrays allocated once,
+    with the instance.
     """
 
     def __init__(self, v, tab, s0):
@@ -214,11 +223,13 @@ class _TauRows:
         self.g = (np.concatenate((0.0 * one, g), axis=1)
                   if tab.has_beta else None)
         self.width = self.c.shape[1]
+        self.per = max(1, _BLOCK_ELEMENTS // self.width)
+        self._work = np.empty((8, self.per, self.width))
 
     def __call__(self, z, p):
         """tau and tau' at elements z of block pairs p, in chunks of at
         most _BLOCK_ELEMENTS (element x column) entries."""
-        per = max(1, _BLOCK_ELEMENTS // self.width)
+        per = self.per
         tau, dtau = np.empty(z.size, complex), np.empty(z.size, complex)
         for s in range(0, z.size, per):
             tau[s:s + per], dtau[s:s + per] = self._chunk(z[s:s + per],
@@ -226,22 +237,28 @@ class _TauRows:
         return tau, dtau
 
     def _chunk(self, z, p):
-        c, w, wc = (np.take(r, p, axis=0) for r in (self.c, self.w, self.wc))
+        # p indexes the block's own rows, so mode="clip" never clips; it
+        # lets np.take write into out without buffering it
+        c, w, wc, xp, yp, d, lr, li = self._work[:, :z.size]
+        for row, out in ((self.c, c), (self.w, w), (self.wc, wc)):
+            np.take(row, p, axis=0, out=out, mode="clip")
         x, y = z.real[:, None], z.imag[:, None]
-        xp, yp, d = _one_minus(c, x, y)
-        lr, li = _log1m(xp, yp, d)
+        _log1m(c, x, y, (xp, yp, d, lr, li))
         wc /= d
         lam = np.take(self.lam, p)
         tau = lam * z + 0.5 * _rowdot(w, lr) + 1j * _rowdot(w, li)
         dtau = lam - _rowdot(wc, xp) + 1j * _rowdot(wc, yp)
         if self.g is not None:
-            # g z / (1 - c z) and its derivative g / (1 - c z)^2
-            g = np.take(self.g, p, axis=0)
+            # g z / (1 - c z) and its derivative g / (1 - c z)^2, in the
+            # work arrays of c, lr and li, which are no longer read
+            g = np.take(self.g, p, axis=0, out=c, mode="clip")
             g /= d
-            tau -= (_rowdot(g, x * xp + y * yp)
-                    + 1j * _rowdot(g, y * xp - x * yp))
+            tau -= (_rowdot(g, _cross(x, xp, y, yp, np.add, lr, li))
+                    + 1j * _rowdot(g, _cross(y, xp, x, yp, np.subtract,
+                                             lr, li)))
             g /= d
-            dtau -= _rowdot(g, xp * xp - yp * yp) - 2j * _rowdot(g, xp * yp)
+            dtau -= (_rowdot(g, _cross(xp, xp, yp, yp, np.subtract, lr, li))
+                     - 2j * _rowdot(g, np.multiply(xp, yp, out=lr)))
         return tau, dtau
 
 

@@ -4,7 +4,8 @@ The compound survival function is the texture expectation of the speckle
 survival, F(v) = <F_spk(v; S, qU)>_U, evaluated with a Gaussian quadrature
 rule exact against the unit-mean gamma weight of shape nu.  Nodes and
 weights come from the Golub-Welsch eigenproblem of the generalized-Laguerre
-Jacobi matrix (alpha = nu - 1) under the change of variable t = nu * u.
+Jacobi matrix (alpha = nu - 1) under the change of variable t = nu * u,
+solved by numpy's dense symmetric ``eigh``.
 The sum skips the light last nodes whose total weight is at most 2^-53 F,
 which cannot move F by more than an ulp (``_texture_sum``).
 """
@@ -16,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import saddlepoint
 from .errors import (DegenerateV, GammaClutterError, InvalidScenario,
@@ -100,7 +100,8 @@ def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
     k = np.arange(order, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
-    vals, vecs = eigh_tridiagonal(diag, off)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                + np.diag(off, -1))
     weights = vecs[0] ** 2
     weights = weights / weights.sum()
     return TextureRule(vals / nu, weights, order, nu)
@@ -242,9 +243,18 @@ def _floor_rung(params, method, rule, ctx) -> float:
     if F[0] <= SF_FLOOR:
         return float(rungs[0])
     a, b = 0, None      # highest rung above the floor, lowest one at/below
+    fa, fb, chord = F[0], None, False   # F there; chord pick made
     while b != a + 1:
-        if b is not None:
+        if b is not None and chord:
             k = np.arange(a + 1, b)
+        elif b is not None:
+            # the chord of ln F from rung a to rung b picks a pair between
+            chord, la = True, math.log(fa)
+            lb = math.log(fb) if fb > 0.0 else -math.inf
+            cross = rungs[a] + ((rungs[b] - rungs[a])
+                                * (math.log(SF_FLOOR) - la) / (lb - la))
+            top = a + 1 + int(np.searchsorted(rungs[a + 1:b], cross))
+            k = np.arange(max(a + 1, top - 1), min(top, b - 1) + 1)
         elif a == rungs.size - 1:
             raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
                                 f"v={V_SEARCH_MAX:g}")
@@ -259,11 +269,11 @@ def _floor_rung(params, method, rule, ctx) -> float:
                                 ctx)
         below = np.flatnonzero(F <= SF_FLOOR)
         if below.size == 0:
-            a = int(k[-1])
+            a, fa = int(k[-1]), F[-1]
             continue
-        b = int(k[below[0]])
+        b, fb = int(k[below[0]]), F[below[0]]
         if below[0]:
-            a = b - 1
+            a, fa = b - 1, F[below[0] - 1]
     return float(rungs[b])
 
 
@@ -281,10 +291,13 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     ln SF_FLOOR, and that rung and the one before it are summed in one
     call.  The end is accepted only as F(rung k-1) > SF_FLOOR >= F(rung k):
     a tangent that stops short (convex K tails) is taken again from the new
-    highest rung, and one that overshoots (concave gamma tails) is followed
-    by one call over the rungs it skipped.  The README's scenario takes two
-    texture sums.  No rung above V_SEARCH_MAX is tried, and NoConvergence
-    is raised when every rung is above the floor.
+    highest rung.  After one that overshoots (concave gamma tails), the
+    chord of ln F from the highest rung above the floor to the lowest one
+    at or below it picks a pair of rungs in the same way, and only when
+    that pair does not confirm the end are the rungs still between summed
+    in one call.  The README's scenario takes two texture sums.  No rung
+    above V_SEARCH_MAX is tried, and NoConvergence is raised when every
+    rung is above the floor.
     """
     if n_points < 2:
         raise InvalidScenario(f"n_points {n_points} must be >= 2")

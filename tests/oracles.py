@@ -13,8 +13,8 @@ phase tau(z) of one saddle as an exact complex-log row (``ExactTauRow``,
 apart from the engine's real-arithmetic rows).  The pairwise-cosh
 steady-target MGFs are exact only for M <= 2 and serve as references there
 alone.  Small closed forms the library does not need live here too: the
-saddle phase, d ln M/ds term by term, the unmerged per-pulse coefficients
-and the tilt's peak survival difference.
+steady-target (Rician) laws, the saddle phase, d ln M/ds term by term, the
+unmerged per-pulse coefficients and the tilt's peak survival difference.
 """
 
 import cmath
@@ -23,6 +23,7 @@ import math
 from decimal import Decimal, getcontext
 
 import numpy as np
+from scipy.special import gammaincc
 from scipy.stats import ncx2
 
 from gammaclutter import fpm_mc
@@ -275,6 +276,29 @@ def worst_case_mgf(S: float, M: int, s):
         - (S / M) * s / (1.0 + s)
     cosh_arg = (S / (M * M)) * s * s / (1.0 + s)
     return np.exp(base + M * (M - 1) * _log_cosh(cosh_arg))
+
+
+def swerling0_survival(v, S: float, M: int):
+    """M-pulse steady-target (Rician) survival of the normalized average."""
+    v = np.asarray(v, dtype=float)
+    two_mv = 2.0 * M * np.clip(v, 0.0, None)
+    if S == 0.0:
+        out = gammaincc(M, M * np.clip(v, 0.0, None))
+    else:
+        out = ncx2.sf(two_mv, 2 * M, 2.0 * M * S)
+    return out if out.ndim else float(out)
+
+
+def effsw0_survival(v, S: float, M: int):
+    """Shifted single-pulse Rician survival: the worst-case effective model.
+
+    F(v) = Fsw0(v - (1 - 1/M) S; S/M, 1), equal to 1 below the shift.
+    """
+    v = np.asarray(v, dtype=float)
+    shifted = v - (1.0 - 1.0 / M) * S
+    out = np.where(shifted <= 0.0, 1.0,
+                   swerling0_survival(np.clip(shifted, 0.0, None), S / M, 1))
+    return out if out.ndim else float(out)
 
 
 def pulse_coeffs(params: ScenarioParams, u: float,

@@ -40,7 +40,8 @@ from gammaclutter.texture import (
     survival_interpolator,
 )
 from oracles import (ExactTauRow, WorstCaseLaw, cgf_moment_check,
-                     compound_bromwich, gm_matrix, pulse_coeffs)
+                     compound_bromwich, effsw0_survival, gm_matrix,
+                     pulse_coeffs)
 
 _SF_CACHE = {}
 
@@ -223,7 +224,7 @@ def _worst_case_mean_ks(rho_s, reps=100, sf=None, **cfg_kw):
     p = _worst_case_params(rho_s)
     ctx = ScenarioContext(p)
     if sf is None:
-        sf = lambda v: gc.effsw0_survival(v, 5.0, 10)
+        sf = lambda v: effsw0_survival(v, 5.0, 10)
     stats = []
     for r in range(reps):
         cfg = gc.McConfig(10000, 808, p, **cfg_kw)

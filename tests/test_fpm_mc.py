@@ -8,7 +8,8 @@ import gammaclutter.fpm_mc as fp
 import gammaclutter.mgf_core as mc
 from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import InvalidScenario
-from oracles import (WorstCaseLaw, mgf_first_principles_steady,
+from oracles import (WorstCaseLaw, effsw0_survival,
+                     mgf_first_principles_steady,
                      simulate_gaussian_target_channel, target_context,
                      worst_case_mgf)
 
@@ -235,7 +236,7 @@ def test_worst_case_law_oracle_self_check():
     # enumerated law is the effective (shifted single-pulse Rician) one
     _, _, law = _worst_case_law(10, "clutter")
     v = np.linspace(0.0, 20.0, 401)
-    assert np.max(np.abs(law.sf(v) - mc.effsw0_survival(v, 5.0, 10))) <= 1e-10
+    assert np.max(np.abs(law.sf(v) - effsw0_survival(v, 5.0, 10))) <= 1e-10
 
     # M = 2: one pulse pair, so the cosh product is exact
     for rotation in ("limit", "identity", "clutter"):

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never references, the
-package defines and exports no name that only tests call, and the command
-layer reads no private name of another package module.
+package defines and exports no name that only tests call, the command
+layer reads no private name of another package module, and importing it
+loads no scipy subpackage the commands do not need at start-up.
 
 No linter ships with the project, so these AST scans stand in for the
 unused-import check over the library, the tests and the scripts.  Package
@@ -8,7 +9,10 @@ unused-import check over the library, the tests and the scripts.  Package
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -194,3 +198,17 @@ def test_cli_reads_no_private_name_of_another_module():
     # the command layer goes through each module's public functions
     cli = ROOT / "src" / "gammaclutter" / "cli.py"
     assert private_reads(cli.read_text()) == []
+
+
+def test_cli_import_loads_only_the_scipy_it_needs():
+    # start-up dominates the commands: scipy.special is all they import, and
+    # scipy.interpolate loads only when an interpolator is built
+    code = "import sys, gammaclutter.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], check=True, text=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout.split()
+    heavy = ("scipy.stats", "scipy.linalg", "scipy.interpolate",
+             "scipy.optimize")
+    assert "gammaclutter.cli" in loaded
+    assert not [name for name in heavy if name in loaded]

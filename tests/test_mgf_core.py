@@ -16,9 +16,10 @@ import gammaclutter.texture as tx
 from gammaclutter.corrmodel import CorrelationSpec
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
-from oracles import (cgf_moment_check, decimal_rational_mgf, gm_matrix,
-                     mgf_first_principles_steady, mgf_fully_correlated,
-                     pulse_coeffs, target_context, worst_case_mgf)
+from oracles import (cgf_moment_check, decimal_rational_mgf,
+                     effsw0_survival, gm_matrix, mgf_first_principles_steady,
+                     mgf_fully_correlated, pulse_coeffs, swerling0_survival,
+                     target_context, worst_case_mgf)
 
 
 def test_scenario_validation():
@@ -419,16 +420,16 @@ def test_worst_case_mgf_normalization():
 def test_effsw0_survival_below_shift_is_one():
     S, M = 5.0, 10
     shift = (1.0 - 1.0 / M) * S
-    assert mc.effsw0_survival(shift - 0.1, S, M) == 1.0
-    assert mc.effsw0_survival(0.0, S, M) == 1.0
-    vals = mc.effsw0_survival(np.linspace(0, 20, 50), S, M)
+    assert effsw0_survival(shift - 0.1, S, M) == 1.0
+    assert effsw0_survival(0.0, S, M) == 1.0
+    vals = effsw0_survival(np.linspace(0, 20, 50), S, M)
     assert np.all(np.diff(vals) <= 1e-15)
 
 
 def test_swerling0_survival_null_is_erlang():
     from scipy.special import gammaincc
     v = np.linspace(0.1, 3.0, 7)
-    got = mc.swerling0_survival(v, 0.0, 4)
+    got = swerling0_survival(v, 0.0, 4)
     assert np.allclose(got, gammaincc(4, 4 * v), rtol=1e-13)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 from gammaclutter import detector, texture
 from gammaclutter.errors import DegenerateV, NoConvergence
-from oracles import ExactTauRow, dlog, phase
+from oracles import ExactTauRow, dlog, effsw0_survival, phase
 
 
 def fig_scenario():
@@ -203,7 +204,7 @@ def test_steady_phase_survival_matches_closed_form():
                     rho_s=0.0, rho_c=1.0)
     co = mc.steady_coeffs(p, 1.0)
     for v in (1.0, 4.6, 5.5, 8.0, 12.0):
-        want = mc.effsw0_survival(v, S, M)
+        want = effsw0_survival(v, S, M)
         assert sp.survival_sdp(v, co) == pytest.approx(want, abs=1e-10)
 
 
@@ -215,7 +216,7 @@ def test_log_kernel_matches_numpy_complex_log():
                    1e-9j, 40.0 + 3.0j])
     cs = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.3, 0.01, 3.0])
     x, y = zs.real[:, None], zs.imag[:, None]
-    lr, li = sp._log1m(*sp._one_minus(cs, x, y))
+    *_, lr, li = sp._log1m(cs, x, y, np.empty((5, zs.size, cs.size)))
     ref = np.log(1.0 - np.multiply.outer(zs, cs))
     assert np.max(np.abs(0.5 * lr - ref.real)) <= 1e-15
     assert np.max(np.abs(li - ref.imag)) <= 1e-15
@@ -372,6 +373,32 @@ def test_tau_rows_match_exact_phase_near_and_far():
             assert np.all(np.abs(tau - ref) <= 1e-12 * np.maximum(1.0, abs(ref)))
             assert np.all(np.abs(dtau - dref)
                           <= 1e-12 * np.maximum(1.0, abs(dref)))
+
+
+@pytest.mark.parametrize("M, kappa", [(10, 2), (10, math.inf), (100, 2)])
+def test_tau_rows_call_allocates_no_element_by_column_arrays(M, kappa):
+    # a warm evaluator call writes its (element x column) temporaries into
+    # the instance's work arrays: over its outputs it allocates less than
+    # two such arrays' worth, where fresh temporaries took 8 to 13
+    p = mc.scenario(M=M, kappa=kappa, S=3.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    u = np.tile(texture.gamma_texture_rule(p.nu).nodes, 4)
+    tab = mc.pole_table(p, np.full(u.size, p.S), u)
+    v = tab.mean * np.repeat([0.7, 1.3, 2.0, 3.0], u.size // 4)
+    s0, r2, _, _ = sp._solve_saddles(v, tab)
+    t = sp._TAU_RULE[0][:24]
+    z = (1j * np.sqrt(2.0 * t / r2[:, None])).ravel()
+    pairs = np.repeat(np.arange(v.size), t.size)
+    assert z.size == 3072
+    ev = sp._TauRows(v, tab, s0)
+    ev(z, pairs)
+    tracemalloc.start()
+    try:
+        tau, dtau = ev(z, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - tau.nbytes - dtau.nbytes < 2 * sp._BLOCK_ELEMENTS * 8
 
 
 def test_newton_step_halving_recovers_poor_starts():

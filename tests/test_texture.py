@@ -164,15 +164,16 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
 
 def test_dmg_curves_build_no_eigensystem(monkeypatch):
     # DMG spectra come from the effective looks alone, so neither the
-    # scenario eigensystems nor an aggregated matrix are decomposed
+    # scenario eigensystems nor an aggregated matrix are decomposed (the
+    # texture rule, an eigenproblem of its own, is built first)
     def refuse(*args, **kwargs):
         raise AssertionError("DMG decomposed a matrix")
 
+    rule = tx.gamma_texture_rule(2.0, 8)
     monkeypatch.setattr(cm, "eigen_decompose", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     grid = np.array([0.5, 2.0, 6.0])
-    rule = tx.gamma_texture_rule(2.0, 8)
     for kappa in (2, np.inf):
         p = mc.scenario(M=100, kappa=kappa, S=3.0, q=0.8, nu=2.0,
                         rho_c=0.75, rho_s=0.95)
@@ -373,6 +374,16 @@ def test_floor_rung_matches_the_rung_walk(monkeypatch, method):
             assert first_pick.max() < want
         elif p is over:
             assert first_pick.min() >= want and len(calls) == 3
+
+
+def test_floor_rung_narrows_the_fill_in_after_an_overshoot(monkeypatch):
+    # the tangent from the mean overshoots here by several rungs; the chord
+    # of ln F to the overshooting rung picks the crossing, where a fill-in
+    # of every skipped rung summed 1 + 2 + 6 levels against the walk's 8
+    p = mc.scenario(M=1, kappa=3, S=14.51, q=0.32, nu=2.0)
+    hi, calls = _floor_rung_calls(monkeypatch, p, "eff-sdp")
+    assert hi == 163.49634470399994
+    assert sum(c.size for c in calls) <= 8
 
 
 def test_texture_sum_slope_matches_finite_difference():
