@@ -18,7 +18,7 @@ from .corrmodel import (
     loading_matrix,
 )
 from .detector import DetectionCurve, pd_curve, threshold_for_pfa
-from .fpm_mc import EmpiricalDistribution, McConfig, simulate_returns
+from .fpm_mc import McConfig, simulate_returns
 from .gof_stats import (
     KSEnsemble,
     epsilon_from_delta,

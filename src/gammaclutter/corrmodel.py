@@ -21,6 +21,7 @@ from .errors import (
     InvalidLooks,
     NegativeEigenvalue,
     NoConvergence,
+    check_integer,
 )
 
 # Eigenvalues above -PSD_TOL*M are treated as rounding noise and clamped to 0.
@@ -40,8 +41,7 @@ class CorrelationSpec:
     def gauss_markov(rho: float, M: int) -> "CorrelationSpec":
         if not 0.0 <= rho <= 1.0:
             raise InvalidCorrelation(f"gauss-markov rho {rho} outside [0, 1]")
-        if M < 1:
-            raise InvalidCorrelation(f"pulse count M {M} must be >= 1")
+        check_integer("M", M, 1)
         return CorrelationSpec("gauss-markov", int(M), float(rho))
 
     @staticmethod
@@ -75,15 +75,14 @@ class CorrelationSpec:
 class EigenSystem:
     """Spectral factorization C = R^T diag(eigenvalues) R, eigenvalues ascending.
 
-    Rows of ``rotation`` are eigenvectors.  ``is_identity`` marks the exactly
-    degenerate all-ones-spectrum case, for which the rotation is fixed to the
-    identity by convention (any rotation is valid there; consumers that need a
-    specific one can substitute it explicitly).
+    Rows of ``rotation`` are eigenvectors.  The identity matrix, whose
+    rotation is free, gets R = I; whether a scenario is uncorrelated is
+    asked of its ``CorrelationSpec``, and a consumer that needs another
+    rotation there substitutes it (the sampler's target loading does).
     """
 
     eigenvalues: np.ndarray
     rotation: np.ndarray
-    is_identity: bool = False
 
 
 def build_matrix(spec: CorrelationSpec) -> np.ndarray:
@@ -149,7 +148,7 @@ def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
         raise DimensionMismatch(f"expected square matrix, got {matrix.shape}")
 
     if np.array_equal(matrix, np.eye(M)):
-        return EigenSystem(np.ones(M), np.eye(M), is_identity=True)
+        return EigenSystem(np.ones(M), np.eye(M))
     if np.array_equal(matrix, np.ones((M, M))):
         vals = np.zeros(M)
         vals[-1] = float(M)

@@ -35,11 +35,8 @@ PFA_REL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class DetectionCurve:
-    sir_grid: np.ndarray      # linear S values
-    pd: np.ndarray
+    pd: np.ndarray            # at each SIR of pd_curve's grid
     threshold: float
-    pfa: float
-    method: str
 
 
 def _gamma_quantile(params: ScenarioParams, p: float) -> float:
@@ -141,7 +138,7 @@ def pd_curve(params: ScenarioParams, pfa: float, sir_grid, method="eff-sdp",
     if v_b > 0.0:
         pd = _texture_sum(v_b, sir_grid, params, method, rule,
                           ScenarioContext(params))[0]
-    return DetectionCurve(sir_grid, pd, v_b, pfa, method.name)
+    return DetectionCurve(pd, v_b)
 
 
 def bench(draws: int, grid_points: int = 100, M: int = 100, seed: int = 1,

@@ -1,4 +1,8 @@
-"""Exception types raised by the numerical pipelines."""
+"""Exception types raised by the numerical pipelines, and the integer check
+every module applies to counts, sizes and seeds (it imports no module of
+the package, so all of them can import it)."""
+
+import numbers
 
 
 class GammaClutterError(Exception):
@@ -56,3 +60,15 @@ class BracketFail(GammaClutterError):
 
 class NonMonotoneSF(GammaClutterError):
     """Survival function passed to the KS statistic is not monotone."""
+
+
+def check_integer(name: str, value, lo: int, bits: int | None = None
+                  ) -> None:
+    """Raise InvalidScenario unless value is an integer (not a bool) >= lo,
+    and below 2^bits if bits is given: a float seed or count would
+    otherwise be truncated without a word."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < lo or (bits is not None and value >= 2 ** bits):
+        bound = f">= {lo}" if bits is None else f"in [{lo}, 2^{bits})"
+        raise InvalidScenario(f"{name} must be an integer {bound}; "
+                              f"got {value!r}")

@@ -6,8 +6,8 @@ Each draw realizes the normalized averaged power
 
 with one gamma texture value U per draw shared by all pulses and both
 quadrature channels, AR(1) clutter speckle for Gauss-Markov correlation
-(loading-matrix coloring for general Toeplitz rows), and target quadrature
-components Xs = L_s^T Y where the Y_m are iid two-sided Nakagami variates:
+(loading-matrix coloring for general Toeplitz rows), and target
+quadratures Xs = L_s^T Y where the Y_m are iid two-sided Nakagami variates:
 a Rademacher sign times the square root of a unit-mean gamma of shape
 kappa/2 (reducing to a standard normal at kappa = 1 and to a pure sign at
 kappa = inf).
@@ -24,20 +24,21 @@ The arithmetic around the draws works in place on the drawn blocks and
 forms the same products and sums as the textbook expressions: the sum
 starts from the first scaled block, the AR(1) recursion overwrites its
 normal block, and a target sign is applied by flipping the float sign bit,
-which is exact negation.
+which is exact negation.  A run returns its draws as one array sorted
+ascending, the form ``gof_stats.ks_statistic`` scores; the sample count is
+the array's size.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .corrmodel import loading_matrix
-from .errors import InvalidScenario
+from .errors import check_integer
 from .mgf_core import KAPPA_INF, ScenarioContext, ScenarioParams
 
 
@@ -54,24 +55,6 @@ class McConfig:
         check_integer("seed", self.seed, 0, 64)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    sorted_samples: np.ndarray
-    n: int
-
-
-def check_integer(name: str, value, lo: int, bits: int | None = None
-                  ) -> None:
-    """Raise InvalidScenario unless value is an integer (not a bool) >= lo,
-    and below 2^bits if bits is given: a float seed or count would
-    otherwise be truncated without a word."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < lo or (bits is not None and value >= 2 ** bits):
-        bound = f">= {lo}" if bits is None else f"in [{lo}, 2^{bits})"
-        raise InvalidScenario(f"{name} must be an integer {bound}; "
-                              f"got {value!r}")
-
-
 def _rng(seed: int, stream: int = 0) -> Generator:
     check_integer("seed", seed, 0, 64)
     check_integer("stream", stream, 0, 64)
@@ -80,7 +63,7 @@ def _rng(seed: int, stream: int = 0) -> Generator:
 
 
 def _clutter_speckle(rng, n, M, spec_c, eig_c):
-    """(n, 2, M) unit-variance correlated clutter quadrature components."""
+    """(n, 2, M) unit-variance correlated clutter quadratures."""
     X = rng.standard_normal((n, 2, M))
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
@@ -96,7 +79,7 @@ def _clutter_speckle(rng, n, M, spec_c, eig_c):
 
 
 def _target_quadrature(rng, n, M, kappa, L_s):
-    """(n, 2, M) two-sided-Nakagami target components colored by L_s."""
+    """(n, 2, M) two-sided-Nakagami target quadratures colored by L_s."""
     flip = rng.integers(0, 2, size=(n, 2, M))
     if kappa == KAPPA_INF:
         Y = np.ones((n, 2, M))
@@ -140,13 +123,11 @@ def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext
 
 
 def simulate_returns(config: McConfig, stream: int = 0,
-                     ctx: ScenarioContext | None = None
-                     ) -> EmpiricalDistribution:
-    """Draw n_samples realizations of the averaged power and sort them."""
+                     ctx: ScenarioContext | None = None) -> np.ndarray:
+    """Draw n_samples realizations of the averaged power, sorted ascending."""
     if ctx is None:
         ctx = ScenarioContext(config.params)
     rng = _rng(config.seed, stream)
-    n = config.n_samples
-    z = _draw_block(rng, n, config.params, ctx)
+    z = _draw_block(rng, config.n_samples, config.params, ctx)
     z.sort()
-    return EmpiricalDistribution(z, n)
+    return z

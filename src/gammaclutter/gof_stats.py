@@ -24,9 +24,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import kolmogorov, ndtri
 
-from .errors import InvalidScenario, NonMonotoneSF
-from .fpm_mc import (EmpiricalDistribution, McConfig, check_integer,
-                     simulate_returns)
+from .errors import InvalidScenario, NonMonotoneSF, check_integer
+from .fpm_mc import McConfig, simulate_returns
 from .mgf_core import ScenarioContext, ScenarioParams
 
 BOOTSTRAP_RESAMPLES = 1000
@@ -36,14 +35,14 @@ CONSECUTIVE_EXITS = 4
 
 # --- KS statistic -------------------------------------------------------------
 
-def ks_statistic(samples: EmpiricalDistribution, sf) -> float:
-    """sup_v |empirical CDF - model CDF| over the sample points.
+def ks_statistic(x: np.ndarray, sf) -> float:
+    """sup_v |empirical CDF - model CDF| over the samples ``x``, which
+    must be sorted ascending (as ``simulate_returns`` returns them).
 
     ``sf`` must be a vectorized monotone nonincreasing survival function
     with sf(0) = 1; F = 1 - sf is compared with the step empirical CDF.
     """
-    x = samples.sorted_samples
-    n = samples.n
+    n = x.size
     F = 1.0 - np.asarray(sf(x), dtype=float)
     if np.any(np.diff(F) < -1e-9):
         raise NonMonotoneSF("model survival function is not monotone on "
@@ -132,9 +131,9 @@ def _replicate_stats(params, sfs, K, n, seed, first_stream):
     ctx = ScenarioContext(params)
     cfg = McConfig(n, seed, params)
     for r in range(K):
-        dist = simulate_returns(cfg, stream=first_stream + r, ctx=ctx)
+        x = simulate_returns(cfg, stream=first_stream + r, ctx=ctx)
         for i, sf in enumerate(sfs):
-            out[i, r] = ks_statistic(dist, sf)
+            out[i, r] = ks_statistic(x, sf)
     return out
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import corrmodel
 from .corrmodel import CorrelationSpec, EigenSystem, loading_matrix
-from .errors import DegenerateMix, InvalidScenario, PoleHit
+from .errors import DegenerateMix, InvalidScenario, PoleHit, check_integer
 
 KAPPA_INF = math.inf
 # Matrix entries per stacked eigvalsh call of the effective model.
@@ -71,8 +71,7 @@ class ScenarioParams:
     spec_c: CorrelationSpec
 
     def __post_init__(self):
-        if self.M < 1:
-            raise InvalidScenario(f"M {self.M} must be >= 1")
+        check_integer("M", self.M, 1)
         if self.kappa != KAPPA_INF and not (
                 1 <= self.kappa < KAPPA_INF and self.kappa == int(self.kappa)):
             raise InvalidScenario(
@@ -94,6 +93,7 @@ class ScenarioParams:
 def scenario(M, kappa, S, q, nu, rho_s=0.0, rho_c=0.0,
              spec_s=None, spec_c=None) -> ScenarioParams:
     """Convenience constructor for Gauss-Markov correlated scenarios."""
+    check_integer("M", M, 1)
     if spec_s is None:
         spec_s = CorrelationSpec.gauss_markov(rho_s, M)
     if spec_c is None:
@@ -135,14 +135,6 @@ class ScenarioContext:
     def eig_s(self) -> EigenSystem:
         return corrmodel.eigen_decompose(self.C_s)
 
-    @property
-    def gamma_c(self) -> np.ndarray:
-        return self.eig_c.eigenvalues
-
-    @property
-    def gamma_s(self) -> np.ndarray:
-        return self.eig_s.eigenvalues
-
     @cached_property
     def clutter_looks(self) -> float:
         return corrmodel.effective_looks(self.C_c)
@@ -160,7 +152,7 @@ class ScenarioContext:
         """The sampler's target loading, L_s^T L_s = C_s; an exactly
         uncorrelated target, whose rotation is free, gets the Gauss-Markov
         rho_s -> 0+ eigenbasis (right-continuous in rho_s)."""
-        if self.eig_s.is_identity:
+        if self.params.spec_s.is_identity:
             return corrmodel.gauss_markov_limit_basis(self.params.M)
         return loading_matrix(self.eig_s)
 
@@ -171,7 +163,8 @@ class ScenarioContext:
         without BLAS, whose threaded products round differently with the
         thread count."""
         W = np.einsum("ik,jk->ij", self.eig_c.rotation, self.eig_s.rotation)
-        b = np.einsum("ij,ij,j->i", W, W, self.gamma_s) / self.params.M
+        b = np.einsum("ij,ij,j->i", W, W, self.eig_s.eigenvalues) \
+            / self.params.M
         if abs(b.sum() - 1.0) > 1e-10 or b.min() < -1e-14:
             raise InvalidScenario("steady-target weights failed sum rule")
         return b
@@ -236,8 +229,8 @@ def _pulse_rows(params: ScenarioParams, S, u, scheme, ctx):
     """
     M, q, kap = params.M, params.q, params.kappa
     dmg = scheme is Scheme.DMG
-    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
-    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.eig_c.eigenvalues
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.eig_s.eigenvalues
     qu = q * u
     aq = (1.0 - q + qu[:, None] * gam_c) / M
     if params.steady:
@@ -384,7 +377,6 @@ def _rowdot(a, b):
 class MomentReport:
     mean: float
     variance: float
-    components: dict
 
 
 def analytic_moments(params: ScenarioParams) -> MomentReport:
@@ -399,12 +391,7 @@ def analytic_moments(params: ScenarioParams) -> MomentReport:
     L, B, N = ctx.clutter_looks, ctx.target_looks, ctx.cross
     zeta = 1.0 if params.nu == math.inf else 1.0 + (L + 1.0) / params.nu
     target = 0.0 if params.steady else S * S / (params.kappa * B)
-    comp = {
-        "noise_speckle": (1.0 - q * q) / M,
-        "clutter_texture": zeta * q * q / L,
-        "target_fluctuation": target,
-        "cross_noise": 2.0 * S * (1.0 - q) / M,
-        "cross_clutter": 2.0 * S * q / N,
-    }
-    return MomentReport(1.0 + S, sum(comp.values()), comp)
+    var = (1.0 - q * q) / M + zeta * q * q / L + target \
+        + 2.0 * S * (1.0 - q) / M + 2.0 * S * q / N
+    return MomentReport(1.0 + S, var)
 

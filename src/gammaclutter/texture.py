@@ -20,7 +20,8 @@ import numpy as np
 
 from . import saddlepoint
 from .errors import (DegenerateV, GammaClutterError, InvalidScenario,
-                     InvalidShape, NoConvergence, OrderTooLarge)
+                     InvalidShape, NoConvergence, OrderTooLarge,
+                     check_integer)
 from .mgf_core import ScenarioContext, ScenarioParams, Scheme, pole_table
 
 MAX_ORDER = 256
@@ -299,8 +300,7 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     above V_SEARCH_MAX is tried, and NoConvergence is raised when every
     rung is above the floor.
     """
-    if n_points < 2:
-        raise InvalidScenario(f"n_points {n_points} must be >= 2")
+    check_integer("n_points", n_points, 2)
     if isinstance(method, str):
         method = Method.parse(method)
     if rule is None:

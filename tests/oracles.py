@@ -219,7 +219,7 @@ def target_context(params: ScenarioParams, convention: str
     if convention not in ("limit", "identity", "clutter"):
         raise ValueError(f"unknown target loading convention {convention!r}")
     ctx = ScenarioContext(params)
-    if convention != "limit" and ctx.eig_s.is_identity:
+    if convention != "limit" and params.spec_s.is_identity:
         ctx.loading_s = (np.eye(params.M) if convention == "identity"
                          else ctx.eig_c.rotation)
     return ctx
@@ -247,7 +247,7 @@ def mgf_first_principles_steady(params: ScenarioParams, u: float, s,
     if ctx is None:
         ctx = ScenarioContext(params)
     M, S, q = params.M, params.S, params.q
-    aq = (1.0 - q + q * u * ctx.gamma_c) / M
+    aq = (1.0 - q + q * u * ctx.eig_c.eigenvalues) / M
     denom = 1.0 + aq * s
     if np.any(np.abs(denom) < 1e-300):
         raise PoleHit("MGF evaluated at a pole")
@@ -518,7 +518,8 @@ def mgf_fully_correlated(params: ScenarioParams, u: float, s,
         raise InvalidScenario("use steady_coeffs for the steady target")
     if ctx is None:
         ctx = ScenarioContext(params)
-    aq = (1.0 - params.q + params.q * u * ctx.gamma_c) / params.M
+    aq = (1.0 - params.q + params.q * u * ctx.eig_c.eigenvalues) \
+        / params.M
     b = ctx.b_weights
     denom = 1.0 + aq * s
     if np.any(np.abs(denom) < 1e-300):
@@ -531,8 +532,7 @@ def mgf_fully_correlated(params: ScenarioParams, u: float, s,
 
 
 def simulate_gaussian_target_channel(config: fpm_mc.McConfig,
-                                     stream: int = 0
-                                     ) -> fpm_mc.EmpiricalDistribution:
+                                     stream: int = 0) -> np.ndarray:
     """kappa = 1 returns drawn with plain normal target components.
 
     Statistically identical to ``fpm_mc.simulate_returns`` at kappa = 1,
@@ -555,5 +555,4 @@ def simulate_gaussian_target_channel(config: fpm_mc.McConfig,
     if p.S > 0.0:
         Xs = rng.standard_normal((n, 2, M)) @ ctx.loading_s
         total += math.sqrt(p.S) * Xs
-    z = np.sort(np.sum(total * total, axis=(1, 2)) / (2.0 * M))
-    return fpm_mc.EmpiricalDistribution(z, n)
+    return np.sort(np.sum(total * total, axis=(1, 2)) / (2.0 * M))

@@ -21,8 +21,7 @@ def _cfg(n, seed, **kw):
 def test_pure_noise_moments():
     M, n = 4, 200000
     cfg = _cfg(n, 1, M=M, kappa=1, S=0.0, q=0.0, nu=np.inf)
-    dist = fp.simulate_returns(cfg)
-    z = dist.sorted_samples
+    z = fp.simulate_returns(cfg)
     assert abs(z.mean() - 1.0) < 4.0 / math.sqrt(M * n)
     se_var = math.sqrt(2.0 / (M * n)) * 3.0
     assert abs(z.var(ddof=1) - 1.0 / M) < se_var
@@ -33,8 +32,7 @@ def test_full_scenario_moments_match_analytic():
                     rho_c=0.6, rho_s=0.85)
     rep = mc.analytic_moments(p)
     n = 200000
-    dist = fp.simulate_returns(fp.McConfig(n, 9, p))
-    z = dist.sorted_samples
+    z = fp.simulate_returns(fp.McConfig(n, 9, p))
     se_mean = math.sqrt(rep.variance / n)
     assert abs(z.mean() - rep.mean) < 3.0 * se_mean
     m4 = np.mean((z - z.mean()) ** 4)
@@ -47,15 +45,15 @@ def test_reproducibility_bit_identical():
                rho_c=0.5, rho_s=0.7)
     a = fp.simulate_returns(cfg)
     b = fp.simulate_returns(cfg)
-    assert np.array_equal(a.sorted_samples, b.sorted_samples)
+    assert np.array_equal(a, b)
     c = fp.simulate_returns(cfg, stream=1)
-    assert not np.array_equal(a.sorted_samples, c.sorted_samples)
+    assert not np.array_equal(a, c)
 
 
 def test_golden_vector_seed42():
     cfg = _cfg(8, 42, M=2, kappa=2, S=1.0, q=0.5, nu=2.0,
                rho_c=0.5, rho_s=0.5)
-    got = fp.simulate_returns(cfg).sorted_samples
+    got = fp.simulate_returns(cfg)
     want = np.array([
         1.0417566633903597, 1.090847944881956, 1.3071010605693243,
         1.9383504080352703, 2.4146790520944883, 2.432888351577264,
@@ -69,7 +67,7 @@ def test_golden_vector_degenerate_target_seed42():
     # basis, a free convention that no other frozen vector reaches
     cfg = _cfg(8, 42, M=4, kappa=math.inf, S=2.0, q=1.0, nu=2.0,
                rho_c=1.0, rho_s=0.0)
-    got = fp.simulate_returns(cfg).sorted_samples
+    got = fp.simulate_returns(cfg)
     want = np.array([
         1.6349171332390213, 1.9726185621402395, 2.3923157456668003,
         2.6018787219437973, 3.0756262734846507, 3.288577073319619,
@@ -140,7 +138,7 @@ def test_non_integer_seed_or_count_is_rejected():
             fp._rng(seed, stream)
     # numpy integers are integers
     cfg = fp.McConfig(np.int64(8), np.uint64(42), p)
-    assert fp.simulate_returns(cfg, stream=np.int64(0)).n == 8
+    assert fp.simulate_returns(cfg, stream=np.int64(0)).size == 8
 
 
 def test_gaussian_channel_matches_nakagami_route():
@@ -148,7 +146,7 @@ def test_gaussian_channel_matches_nakagami_route():
     n = 100000
     a = fp.simulate_returns(_cfg(n, 3, **kw))
     b = simulate_gaussian_target_channel(_cfg(n, 101, **kw))
-    stat, pval = ks_2samp(a.sorted_samples, b.sorted_samples)
+    stat, pval = ks_2samp(a, b)
     assert pval > 0.01
 
 
@@ -199,8 +197,7 @@ def test_compound_factorization_variance():
     p = mc.scenario(M=6, kappa=1, S=0.0, q=1.0, nu=3.0, rho_c=0.7)
     rep = mc.analytic_moments(p)
     n = 200000
-    dist = fp.simulate_returns(fp.McConfig(n, 17, p))
-    z = dist.sorted_samples
+    z = fp.simulate_returns(fp.McConfig(n, 17, p))
     m4 = np.mean((z - z.mean()) ** 4)
     se_var = math.sqrt((m4 - z.var(ddof=1) ** 2) / n)
     assert abs(z.var(ddof=1) - rep.variance) < 3.0 * se_var
@@ -213,7 +210,7 @@ def test_target_rotation_conventions_differ_only_when_degenerate():
     a = fp.simulate_returns(fp.McConfig(256, 3, p))
     b = fp.simulate_returns(fp.McConfig(256, 3, p), 0,
                             target_context(p, "clutter"))
-    assert np.array_equal(a.sorted_samples, b.sorted_samples)
+    assert np.array_equal(a, b)
 
     # degenerate target, kappa > 1: conventions give different laws
     p0 = mc.scenario(M=4, kappa=np.inf, S=2.0, q=1.0, nu=np.inf,
@@ -221,7 +218,7 @@ def test_target_rotation_conventions_differ_only_when_degenerate():
     x = fp.simulate_returns(fp.McConfig(256, 3, p0))
     y = fp.simulate_returns(fp.McConfig(256, 3, p0), 0,
                             target_context(p0, "identity"))
-    assert not np.array_equal(x.sorted_samples, y.sorted_samples)
+    assert not np.array_equal(x, y)
 
 
 def _worst_case_law(M, rotation, rho_s=0.0):

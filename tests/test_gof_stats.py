@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.special import kolmogi
 
-import gammaclutter.fpm_mc as fp
 import gammaclutter.gof_stats as gs
 import gammaclutter.mgf_core as mc
 from gammaclutter.errors import InvalidScenario, NonMonotoneSF
@@ -13,16 +12,16 @@ from oracles import delta_max
 
 
 def test_ks_single_sample_at_median():
-    dist = fp.EmpiricalDistribution(np.array([math.log(2.0)]), 1)
-    d = gs.ks_statistic(dist, lambda v: np.exp(-np.asarray(v)))
+    d = gs.ks_statistic(np.array([math.log(2.0)]),
+                        lambda v: np.exp(-np.asarray(v)))
     assert d == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ks_nonmonotone_sf_rejected():
     # cos^2 rises again between v=2 and v=3
-    dist = fp.EmpiricalDistribution(np.array([0.5, 2.0, 3.0]), 3)
     with pytest.raises(NonMonotoneSF):
-        gs.ks_statistic(dist, lambda v: np.cos(np.asarray(v)) ** 2)
+        gs.ks_statistic(np.array([0.5, 2.0, 3.0]),
+                        lambda v: np.cos(np.asarray(v)) ** 2)
 
 
 def test_ks_null_median_matches_kolmogorov():
@@ -33,8 +32,7 @@ def test_ks_null_median_matches_kolmogorov():
     stats = []
     for _ in range(reps):
         x = np.sort(rng.exponential(size=n))
-        dist = fp.EmpiricalDistribution(x, n)
-        stats.append(gs.ks_statistic(dist, lambda v: np.exp(-np.asarray(v))))
+        stats.append(gs.ks_statistic(x, lambda v: np.exp(-np.asarray(v))))
     med = np.median(np.array(stats)) * math.sqrt(n)
     want = kolmogi(0.5)
     assert want == pytest.approx(0.82757, abs=1e-4)
@@ -44,10 +42,9 @@ def test_ks_null_median_matches_kolmogorov():
 def test_ks_invariant_under_monotone_transform():
     rng = np.random.default_rng(5)
     x = np.sort(rng.exponential(size=500))
-    d1 = gs.ks_statistic(fp.EmpiricalDistribution(x, 500),
-                         lambda v: np.exp(-np.asarray(v)))
+    d1 = gs.ks_statistic(x, lambda v: np.exp(-np.asarray(v)))
     y = x ** 3
-    d2 = gs.ks_statistic(fp.EmpiricalDistribution(np.sort(y), 500),
+    d2 = gs.ks_statistic(np.sort(y),
                          lambda v: np.exp(-np.asarray(v) ** (1.0 / 3.0)))
     assert d1 == pytest.approx(d2, abs=1e-15)
 

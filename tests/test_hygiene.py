@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never references, the
-package defines and exports no name that only tests call, the command
-layer reads no private name of another package module, and importing it
-loads no scipy subpackage the commands do not need at start-up.
+package defines and exports no name that only tests call and holds no
+field that no code reads, the command layer reads no private name of
+another package module, and importing it loads no scipy subpackage the
+commands do not need at start-up.
 
 No linter ships with the project, so these AST scans stand in for the
 unused-import check over the library, the tests and the scripts.  Package
@@ -31,7 +32,6 @@ PACKAGE = [path for path in CALLERS if path.parent.name == "gammaclutter"]
 # module and function, which must read the name as an attribute.
 SHARED_NAME_READERS = {
     "PoleMgf.mean": ("saddlepoint", "_solve_saddles"),
-    "CorrelationSpec.is_identity": ("corrmodel", "build_matrix"),
 }
 
 
@@ -173,6 +173,47 @@ def test_every_public_definition_has_a_reader():
                  and node.name == function]
         assert shared(member) and member.split(".")[1] in \
             loaded_names(ast.unparse(body)), member
+
+
+def annotated_fields(source: str) -> list[str]:
+    """``Class.name`` for each field annotated in the body of a
+    module-level class."""
+    return [f"{node.name}.{item.target.id}"
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def attribute_loads(source: str) -> set[str]:
+    """Names read as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_scan_finds_fields_and_attribute_loads():
+    src = ("class A:\n    x: int\n    y: float = 0.0\n    z = 1\n"
+           "    def m(self): return self.x + y\n")
+    assert annotated_fields(src) == ["A.x", "A.y"]
+    assert attribute_loads(src) == {"x"}
+
+
+def test_every_field_is_read_as_an_attribute():
+    """A field of a package class that no library, script or benchmark
+    code loads as ``x.field`` is state that nothing uses; a bare name or a
+    README mention does not count as a read.
+
+    Names are matched bare, so a field counts as read wherever any
+    attribute of its name is loaded: a ``pfa`` or ``method`` field of a
+    result would pass on the command layer's ``args.pfa`` and
+    ``args.method`` alone, and this scan cannot see such a field."""
+    read = set().union(*(attribute_loads(path.read_text())
+                         for path in CALLERS))
+    unread = [f"{path.stem}.{name}" for path in PACKAGE
+              for name in annotated_fields(path.read_text())
+              if name.split(".")[1] not in read]
+    assert not unread, unread
 
 
 def private_reads(source: str) -> list[str]:

@@ -37,6 +37,20 @@ def test_scenario_validation():
     assert p.steady
 
 
+@pytest.mark.parametrize("build", [
+    lambda: mc.scenario(M=4.5, kappa=2, S=1, q=0.5, nu=2),
+    lambda: mc.scenario(M=True, kappa=2, S=1, q=0.5, nu=2),
+    lambda: mc.scenario(M=4.5, kappa=2, S=1, q=0.5, nu=2,
+                        spec_s=CorrelationSpec.gauss_markov(0.5, 4),
+                        spec_c=CorrelationSpec.gauss_markov(0.5, 4)),
+    lambda: CorrelationSpec.gauss_markov(0.5, 3.7)],
+    ids=["float", "bool", "float-with-specs", "gauss-markov"])
+def test_pulse_count_must_be_an_integer(build):
+    # int() would turn a float or bool M into another scenario without a word
+    with pytest.raises(InvalidScenario, match="M must be an integer"):
+        build()
+
+
 @pytest.mark.parametrize("S", [math.nan, math.inf])
 def test_scenario_rejects_non_finite_S(S):
     with pytest.raises(InvalidScenario, match="finite"):
@@ -116,8 +130,8 @@ def _node_row(p, S, u, scheme, ctx):
     np.unique."""
     M, q, k = p.M, p.q, p.kappa
     dmg = scheme is mc.Scheme.DMG
-    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
-    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.eig_c.eigenvalues
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.eig_s.eigenvalues
     aq = (1.0 - q + q * u * gam_c) / M
     if p.steady:
         b = ctx.b_weights if scheme is mc.Scheme.EFFECTIVE else gam_s / M

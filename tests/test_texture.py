@@ -276,6 +276,22 @@ def test_curve_march_fallback_matches(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_march_fallback_serves_an_uncapped_input(monkeypatch):
+    # A slowly fluctuating (kappa=30), nearly fully correlated target at
+    # M=100 without clutter: at the full Newton budget the tau continuation
+    # still runs here, and its survival agrees with the contour oracle.
+    # This is why the fallback stays.
+    p = mc.scenario(M=100, kappa=30, S=15.0, q=0.0, nu=math.inf,
+                    rho_s=0.9999)
+    calls = []
+    march = sp._march_to
+    monkeypatch.setattr(sp, "_march_to",
+                        lambda *a, **k: calls.append(1) or march(*a, **k))
+    got = tx.survival_curve([16.16], p, "eff-sdp")[0]
+    assert len(calls) >= 1
+    assert abs(got - oracles.compound_bromwich(16.16, p)) <= 1e-10
+
+
 def test_failure_names_power_level_and_node(monkeypatch):
     p = mc.scenario(M=6, kappa=2, S=2.0, q=0.9, nu=2.0,
                     rho_c=0.5, rho_s=0.7)
@@ -487,7 +503,7 @@ def test_texture_sum_skips_light_nodes(monkeypatch):
     assert sum(c.size for c in calls) < 64
 
 
-@pytest.mark.parametrize("n_points", [0, 1])
+@pytest.mark.parametrize("n_points", [0, 1, 2.5, 3.0])
 def test_survival_interpolator_rejects_too_few_points(n_points):
     p = mc.scenario(M=4, kappa=2, S=1.0, q=0.5, nu=2.0)
     with pytest.raises(InvalidScenario, match="n_points"):
