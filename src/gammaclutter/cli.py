@@ -78,6 +78,12 @@ def load_scenario(path: str) -> dict:
     for key in ("M", "kappa", "q", "nu", "S", "pfa", "rho_s", "rho_c"):
         if key in out:
             out[key] = _number(out[key], key)
+    for key in ("toeplitz_s", "toeplitz_c"):
+        if key in out:
+            if not isinstance(out[key], list):
+                raise ValueError(f"{key}: expected an array of numbers, "
+                                 f"got {out[key]!r}")
+            out[key] = [_number(x, key) for x in out[key]]
     if not isinstance(out["method"], str):
         raise ValueError(f"method: expected a string, got {out['method']!r}")
     return out

@@ -47,10 +47,10 @@ class DegenerateV(GammaClutterError):
 
 
 class InvalidShape(GammaClutterError):
-    """Texture shape parameter must be positive."""
+    """Texture shape not positive, or quadrature order out of range."""
 
 
-class OrderTooLarge(GammaClutterError):
+class OrderTooLarge(InvalidShape):
     """Quadrature order above the recurrence overflow guard."""
 
 

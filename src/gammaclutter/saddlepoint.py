@@ -139,7 +139,7 @@ def _solve_saddles(v, tab):
     yet done.  The Newton step is taken on g = f q, q = s (1 + a_max s) on
     the right tail and s on the left: g has f's roots, and q cancels the
     poles of f nearest the saddle, so g is close to a low-order polynomial.
-    A pair accepted at |f| < tol keeps its last step when that step is
+    A pair accepted at |f| < 1e-11 v keeps its last step when that step is
     Newton's.  Returns s0, r2, the phase at s0 and the left-tail mask.
     """
     left, a_max = v < tab.mean, tab.a_max
@@ -168,7 +168,7 @@ def _solve_saddles(v, tab):
                       act[0])
 
         x = 0.5 * (lo + hi)
-        tol = 1e-11 * np.maximum(1.0, np.abs(v))
+        tol = 1e-11 * np.abs(v)
         am = np.where(left, 0.0, a_max)
         act = np.arange(v.size)
         for _ in range(SADDLE_MAX_ITER):

@@ -34,8 +34,7 @@ V_SEARCH_MAX = 1e6
 F_FLOOR = 2.0 ** -30
 # Survival down to which survival_interpolator's grid reaches.
 SF_FLOOR = 1e-9
-_METHOD_NAMES = ("eff-sdp", "eff-sp", "dmg-sdp", "dmg-sp", "diag-sdp",
-                 "diag-sp")
+_INTEGRATORS = ("sdp", "sp")
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,22 @@ class Method:
     @staticmethod
     def parse(name: str) -> "Method":
         try:
-            scheme_name, integ = name.lower().split("-")
-            scheme = {"eff": Scheme.EFFECTIVE, "dmg": Scheme.DMG,
-                      "diag": Scheme.DIAGONAL}[scheme_name]
-            if integ not in ("sdp", "sp"):
-                raise KeyError(integ)
-        except (ValueError, KeyError):
+            scheme, integ = name.lower().split("-")
+            if integ not in _INTEGRATORS:
+                raise ValueError(integ)
+            return Method(Scheme(scheme), integ)
+        except ValueError:
             raise ValueError(f"unknown method '{name}'; expected one of "
-                             f"{', '.join(_METHOD_NAMES)}") from None
-        return Method(scheme, integ)
+                             f"{', '.join(m.name for m in ALL_METHODS)}"
+                             ) from None
 
     @property
     def name(self) -> str:
         return f"{self.scheme.value}-{self.integrator}"
 
 
-ALL_METHODS = tuple(Method.parse(n) for n in _METHOD_NAMES)
+ALL_METHODS = tuple(Method(scheme, integ) for scheme in Scheme
+                    for integ in _INTEGRATORS)
 
 
 def gamma_texture_rule(nu: float, order: int = 32) -> TextureRule:
@@ -239,42 +238,28 @@ def _floor_rung(params, method, rule, ctx) -> float:
     rungs = [1.0 + params.S]
     while rungs[-1] * 1.4 <= V_SEARCH_MAX:
         rungs.append(rungs[-1] * 1.4)
-    rungs = np.array(rungs)
-    F, slope = _texture_sum(rungs[:1], params.S, params, method, rule, ctx)
-    if F[0] <= SF_FLOOR:
-        return float(rungs[0])
-    a, b = 0, None      # highest rung above the floor, lowest one at/below
-    fa, fb, chord = F[0], None, False   # F there; chord pick made
-    while b != a + 1:
-        if b is not None and chord:
-            k = np.arange(a + 1, b)
-        elif b is not None:
-            # the chord of ln F from rung a to rung b picks a pair between
-            chord, la = True, math.log(fa)
-            lb = math.log(fb) if fb > 0.0 else -math.inf
-            cross = rungs[a] + ((rungs[b] - rungs[a])
-                                * (math.log(SF_FLOOR) - la) / (lb - la))
-            top = a + 1 + int(np.searchsorted(rungs[a + 1:b], cross))
-            k = np.arange(max(a + 1, top - 1), min(top, b - 1) + 1)
-        elif a == rungs.size - 1:
-            raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
-                                f"v={V_SEARCH_MAX:g}")
-        else:
-            cross = rungs[a]
-            if slope[-1] < 0.0:
-                cross += (math.log(SF_FLOOR) - math.log(F[-1])) / slope[-1]
-            top = min(a + 1 + int(np.searchsorted(rungs[a + 1:], cross)),
-                      rungs.size - 1)
-            k = np.arange(max(a + 1, top - 1), top + 1)
+    rungs, ln_floor = np.array(rungs), math.log(SF_FLOOR)
+    # F(rung a) > SF_FLOOR >= F(rung b), la/lb = ln F and sa = d ln F/dv
+    # there; a = -1 and b = rungs.size stand for rungs not yet summed
+    a, b, cross = -1, rungs.size, rungs[0]
+    while b > a + 1:
+        top = a + 1 + int(np.searchsorted(rungs[a + 1:b], cross))
+        k = np.arange(max(a + 1, top - 1), min(top, b - 1) + 1)
         F, slope = _texture_sum(rungs[k], params.S, params, method, rule,
                                 ctx)
-        below = np.flatnonzero(F <= SF_FLOOR)
-        if below.size == 0:
-            a, fa = int(k[-1]), F[-1]
-            continue
-        b, fb = int(k[below[0]]), F[below[0]]
-        if below[0]:
-            a, fa = b - 1, F[below[0] - 1]
+        j = int(np.append(F <= SF_FLOOR, True).argmax())  # first at/below
+        if j:
+            a, la, sa = int(k[j - 1]), math.log(F[j - 1]), slope[j - 1]
+        if j < k.size:
+            b, lb = int(k[j]), math.log(F[j]) if F[j] > 0.0 else -math.inf
+        if b == rungs.size:     # the tangent of ln F at rung a
+            cross = rungs[a] + ((ln_floor - la) / sa if sa < 0.0 else 0.0)
+        elif b > a + 1:         # the chord of ln F from rung a to rung b
+            cross = rungs[a] + ((rungs[b] - rungs[a])
+                                * (ln_floor - la) / (lb - la))
+    if b == rungs.size:
+        raise NoConvergence(f"survival stays above {SF_FLOOR:g} up to "
+                            f"v={V_SEARCH_MAX:g}")
     return float(rungs[b])
 
 
@@ -285,20 +270,17 @@ def survival_interpolator(params: ScenarioParams, method="eff-sdp",
     """Build a fast survival callable covering survival down to SF_FLOOR.
 
     The grid ends at the first rung of the ladder (1 + S) 1.4^k, each rung
-    built by repeated ``*= 1.4``, whose survival is at most SF_FLOOR.  The
-    rungs are not walked one by one: from the highest rung known above the
-    floor, the tangent of ln F (its slope comes with F from
-    ``_texture_sum``) picks the first rung at or past its crossing of
-    ln SF_FLOOR, and that rung and the one before it are summed in one
-    call.  The end is accepted only as F(rung k-1) > SF_FLOOR >= F(rung k):
-    a tangent that stops short (convex K tails) is taken again from the new
-    highest rung.  After one that overshoots (concave gamma tails), the
-    chord of ln F from the highest rung above the floor to the lowest one
-    at or below it picks a pair of rungs in the same way, and only when
-    that pair does not confirm the end are the rungs still between summed
-    in one call.  The README's scenario takes two texture sums.  No rung
-    above V_SEARCH_MAX is tried, and NoConvergence is raised when every
-    rung is above the floor.
+    built by repeated ``*= 1.4`` up to V_SEARCH_MAX, whose survival is at
+    most SF_FLOOR.  The search is regula falsi in ln F on the rung index.
+    It keeps rungs a < b with F(rung a) > SF_FLOOR >= F(rung b), starting
+    from the sentinels a = -1 and b = the rung count, and stops at
+    b = a + 1.  Each pass predicts where ln F crosses ln SF_FLOOR: by the
+    chord from rung a to rung b, or, while b is the sentinel, by the
+    tangent at rung a (its slope comes with F from ``_texture_sum``).  It
+    then sums, in one call, the first rung at or past that crossing and the
+    one before it, keeping those strictly between a and b.  The first pass
+    sums rung 0, and the README's scenario takes two passes.  NoConvergence
+    is raised when every rung is above the floor.
     """
     check_integer("n_points", n_points, 2)
     if isinstance(method, str):

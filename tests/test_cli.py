@@ -135,6 +135,12 @@ def test_exit_codes(tmp_path):
     assert cli.main(["compare", "--scenario", scen3, "--replicates", "4",
                      "--samples", "50", "--threads", "1",
                      "--alpha", "1.5"]) == cli.EXIT_CONFIG
+    # an order past the guard is a config error, as order 0 is; it exited 3
+    scen4 = write_scenario(tmp_path, nu=2.0)
+    assert cli.main(["survival", "--scenario", scen4,
+                     "--texture-order", "300"]) == cli.EXIT_CONFIG
+    scen5 = write_scenario(tmp_path, nu=2.0, texture_order=300)
+    assert cli.main(["survival", "--scenario", scen5]) == cli.EXIT_CONFIG
 
 
 def test_zero_pfa_and_empty_method_are_config_errors(tmp_path, capsys):
@@ -200,6 +206,10 @@ def test_compare_rejects_a_bad_seed_before_building(tmp_path, seed,
     ("pd", "kappa", math.nan),          # a ValueError naming no key
     ("survival", "M", 4.5),     # silently M = 4
     ("pd", "rho_c", "0.5"),
+    ("pd", "toeplitz_c", [1.0, False, 0, 0]),           # exit 0
+    ("pd", "toeplitz_c", ["1", "0.5", "0.2", "0"]),     # exit 0
+    ("survival", "toeplitz_c", 5),      # a TypeError traceback
+    ("survival", "toeplitz_s", [1.0, None, 0, 0]),      # a TypeError
 ])
 def test_scenario_values_of_the_wrong_type_are_config_errors(
         tmp_path, command, key, value, capsys):

@@ -366,7 +366,7 @@ def test_floor_rung_matches_the_rung_walk(monkeypatch, method):
     short = mc.scenario(M=10, kappa=2, S=0.0, q=0.9, nu=0.6,
                         rho_c=0.5, rho_s=0.5)
     # ... or passes the rung below it (concave tail of a steady target), so
-    # the skipped rungs are filled in
+    # a chord of ln F picks among the skipped rungs
     over = mc.scenario(M=10, kappa=np.inf, S=11.0, q=0.2, nu=np.inf,
                        rho_c=0.5, rho_s=0.5)
     rng = np.random.default_rng(16)
@@ -378,11 +378,21 @@ def test_floor_rung_matches_the_rung_walk(monkeypatch, method):
                          rho_c=float(rng.uniform(0, 0.95)),
                          rho_s=float(rng.uniform(0, 0.95)))
              for _ in range(6)]
+    # under dmg-sp the first chord pick leaves the crossing unconfirmed and
+    # a second chord pick sums the one rung left: 1 + 2 + 2 + 1 levels
+    refine = mc.scenario(M=10, kappa=2, S=141.9731404675582,
+                         q=0.7041834017619223, nu=2.0,
+                         rho_c=0.47034884953616884,
+                         rho_s=0.06025556648838332)
+    draws.append(refine)
     for p in [ks, short, over] + draws:
         rule = tx.gamma_texture_rule(p.nu)
         want = floor_rung_walk(p, method, rule, mc.ScenarioContext(p))
         hi, calls = _floor_rung_calls(monkeypatch, p, method)
         assert hi == want
+        if p is refine:
+            assert hi == 549.2456164201715
+            assert sum(c.size for c in calls) <= 6
         first_pick = calls[1] if len(calls) > 1 else calls[0]
         if p is ks:
             assert len(calls) <= 2
@@ -456,7 +466,7 @@ def test_texture_sum_within_4_ulp_of_all_nodes(nu):
     for kappa in (1, 2, np.inf):
         p = mc.scenario(M=4, kappa=kappa, S=2.0, q=0.8, nu=nu,
                         rho_c=0.5, rho_s=0.8)
-        for method in tx._METHOD_NAMES:
+        for method in [m.name for m in tx.ALL_METHODS]:
             want = _all_node_sum(grid, p, method, rule)
             assert want[0] > 0.5 and 0.0 < want[-1] < 1e-12
             got = tx.survival_curve(grid, p, method, rule)
