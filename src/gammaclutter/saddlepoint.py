@@ -37,8 +37,9 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   evaluated in full at every (pair, tau node) element.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
   backtracking, in two passes: every fourth node from the leading-order
-  start, then the others from a Hermite interpolant through those; an
-  element it cannot solve is continued in tau on its own.
+  start, then the others from a Hermite interpolant through those.  It
+  stops at the row's own rounding floor, and an element it cannot solve
+  raises NoConvergence with its pair.
 
 Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
 zero.  Two bounds keep the working arrays small however many pairs a
@@ -220,6 +221,10 @@ class _TauRows:
         self.c = np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1)
         self.w = np.concatenate((one, -tab.alpha), axis=1)
         self.wc = self.w * self.c
+        # rounding floor 2u sum_j |w_j|, u = 2^-53: |1 - c_j z|^2 formed as
+        # in _log1m carries up to 4u, so each w_j ln|1 - c_j z| errs by up to
+        # 2u |w_j| whatever its size (Higham, Accuracy and Stability, ch. 2)
+        self.floor = 2.0 ** -52 * np.abs(self.w).sum(axis=1)
         self.g = (np.concatenate((0.0 * one, g), axis=1)
                   if tab.has_beta else None)
         self.width = self.c.shape[1]
@@ -262,29 +267,33 @@ class _TauRows:
         return tau, dtau
 
 
-def _newton_tols(taus, z):
-    # Absolute floor plus roundoff allowance for large |z| evaluations.
-    return 1e-13 * np.maximum(1.0, taus) + 2e-14 * np.abs(z)
-
-
 def _newton(taus, z0, ev, p):
     """Damped Newton for tau(z) = taus on the Im z > 0 branch.
 
-    Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau'.  A
-    sweep works on the unconverged elements only, and each step halving
-    (at most 30 trials) only on the elements whose trial left the upper
-    half plane or raised |residual|.  Returns z, the converged mask and
-    tau' at z.
+    Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau', and
+    ``ev.floor`` each pair's rounding floor.  An element is solved at
+    |tau(z) - taus| <= 1e-13 max(1, taus) + 2e-14 |z|, or by one step taken
+    from within the floor.  A sweep works on the unsolved elements only,
+    and each step halving (at most 30 trials) only on the elements whose
+    trial left the upper half plane or raised |residual|.  Returns z and
+    tau' at z; an element unsolved after NEWTON_MAX_ITER sweeps raises
+    NoConvergence with its pair.
     """
     z = np.array(z0, dtype=complex)
     tau, dtau = ev(z, p)
     resid = tau - taus
     act = np.arange(z.size)
-    for _ in range(NEWTON_MAX_ITER):
-        # only the elements a sweep moved can have converged
-        act = act[np.abs(resid[act]) > _newton_tols(taus[act], z[act])]
+    for sweep in range(NEWTON_MAX_ITER + 1):
+        # only the elements a sweep moved can have converged; the tolerance
+        # is an absolute bound plus a roundoff allowance for large |z|, and
+        # a NaN residual stays unsolved
+        tol = 1e-13 * np.maximum(1.0, taus[act]) + 2e-14 * np.abs(z[act])
+        act = act[~(np.abs(resid[act]) <= tol)]
         if act.size == 0:
-            break
+            return z, dtau
+        if sweep == NEWTON_MAX_ITER:
+            raise _at(NoConvergence(
+                f"tau-Newton stalled at tau={taus[act[0]]}"), p[act[0]])
         za, ra, ta, pa = z[act], resid[act], taus[act], p[act]
         da = dtau[act]
         step = -ra / np.where(np.abs(da) < 1e-300, 1e-300, da)
@@ -307,34 +316,8 @@ def _newton(taus, z0, ev, p):
         ok[bad] = False
         done = act[ok]
         z[done], resid[done], dtau[done] = z_try[ok], r_try[ok], d_try[ok]
-    return z, np.abs(resid) <= _newton_tols(taus, z), dtau
-
-
-def _march_to(ev, p, r2, t_target, z_from=0j, t_from=0.0, budget=400):
-    """Continuation in tau for one element of pair p, bisecting the step
-    on Newton failure."""
-    t, z = t_from, z_from
-    pa = np.array([p])
-    pending = [float(t_target)]
-    steps = 0
-    while pending:
-        tt = pending[-1]
-        guesses = []
-        if t > 0.0:
-            guesses += [z * (tt / t), z * math.sqrt(tt / t)]
-        guesses.append(1j * math.sqrt(2.0 * tt / r2))
-        for gz in guesses:
-            zz, ok, _ = _newton(np.array([tt]), np.array([gz]), ev, pa)
-            if ok[0]:
-                z, t = complex(zz[0]), tt
-                pending.pop()
-                break
-        else:
-            steps += 1
-            if steps > budget or tt - t < 1e-12 * max(1.0, tt):
-                raise NoConvergence(f"tau continuation stalled near tau={tt}")
-            pending.append(0.5 * (t + tt))
-    return z
+        # no step beats the rounding floor: one from within it is the last
+        act = act[~(np.abs(ra) <= ev.floor[pa])]
 
 
 def _invert_nodes(ev, t, r2, pairs):
@@ -346,26 +329,24 @@ def _invert_nodes(ev, t, r2, pairs):
     tau.  The fill pass starts each other node from the cubic Hermite
     interpolant in sigma = sqrt(tau) through the solved nodes, with slope
     dz/dsigma = 2 sigma / tau'(z) there and the anchor z = 0,
-    dz/dsigma = i sqrt(2 / r2) at sigma = 0; a node next to an unsolved
-    one starts from z0.  A pair's failed node, coarse or filled, is then
-    continued from the node before it.
+    dz/dsigma = i sqrt(2 / r2) at sigma = 0.  An element either pass
+    leaves unsolved raises NoConvergence with its pair (``_newton``).
     """
     n, m = t.size, pairs.size
     sig = np.sqrt(t)
-    z0 = 1j * np.sqrt(2.0 * t / r2[pairs][:, None])
-    z, ok = np.empty_like(z0), np.zeros((m, n), dtype=bool)
+    z = np.empty((m, n), dtype=complex)
     k = np.arange((n - 1) % _COARSE_STRIDE, n, _COARSE_STRIDE)
     f = np.setdiff1d(np.arange(n), k)
-    zk, okk, dk = _newton(np.tile(t[k], m), z0[:, k].ravel(), ev,
-                          np.repeat(pairs, k.size))
-    z[:, k], ok[:, k] = zk.reshape(m, -1), okk.reshape(m, -1)
+    z0 = 1j * np.sqrt(2.0 * t[k] / r2[pairs][:, None])
+    zk, dk = _newton(np.tile(t[k], m), z0.ravel(), ev,
+                     np.repeat(pairs, k.size))
+    z[:, k] = zk.reshape(m, -1)
     if f.size:
         # knots: the anchor, then the coarse nodes
         ks = np.concatenate(([0.0], sig[k]))
         kz = np.concatenate((np.zeros((m, 1)), z[:, k]), axis=1)
         kd = np.concatenate((1j * np.sqrt(2.0 / r2[pairs])[:, None],
                              2.0 * sig[k] / dk.reshape(m, -1)), axis=1)
-        kok = np.concatenate((np.ones((m, 1), dtype=bool), ok[:, k]), axis=1)
         j = np.searchsorted(ks, sig[f])
         h = ks[j] - ks[j - 1]
         x = (sig[f] - ks[j - 1]) / h
@@ -373,20 +354,9 @@ def _invert_nodes(ev, t, r2, pairs):
         start = (y * y * ((1.0 + 2.0 * x) * kz[:, j - 1]
                           + x * h * kd[:, j - 1])
                  + x * x * ((1.0 + 2.0 * y) * kz[:, j] - y * h * kd[:, j]))
-        start = np.where(kok[:, j - 1] & kok[:, j], start, z0[:, f])
-        zf, okf, _ = _newton(np.tile(t[f], m), start.ravel(), ev,
-                             np.repeat(pairs, f.size))
-        z[:, f], ok[:, f] = zf.reshape(m, -1), okf.reshape(m, -1)
-    for i in np.flatnonzero(~ok.all(axis=1)):
-        z_prev, t_prev = 0j, 0.0
-        for j in range(n):
-            if not ok[i, j]:
-                try:
-                    z[i, j] = _march_to(ev, pairs[i], r2[pairs[i]],
-                                        float(t[j]), z_prev, t_prev)
-                except NoConvergence as exc:
-                    raise _at(exc, pairs[i])
-            z_prev, t_prev = complex(z[i, j]), float(t[j])
+        zf, _ = _newton(np.tile(t[f], m), start.ravel(), ev,
+                        np.repeat(pairs, f.size))
+        z[:, f] = zf.reshape(m, -1)
     return z
 
 

@@ -10,7 +10,8 @@ two-sided Nakagami one, moments from finite differences of the compound
 CGF, the closed-form fully correlated target MGF, the survival
 interpolator's grid end by a rung-by-rung walk, and the steepest-descent
 phase tau(z) of one saddle as an exact complex-log row (``ExactTauRow``,
-apart from the engine's real-arithmetic rows).  The pairwise-cosh
+apart from the engine's real-arithmetic rows), with the survival it gives
+at 40 digits (``exact_tau_survival``).  The pairwise-cosh
 steady-target MGFs are exact only for M <= 2 and serve as references there
 alone.  Small closed forms the library does not need live here too: the
 steady-target (Rician) laws, the saddle phase, d ln M/ds term by term, the
@@ -22,6 +23,7 @@ import itertools
 import math
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 from scipy.special import gammaincc
 from scipy.stats import ncx2
@@ -367,6 +369,40 @@ class ExactTauRow:
         one_m = 1.0 - np.multiply.outer(np.asarray(z, dtype=complex), self.c)
         return (self.lam - (self.c / one_m) @ self.w
                 - (self.g / one_m ** 2).sum(axis=-1))
+
+
+def exact_tau_survival(v: float, mgf, z_start, t, weights) -> float:
+    """Survival of one (v, MGF row) pair, right tail, by a quadrature rule
+    (nodes t, weights) of e^{-tau} Im z(tau), with every z(tau_k) solved
+    at 40 digits by ``mpmath.findroot`` from z_start[k].
+
+    The row is ``ExactTauRow``'s (c, w, g, lam) and the phase at the saddle
+    is summed from the MGF's own (a, alpha, beta), both in mpmath, so the
+    value carries no roundoff from the double-precision evaluator.
+    """
+    st = ExactTauRow(v, mgf)
+    if st.left:
+        raise ValueError("exact_tau_survival takes the right tail only")
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        row = [(mpf(c), mpf(w), mpf(g)) for c, w, g in zip(st.c, st.w, st.g)]
+        lam, s0 = mpf(st.lam), mpf(st.s0)
+
+        def tau(z):
+            return lam * z + mpmath.fsum(
+                w * mpmath.log(1 - c * z) - g * z / (1 - c * z)
+                for c, w, g in row)
+
+        phase0 = mpmath.fsum(
+            mpf(al) * mpmath.log(1 + mpf(a) * s0)
+            + mpf(be) * s0 / (1 + mpf(a) * s0)
+            for a, al, be in zip(mgf.a, mgf.alpha, mgf.beta))
+        phase0 += s0 * mpf(v) - mpmath.log(-s0)
+        corr = mpmath.fsum(
+            mpf(wk) * mpmath.findroot(lambda z: tau(z) - mpf(tk),
+                                      mpmath.mpc(zk)).imag
+            for tk, wk, zk in zip(t, weights, z_start))
+        return float(mpmath.exp(phase0) / (mpmath.pi * v) * corr)
 
 
 def delta_max(eps: float) -> float:

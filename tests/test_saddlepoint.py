@@ -12,7 +12,8 @@ import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 from gammaclutter import detector, texture
 from gammaclutter.errors import DegenerateV, NoConvergence
-from oracles import ExactTauRow, dlog, effsw0_survival, phase
+from oracles import (ExactTauRow, dlog, effsw0_survival, exact_tau_survival,
+                     phase)
 
 
 def fig_scenario():
@@ -21,14 +22,21 @@ def fig_scenario():
                        rho_c=0.75, rho_s=0.95)
 
 
-def _state_ev(state):
-    """Element evaluator (tau, tau') over one state's exact phase."""
-    return lambda z, p: (state.tau(z), state.dtau(z))
+class _StateEv:
+    """Element evaluator (tau, tau') over one state's exact phase; its rows
+    are narrow, so the Newton tolerance needs no rounding floor."""
+
+    def __init__(self, state):
+        self.state = state
+        self.floor = np.zeros(1)
+
+    def __call__(self, z, p):
+        return self.state.tau(z), self.state.dtau(z)
 
 
 def _invert(tau, st):
     """Root z of tau(z) = tau on the steepest-descent branch (Im z > 0)."""
-    z = sp._invert_nodes(_state_ev(st), np.array([tau]), np.array([st.r2]),
+    z = sp._invert_nodes(_StateEv(st), np.array([tau]), np.array([st.r2]),
                          np.zeros(1, dtype=int))
     return complex(z[0, 0])
 
@@ -294,26 +302,6 @@ def test_batch_returns_each_pair_saddle():
     assert np.isnan(out[0]) and out[1] < 0.0
 
 
-def test_march_fallback_inside_batch_matches(monkeypatch):
-    pairs = _mixed_batch()
-    mgfs = _stack([m for _, m in pairs])
-    v = np.array([x for x, _ in pairs])
-    rows = np.arange(len(pairs))
-    want = sp.survival_pairs(v, mgfs, rows)
-    targets = []
-    march = sp._march_to
-    monkeypatch.setattr(sp, "_march_to",
-                        lambda *a, **k: targets.append(a[3]) or march(*a, **k))
-    monkeypatch.setattr(sp, "NEWTON_MAX_ITER", 3)
-    got = sp.survival_pairs(v, mgfs, rows)
-    assert len(targets) > 100
-    # failed nodes of both passes, coarse and filled, are continued
-    t, _ = sp._TAU_RULE
-    coarse = set(t[::-1][::sp._COARSE_STRIDE])
-    assert {x in coarse for x in targets} == {True, False}
-    assert np.max(np.abs(got - want)) <= 1e-12
-
-
 @pytest.mark.parametrize("integrator", ["sdp", "sp"])
 def test_blocking_does_not_change_results(monkeypatch, integrator):
     pairs = _mixed_batch()
@@ -407,14 +395,38 @@ def test_newton_step_halving_recovers_poor_starts():
     p = fig_scenario()
     st = ExactTauRow(12.0, mc.speckle_coeffs(p, 1.0))
     t, _ = sp._TAU_RULE
-    ev = _state_ev(st)
+    ev = _StateEv(st)
     leading = np.sqrt(2.0 * t / st.r2)       # |z| to leading order
     want = np.array([_invert(float(x), st) for x in t])
     for scale, re in ((0.05, 0.0), (0.2, 1.0), (3.0, -1.0)):
         z0 = scale * (re + 1j) * leading
-        z, ok, _ = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
-        assert ok.all() and np.all(z.imag > 0.0)
+        z, _ = sp._newton(t, z0, ev, np.zeros(t.size, dtype=int))
+        assert np.all(z.imag > 0.0)
         assert np.max(np.abs(z - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kw, v, u, scheme", [
+    # M=300, kappa=30, rho_s=0.9999: 301 poles of weight 30, whose rounding
+    # floor (2u sum|w| = 2e-12) is above the 1e-13 tolerance; nu = inf
+    # gives one texture node, u = 1
+    (dict(M=300, kappa=30, S=15.0, q=0.0, nu=math.inf, rho_s=0.9999),
+     24.19, 1.0, mc.Scheme.EFFECTIVE),
+    # weights -1485 and +1386 on nearly equal poles: Newton stops 1.3 %
+    # above u sum|w|, inside the 2u sum|w| floor
+    (dict(M=100, kappa=15, S=18.81495138665463, q=0.001, nu=1.0,
+          rho_s=0.9999, rho_c=0.9),
+     19.81495138665463, 0.5768846293018907, mc.Scheme.DMG),
+], ids=["eff-m300", "dmg-m100"])
+def test_far_envelope_point_matches_mpmath_reference(kw, v, u, scheme):
+    mgf = mc.speckle_coeffs(mc.scenario(**kw), u, scheme)
+    got = sp.survival_pairs([v], mgf, [0])[0]
+    tab = mgf.take([0])
+    s0, r2, _, _ = sp._solve_saddles(np.array([v]), tab)
+    t, w = sp._TAU_RULE
+    z = sp._invert_nodes(sp._TauRows(np.array([v]), tab, s0), t, r2,
+                         np.zeros(1, dtype=int))[0]
+    want = exact_tau_survival(v, mgf, z, t, w)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,10 +468,10 @@ def test_saddle_newton_matches_scalar_root(kappa, q, M, S, rho_c, u, e):
 
 def _engine_counts(monkeypatch):
     """Running counts of tau evaluations and evaluator calls, (pair, tau
-    node) elements and inversion calls, saddle derivative calls, saddle
-    solves and tau continuations."""
+    node) elements and inversion calls, saddle derivative calls and saddle
+    solves."""
     n = dict.fromkeys(("tau", "evals", "elements", "inverts", "derivatives",
-                       "solves", "march"), 0)
+                       "solves"), 0)
 
     def one(*a):
         return 1
@@ -480,7 +492,6 @@ def _engine_counts(monkeypatch):
         elements=lambda ev, t, r2, pairs: t.size * pairs.size))
     monkeypatch.setattr(sp, "_solve_saddles", counted(
         sp._solve_saddles, solves=one))
-    monkeypatch.setattr(sp, "_march_to", counted(sp._march_to, march=one))
     return n
 
 
@@ -497,14 +508,13 @@ def test_pd_curve_tau_evaluations_per_element(monkeypatch):
     n = _engine_counts(monkeypatch)
     _pd_curve("eff-sdp")
     assert n["elements"] > 0 and n["tau"] <= 3.8 * n["elements"]
-    assert n["march"] == 0
 
 
 def test_pd_curve_derivative_calls_per_saddle_solve(monkeypatch):
     n = _engine_counts(monkeypatch)
     _pd_curve("eff-sp")
     assert n["solves"] > 0 and n["derivatives"] <= 10 * n["solves"]
-    assert n["tau"] == 0 and n["march"] == 0
+    assert n["tau"] == 0
 
 
 def test_m100_curve_tau_evaluations_per_element(monkeypatch):
@@ -516,6 +526,5 @@ def test_m100_curve_tau_evaluations_per_element(monkeypatch):
     texture.survival_curve(np.linspace(mom.mean - sd, mom.mean + 4.0 * sd, 6),
                            p, "diag-sdp")
     assert n["elements"] > 0 and n["tau"] <= 3.6 * n["elements"]
-    assert n["march"] == 0
     # each Newton pass runs on a whole group of pairs, not a few
     assert n["inverts"] <= 4 and n["evals"] <= 40
