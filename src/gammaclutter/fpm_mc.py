@@ -27,6 +27,23 @@ normal block, and a target sign is applied by flipping the float sign bit,
 which is exact negation.  A run returns its draws as one array sorted
 ascending, the form ``gof_stats.ks_statistic`` scores; the sample count is
 the array's size.
+
+A draw works in three (n, 2, M) float blocks, its workspace.  The noise
+normals start the sum in the first, the clutter normals go to the second
+and a Toeplitz row colours them into the third; the target gammas and
+their coloured product go to the two blocks that do not hold the sum,
+whose contents have been added to it by then.  A KS ensemble allocates
+one workspace and reuses it for every replicate: a fresh 1.6 MB block
+(n = 1e4, M = 10) lies above glibc's mmap threshold, so every replicate
+would page-fault its three float blocks back in.  The sign integers
+still come in a fresh block (``Generator.integers`` has no ``out=``);
+whether it faults depends on the allocation history, since glibc raises
+its mmap threshold once a block that size has been freed.  Reuse changes no output bit: ``standard_normal(out=)`` and
+``standard_gamma(out=)`` take the same Philox draws as a fresh call, every
+block is overwritten before it is read (a steady target's block is
+refilled with ones, so no sign bit survives from the previous replicate),
+and the arithmetic is the same.  ``simulate_returns`` draws through the
+same code with a workspace of its own.
 """
 
 from __future__ import annotations
@@ -62,9 +79,16 @@ def _rng(seed: int, stream: int = 0) -> Generator:
                             counter=[0, 0, 0, int(stream)]))
 
 
-def _clutter_speckle(rng, n, M, spec_c, eig_c):
-    """(n, 2, M) unit-variance correlated clutter quadratures."""
-    X = rng.standard_normal((n, 2, M))
+def _workspace(n, M):
+    """Three uninitialised (n, 2, M) blocks for ``_draw_block`` to work in."""
+    return [np.empty((n, 2, M)) for _ in range(3)]
+
+
+def _clutter_speckle(rng, n, M, spec_c, eig_c, X=None, out=None):
+    """(n, 2, M) unit-variance correlated clutter quadratures: the normals
+    are drawn into ``X`` and a Toeplitz row colours them into ``out``
+    (fresh blocks where None)."""
+    X = rng.standard_normal((n, 2, M), out=X)
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
         if rho == 0.0:
@@ -75,45 +99,56 @@ def _clutter_speckle(rng, n, M, spec_c, eig_c):
             X[..., m] *= fac
             X[..., m] += rho * X[..., m - 1]
         return X
-    return X @ loading_matrix(eig_c)
+    return np.matmul(X, loading_matrix(eig_c), out=out)
 
 
-def _target_quadrature(rng, n, M, kappa, L_s):
-    """(n, 2, M) two-sided-Nakagami target quadratures colored by L_s."""
+def _target_quadrature(rng, n, M, kappa, L_s, Y=None, out=None):
+    """(n, 2, M) two-sided-Nakagami target quadratures colored by L_s: the
+    magnitudes are drawn into ``Y`` and coloured into ``out`` (fresh blocks
+    where None)."""
     flip = rng.integers(0, 2, size=(n, 2, M))
+    if Y is None:
+        Y = np.empty((n, 2, M))
     if kappa == KAPPA_INF:
-        Y = np.ones((n, 2, M))
+        Y.fill(1.0)
     else:
-        Y = rng.standard_gamma(kappa / 2.0, size=(n, 2, M))
+        rng.standard_gamma(kappa / 2.0, size=(n, 2, M), out=Y)
         Y *= 2.0 / kappa
         np.sqrt(Y, out=Y)
     # drawn bit 0 is the sign -1: set the sign bit where it was drawn
     flip ^= 1
     flip <<= 63
     Y.view(np.int64)[...] ^= flip
-    return Y @ L_s
+    return np.matmul(Y, L_s, out=out)
 
 
-def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext
-                ) -> np.ndarray:
+def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
+                work=None) -> np.ndarray:
+    """n draws of the averaged power, worked out in ``work`` (a fresh
+    ``_workspace`` where None)."""
     M, S, q, nu = params.M, params.S, params.q, params.nu
+    if work is None:
+        work = _workspace(n, M)
     if nu == math.inf:
         U = np.ones(n)
     else:
         U = rng.standard_gamma(nu, size=n) / nu
     total = None
     if q < 1.0:
-        total = rng.standard_normal((n, 2, M))
+        total = rng.standard_normal((n, 2, M), out=work[0])
         total *= math.sqrt(1.0 - q)
     if q > 0.0:
-        Xc = _clutter_speckle(rng, n, M, params.spec_c, ctx.eig_c)
+        Xc = _clutter_speckle(rng, n, M, params.spec_c, ctx.eig_c, work[1],
+                              work[2])
         Xc *= np.sqrt(q * U)[:, None, None]
         if total is None:
             total = Xc
         else:
             total += Xc
     if S > 0.0:
-        Xs = _target_quadrature(rng, n, M, params.kappa, ctx.loading_s)
+        Y, out = (w for w in work if w is not total)
+        Xs = _target_quadrature(rng, n, M, params.kappa, ctx.loading_s, Y,
+                                out)
         Xs *= math.sqrt(S)
         total += Xs
     total *= total

@@ -25,7 +25,7 @@ from numpy.random import Generator, Philox
 from scipy.special import kolmogorov, ndtri
 
 from .errors import InvalidScenario, NonMonotoneSF, check_integer
-from .fpm_mc import McConfig, simulate_returns
+from .fpm_mc import _draw_block, _rng, _workspace
 from .mgf_core import ScenarioContext, ScenarioParams
 
 BOOTSTRAP_RESAMPLES = 1000
@@ -126,12 +126,18 @@ class KSEnsemble:
 
 def _replicate_stats(params, sfs, K, n, seed, first_stream):
     """(len(sfs), K) KS statistics: each replicate draw is scored against
-    every survival function in ``sfs``."""
+    every survival function in ``sfs``.
+
+    Replicate r is stream first_stream + r of ``seed``, drawn and sorted
+    as ``simulate_returns`` draws it, in one workspace that every
+    replicate of the call reuses (see ``fpm_mc``); a threaded ensemble
+    makes one call per worker process."""
     out = np.empty((len(sfs), K))
     ctx = ScenarioContext(params)
-    cfg = McConfig(n, seed, params)
+    work = _workspace(n, params.M)
     for r in range(K):
-        x = simulate_returns(cfg, stream=first_stream + r, ctx=ctx)
+        x = _draw_block(_rng(seed, first_stream + r), n, params, ctx, work)
+        x.sort()
         for i, sf in enumerate(sfs):
             out[i, r] = ks_statistic(x, sf)
     return out

@@ -125,6 +125,24 @@ def test_draw_block_frozen_per_branch(case):
     assert np.array_equal(got, np.array(_BRANCH_DRAWS[case]))
 
 
+@pytest.mark.parametrize("case", sorted(_BRANCH_CASES) + ["ks_m10"])
+def test_reused_workspace_draws_as_fresh(case):
+    # consecutive streams drawn into one workspace equal fresh draws bit for
+    # bit: no block carries state from the previous draw into the next (a
+    # steady target's block keeping the last draw's sign bits, say)
+    if case == "ks_m10":
+        p, n = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                           rho_c=0.75, rho_s=0.9), 10000
+    else:
+        p, n = mc.scenario(**{**_BRANCH_BASE, **_BRANCH_CASES[case]}), 64
+    ctx = mc.ScenarioContext(p)
+    work = fp._workspace(n, p.M)
+    for stream in range(4):
+        reused = fp._draw_block(fp._rng(2024, stream), n, p, ctx, work)
+        fresh = fp._draw_block(fp._rng(2024, stream), n, p, ctx)
+        assert np.array_equal(reused, fresh), stream
+
+
 def test_non_integer_seed_or_count_is_rejected():
     # a float seed was truncated (1.5 drew seed 1's stream), a negative one
     # raised OverflowError and a float count leaked numpy's TypeError

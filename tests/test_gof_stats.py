@@ -117,6 +117,32 @@ def test_ensemble_threaded_matches_serial():
     assert a.rejected == b.rejected
 
 
+def test_ensemble_draws_do_not_page_fault_per_replicate():
+    # a fresh (n, 2, M) block per replicate sits above glibc's mmap
+    # threshold and page-faults back in at every draw; the ensemble's one
+    # workspace is paged in once per call, so replicates beyond the first
+    # touch a small fraction of one block each.  The bound also relies on
+    # glibc's dynamic mmap threshold for the sign integers, still a fresh
+    # int64 block per draw: glibc serves it from the heap once an earlier
+    # one was freed.  With a fixed threshold (MALLOC_MMAP_THRESHOLD_) or
+    # another allocator that block alone would fault past the bound.
+    resource = pytest.importorskip("resource")
+    p = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    n, sf = 10000, ErlangSF(10)
+
+    def faults(K):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        gs._replicate_stats(p, [sf], K, n, 3, 0)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    if faults(2) == 0:
+        pytest.skip("this platform does not count minor faults")
+    block_pages = n * 2 * p.M * 8 / resource.getpagesize()
+    extra = faults(60) - faults(20)
+    assert extra < 40 * block_pages / 10, extra
+
+
 def test_ensemble_rejects_alpha_outside_unit_interval():
     # alpha >= 1 collapses or inverts the bands; alpha <= 0 has no quantile
     p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
