@@ -36,10 +36,11 @@ node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
   tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z),
   evaluated in full at every (pair, tau node) element.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
-  backtracking, in two passes: every fourth node from the leading-order
-  start, then the others from a Hermite interpolant through those.  It
-  stops at the row's own rounding floor, and an element it cannot solve
-  raises NoConvergence with its pair.
+  backtracking, in two passes: every fourth node from the series
+  reversion at the saddle, then the others from a Hermite interpolant
+  through those, taking the steps a curvature bound proves converged
+  unevaluated.  It stops at the row's own rounding floor, and an element
+  it cannot solve raises NoConvergence with its pair.
 
 Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
 zero.  Two bounds keep the working arrays small however many pairs a
@@ -221,15 +222,35 @@ class _TauRows:
         self.c = np.concatenate(((1.0 / (s0 * v))[:, None], c), axis=1)
         self.w = np.concatenate((one, -tab.alpha), axis=1)
         self.wc = self.w * self.c
-        # rounding floor 2u sum_j |w_j|, u = 2^-53: |1 - c_j z|^2 formed as
-        # in _log1m carries up to 4u, so each w_j ln|1 - c_j z| errs by up to
-        # 2u |w_j| whatever its size (Higham, Accuracy and Stability, ch. 2)
-        self.floor = 2.0 ** -52 * np.abs(self.w).sum(axis=1)
         self.g = (np.concatenate((0.0 * one, g), axis=1)
                   if tab.has_beta else None)
         self.width = self.c.shape[1]
         self.per = max(1, _BLOCK_ELEMENTS // self.width)
         self._work = np.empty((8, self.per, self.width))
+        # row sums in the work arrays, per rows at a time: the Taylor
+        # coefficients a_k = -sum_j w_j c_j^k / k - sum_j g_j c_j^(k-1) of
+        # tau at 0, k = 2, 3, 4, and W = sum_j |w_j|, G = 2 sum_j |g_j| /
+        # c_j^2, where g_j = 0 wherever c_j = 0
+        self.taylor, self.curv = np.zeros((3, v.size)), np.zeros((2, v.size))
+        for r in range(0, v.size, self.per):
+            r = slice(r, r + self.per)
+            c, w, g = self.c[r], self.w[r], self.g
+            ck, t = self._work[:2, :c.shape[0]]
+            np.copyto(ck, c)
+            for k in range(3):
+                if g is not None:
+                    self.taylor[k, r] = -_rowdot(g[r], ck)
+                ck *= c
+                self.taylor[k, r] -= _rowdot(w, ck) / (k + 2)
+            self.curv[0, r] = np.abs(w, out=t).sum(axis=1)
+            if g is not None:
+                np.maximum(np.multiply(c, c, out=ck), 1e-300, out=ck)
+                self.curv[1, r] = 2.0 * np.divide(np.abs(g[r], out=t), ck,
+                                                  out=t).sum(axis=1)
+        # rounding floor 2u W, u = 2^-53: |1 - c_j z|^2 formed as in _log1m
+        # carries up to 4u, so each w_j ln|1 - c_j z| errs by up to 2u |w_j|
+        # whatever its size (Higham, Accuracy and Stability, ch. 2)
+        self.floor = 2.0 ** -52 * self.curv[0]
 
     def __call__(self, z, p):
         """tau and tau' at elements z of block pairs p, in chunks of at
@@ -267,36 +288,61 @@ class _TauRows:
         return tau, dtau
 
 
-def _newton(taus, z0, ev, p):
+def _tol(taus, z):
+    """The tau-Newton's tolerance, with a roundoff allowance for large |z|."""
+    return 1e-13 * np.maximum(1.0, taus) + 2e-14 * np.abs(z)
+
+
+def _step_bound(ev, p, z, step):
+    """Bound on |tau(z + step) - tau(z) - tau'(z) step| for pairs p: for
+    real c_j, |1 - c_j x| >= |c_j| Im x, so |tau''| <= W / y^2 + G / y^3
+    on the step (y > 0 its lowest Im; W, G in ``ev.curv``)."""
+    y = np.minimum(z.imag, z.imag + step.imag)
+    with np.errstate(all="ignore"):
+        b = (ev.curv[1, p] / y + ev.curv[0, p]) / (y * y)
+        b *= 0.5 * np.abs(step) ** 2
+    return np.where(y > 0.0, b, np.inf)
+
+
+def _newton(taus, z0, ev, p, unconfirmed=False):
     """Damped Newton for tau(z) = taus on the Im z > 0 branch.
 
     Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau', and
     ``ev.floor`` each pair's rounding floor.  An element is solved at
-    |tau(z) - taus| <= 1e-13 max(1, taus) + 2e-14 |z|, or by one step taken
-    from within the floor.  A sweep works on the unsolved elements only,
-    and each step halving (at most 30 trials) only on the elements whose
-    trial left the upper half plane or raised |residual|.  Returns z and
-    tau' at z; an element unsolved after NEWTON_MAX_ITER sweeps raises
-    NoConvergence with its pair.
+    |tau(z) - taus| <= _tol(taus, z), or by one step taken from within the
+    floor.  A sweep works on the unsolved elements only, and each step
+    halving (at most 30 trials) only on the elements whose trial left the
+    upper half plane or raised |residual|.  With ``unconfirmed``, a step
+    is taken unevaluated where _step_bound plus the floor is within the
+    tolerance and the bound is below |residual| (so no halving).  Returns
+    z and tau' at z (stale after an unevaluated step); an element unsolved
+    after NEWTON_MAX_ITER sweeps raises NoConvergence with its pair.
     """
     z = np.array(z0, dtype=complex)
     tau, dtau = ev(z, p)
     resid = tau - taus
     act = np.arange(z.size)
     for sweep in range(NEWTON_MAX_ITER + 1):
-        # only the elements a sweep moved can have converged; the tolerance
-        # is an absolute bound plus a roundoff allowance for large |z|, and
-        # a NaN residual stays unsolved
-        tol = 1e-13 * np.maximum(1.0, taus[act]) + 2e-14 * np.abs(z[act])
-        act = act[~(np.abs(resid[act]) <= tol)]
+        # only the elements a sweep moved can have converged, and a NaN
+        # residual stays unsolved
+        act = act[~(np.abs(resid[act]) <= _tol(taus[act], z[act]))]
         if act.size == 0:
             return z, dtau
         if sweep == NEWTON_MAX_ITER:
             raise _at(NoConvergence(
                 f"tau-Newton stalled at tau={taus[act[0]]}"), p[act[0]])
-        za, ra, ta, pa = z[act], resid[act], taus[act], p[act]
-        da = dtau[act]
+        ra, da = resid[act], dtau[act]
         step = -ra / np.where(np.abs(da) < 1e-300, 1e-300, da)
+        if unconfirmed:
+            za, pa = z[act], p[act]
+            b = _step_bound(ev, pa, za, step)
+            sure = ((b + ev.floor[pa] <= _tol(taus[act], za + step))
+                    & (b < np.abs(ra)))
+            z[act[sure]] = za[sure] + step[sure]
+            act, ra, step = act[~sure], ra[~sure], step[~sure]
+            if act.size == 0:
+                continue
+        za, ta, pa = z[act], taus[act], p[act]
         z_try = za + step
         r_try, d_try = ev(z_try, pa)
         r_try -= ta
@@ -320,24 +366,41 @@ def _newton(taus, z0, ev, p):
         act = act[~(np.abs(ra) <= ev.floor[pa])]
 
 
+def _series_start(ev, t, r2, pairs):
+    """Starts z(t), shape (pairs, nodes): the series reversion of
+    tau = a_2 z^2 (1 + p z + q z^2) (Daniels, Ann. Math. Stat. 25, 1954),
+    z0 = zeta (1 - (p/2) zeta + (5 p^2/8 - q/2) zeta^2), zeta = i sqrt(2 t
+    / r2), p = a_3 / a_2, q = a_4 / a_2; zeta where z0 leaves the upper
+    half plane or a correction term reaches 1."""
+    zeta = 1j * np.sqrt(2.0 * t / r2[pairs][:, None])
+    a2, a3, a4 = ev.taylor[:, pairs, None]
+    p, q = a3 / a2, a4 / a2
+    c1 = -0.5 * p * zeta
+    c2 = (0.625 * p * p - 0.5 * q) * zeta * zeta
+    z0 = zeta * (1.0 + c1 + c2)
+    return np.where((z0.imag > 0.0) & (np.abs(c1) < 1.0) & (np.abs(c2) < 1.0),
+                    z0, zeta)
+
+
 def _invert_nodes(ev, t, r2, pairs):
     """z(tau) at every (pair, node t) element, shape (pairs, nodes).
 
     Two Newton passes run on all pairs at once.  The coarse pass solves
-    every _COARSE_STRIDE-th node, counted back from the last one, from the
-    leading-order start z0 = i sqrt(2 tau / r2), whose error grows with
-    tau.  The fill pass starts each other node from the cubic Hermite
+    every _COARSE_STRIDE-th node, counted back from the last one, from
+    ``_series_start``, evaluating every step: its tau' gives the slopes
+    below.  The fill pass starts each other node from the cubic Hermite
     interpolant in sigma = sqrt(tau) through the solved nodes, with slope
     dz/dsigma = 2 sigma / tau'(z) there and the anchor z = 0,
-    dz/dsigma = i sqrt(2 / r2) at sigma = 0.  An element either pass
-    leaves unsolved raises NoConvergence with its pair (``_newton``).
+    dz/dsigma = i sqrt(2 / r2) at sigma = 0, and takes proven steps
+    unevaluated.  An element either pass leaves unsolved raises
+    NoConvergence with its pair (``_newton``).
     """
     n, m = t.size, pairs.size
     sig = np.sqrt(t)
     z = np.empty((m, n), dtype=complex)
     k = np.arange((n - 1) % _COARSE_STRIDE, n, _COARSE_STRIDE)
     f = np.setdiff1d(np.arange(n), k)
-    z0 = 1j * np.sqrt(2.0 * t[k] / r2[pairs][:, None])
+    z0 = _series_start(ev, t[k], r2, pairs)
     zk, dk = _newton(np.tile(t[k], m), z0.ravel(), ev,
                      np.repeat(pairs, k.size))
     z[:, k] = zk.reshape(m, -1)
@@ -355,7 +418,7 @@ def _invert_nodes(ev, t, r2, pairs):
                           + x * h * kd[:, j - 1])
                  + x * x * ((1.0 + 2.0 * y) * kz[:, j] - y * h * kd[:, j]))
         zf, _ = _newton(np.tile(t[f], m), start.ravel(), ev,
-                        np.repeat(pairs, f.size))
+                        np.repeat(pairs, f.size), unconfirmed=True)
         z[:, f] = zf.reshape(m, -1)
     return z
 

@@ -23,12 +23,20 @@ def fig_scenario():
 
 
 class _StateEv:
-    """Element evaluator (tau, tau') over one state's exact phase; its rows
-    are narrow, so the Newton tolerance needs no rounding floor."""
+    """Element evaluator (tau, tau') over one state's exact phase, with the
+    per-row constants the Newton reads, from the state's own row: the
+    Taylor coefficients a_2..a_4 and the curvature constants W and G.  Its
+    rows are narrow, so the Newton tolerance needs no rounding floor."""
 
     def __init__(self, state):
         self.state = state
         self.floor = np.zeros(1)
+        c, w, g = state.c, state.w, state.g
+        self.taylor = np.array([[-np.dot(w, c ** k) / k
+                                 - np.dot(g, c ** (k - 1))]
+                                for k in (2, 3, 4)])
+        self.curv = np.array([[np.abs(w).sum()],
+                              [2.0 * np.sum(np.abs(g) / (c * c))]])
 
     def __call__(self, z, p):
         return self.state.tau(z), self.state.dtau(z)
@@ -429,6 +437,131 @@ def test_far_envelope_point_matches_mpmath_reference(kw, v, u, scheme):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _row(kw, v, u=1.0, scheme=mc.Scheme.EFFECTIVE):
+    """The one-pair tau row of a scenario's MGF row at v, and its r2."""
+    tab = mc.speckle_coeffs(mc.scenario(**kw), u, scheme).take([0])
+    s0, r2, _, _ = sp._solve_saddles(np.array([v]), tab)
+    return sp._TauRows(np.array([v]), tab, s0), r2
+
+
+_STEADY = dict(q=0.8, nu=2.0, rho_c=0.75, rho_s=0.9, kappa=math.inf, S=3.0)
+
+
+@pytest.mark.parametrize("kw, v", [
+    (dict(M=10, kappa=2, S=5.0, q=1.0, nu=2.0, rho_c=0.75, rho_s=0.95), 4.0),
+    (dict(M=10, kappa=2, S=5.0, q=1.0, nu=2.0, rho_c=0.75, rho_s=0.95), 30.0),
+    (dict(_STEADY, M=10), 3.0), (dict(_STEADY, M=10), 12.0),
+    (dict(_STEADY, M=100), 9.0), (dict(_STEADY, M=1, S=5.0, q=1.0), 2.0),
+])
+def test_taylor_coefficients_match_the_row(kw, v):
+    # a_2 is -r2/2 from the saddle solve; a_3 and a_4 match the exact
+    # complex-log row's own coefficients
+    ev, r2 = _row(kw, v)
+    assert ev.taylor[0, 0] == pytest.approx(-0.5 * r2[0], rel=1e-14, abs=0.0)
+    mgf = mc.speckle_coeffs(mc.scenario(**kw), 1.0)
+    want = _StateEv(ExactTauRow(v, mgf)).taylor[:, 0]
+    assert ev.taylor[:, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_series_start_falls_back_to_leading_order():
+    # one pole, far in the tail: at the largest nodes the reversion's
+    # correction C zeta^2 passes 1 and its z0 leaves the upper half plane
+    ev, r2 = _row(dict(M=1, kappa=1, S=0.0, q=0.0, nu=2.0), 20.0)
+    t = sp._TAU_RULE[0]
+    z0 = sp._series_start(ev, t, r2, np.zeros(1, dtype=int))[0]
+    zeta = 1j * np.sqrt(2.0 * t / r2[0])
+    a2, a3, a4 = ev.taylor[:, 0]
+    p, q = a3 / a2, a4 / a2
+    raw = zeta * (1.0 - 0.5 * p * zeta + (0.625 * p * p - 0.5 * q) * zeta ** 2)
+    out = raw.imag <= 0.0
+    assert out.any() and not out.all()
+    assert np.array_equal(z0[out], zeta[out])
+    assert np.all(z0.imag > 0.0)
+    # near the saddle the reversion is the start, and it is closer to the
+    # root than the leading order
+    near = np.abs(0.5 * p * zeta) < 0.1
+    assert near.any() and np.array_equal(z0[near], raw[near])
+    st = ExactTauRow(20.0, mc.speckle_coeffs(
+        mc.scenario(M=1, kappa=1, S=0.0, q=0.0, nu=2.0), 1.0))
+    root = np.array([_invert(float(x), st) for x in t[near]])
+    assert np.all(np.abs(z0[near] - root) < np.abs(zeta[near] - root))
+
+
+class _Recorder:
+    """An evaluator that remembers every (pair, z) it evaluates."""
+
+    def __init__(self, ev):
+        self.ev, self.seen = ev, set()
+
+    def __getattr__(self, name):
+        return getattr(self.ev, name)
+
+    def __call__(self, z, p):
+        self.seen.update(zip(p.tolist(), z.tolist()))
+        return self.ev(z, p)
+
+
+@pytest.mark.parametrize("kw, v, u, scheme", [
+    (dict(_STEADY, M=10), 12.0, 1.0, mc.Scheme.EFFECTIVE),
+    (dict(_STEADY, M=100), 9.0, 1.0, mc.Scheme.EFFECTIVE),
+    (dict(_STEADY, M=1, S=5.0, q=1.0), 20.0, 1.0, mc.Scheme.EFFECTIVE),
+    (dict(M=300, kappa=30, S=15.0, q=0.0, nu=math.inf, rho_s=0.9999),
+     24.19, 1.0, mc.Scheme.EFFECTIVE),
+    (dict(M=100, kappa=15, S=18.81495138665463, q=0.001, nu=1.0,
+          rho_s=0.9999, rho_c=0.9),
+     19.81495138665463, 0.5768846293018907, mc.Scheme.DMG),
+    # DMG weights -8970 and +8700 on nearly equal poles, whose floor
+    # (3.9e-12) leaves the bound room below the tolerance at v=12 only at
+    # the largest |z|
+    (dict(M=300, kappa=30, S=7.756, q=0.01, nu=math.inf, rho_s=0.9999),
+     12.0, 1.0, mc.Scheme.DMG),
+], ids=["steady-m10", "steady-m100", "steady-m1", "eff-m300", "dmg-m100",
+        "dmg-m300"])
+def test_unevaluated_fill_steps_are_solved(kw, v, u, scheme):
+    # every fill-pass z taken without an evaluation, evaluated afresh, is
+    # within the tau-Newton's tolerance
+    ev, r2 = _row(kw, v, u, scheme)
+    if kw.get("kappa") == math.inf:
+        assert ev.curv[1, 0] > 0.0          # beta terms: G is in the bound
+    rec = _Recorder(ev)
+    t = sp._TAU_RULE[0]
+    z = sp._invert_nodes(rec, t, r2, np.zeros(1, dtype=int))[0]
+    skipped = np.array([(0, complex(x)) not in rec.seen for x in z])
+    assert skipped.any()
+    zs, ts = z[skipped], t[skipped]
+    tau, _ = ev(zs, np.zeros(zs.size, dtype=int))
+    assert np.all(np.abs(tau - ts)
+                  <= 1e-13 * np.maximum(1.0, ts) + 2e-14 * np.abs(zs))
+
+
+def _inversions(monkeypatch, run):
+    """Every z array _invert_nodes returns while run() runs."""
+    out = []
+
+    def invert(*a):
+        out.append(inner(*a))
+        return out[-1]
+
+    inner = sp._invert_nodes
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_invert_nodes", invert)
+        run()
+    return out
+
+
+@pytest.mark.parametrize("run", [
+    lambda: _pd_curve("eff-sdp"),
+    lambda: _m100_curve("diag-sdp"),
+], ids=["pd", "m100"])
+def test_unevaluated_fill_steps_change_no_bit(monkeypatch, run):
+    # with the bound at +inf every step is evaluated, as before the skip
+    got = _inversions(monkeypatch, run)
+    monkeypatch.setattr(sp, "_step_bound", lambda *a: np.inf)
+    want = _inversions(monkeypatch, run)
+    assert len(got) == len(want) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @settings(max_examples=200, deadline=None)
 @given(kappa=hs.sampled_from([1, 2, math.inf]),
        q=hs.sampled_from([0.0, 0.5, 1.0]), M=hs.sampled_from([1, 2, 10, 100]),
@@ -507,7 +640,7 @@ def _pd_curve(method):
 def test_pd_curve_tau_evaluations_per_element(monkeypatch):
     n = _engine_counts(monkeypatch)
     _pd_curve("eff-sdp")
-    assert n["elements"] > 0 and n["tau"] <= 3.8 * n["elements"]
+    assert n["elements"] > 0 and n["tau"] <= 2.75 * n["elements"]
 
 
 def test_pd_curve_derivative_calls_per_saddle_solve(monkeypatch):
@@ -517,14 +650,20 @@ def test_pd_curve_derivative_calls_per_saddle_solve(monkeypatch):
     assert n["tau"] == 0
 
 
-def test_m100_curve_tau_evaluations_per_element(monkeypatch):
+def _m100_curve(method):
+    """Six survival values of an M=100 scenario, from one sd below the mean
+    to four above."""
     p = mc.scenario(M=100, kappa=2, S=5.0, q=0.75, nu=5.0,
                     rho_s=0.95, rho_c=0.75)
     mom = mc.analytic_moments(p)
     sd = math.sqrt(mom.variance)
+    return texture.survival_curve(
+        np.linspace(mom.mean - sd, mom.mean + 4.0 * sd, 6), p, method)
+
+
+def test_m100_curve_tau_evaluations_per_element(monkeypatch):
     n = _engine_counts(monkeypatch)
-    texture.survival_curve(np.linspace(mom.mean - sd, mom.mean + 4.0 * sd, 6),
-                           p, "diag-sdp")
-    assert n["elements"] > 0 and n["tau"] <= 3.6 * n["elements"]
+    _m100_curve("diag-sdp")
+    assert n["elements"] > 0 and n["tau"] <= 2.7 * n["elements"]
     # each Newton pass runs on a whole group of pairs, not a few
     assert n["inverts"] <= 4 and n["evals"] <= 40
