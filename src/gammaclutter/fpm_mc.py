@@ -38,12 +38,13 @@ one workspace and reuses it for every replicate: a fresh 1.6 MB block
 would page-fault its three float blocks back in.  The sign integers
 still come in a fresh block (``Generator.integers`` has no ``out=``);
 whether it faults depends on the allocation history, since glibc raises
-its mmap threshold once a block that size has been freed.  Reuse changes no output bit: ``standard_normal(out=)`` and
-``standard_gamma(out=)`` take the same Philox draws as a fresh call, every
-block is overwritten before it is read (a steady target's block is
-refilled with ones, so no sign bit survives from the previous replicate),
-and the arithmetic is the same.  ``simulate_returns`` draws through the
-same code with a workspace of its own.
+its mmap threshold once a block that size has been freed.  Reuse changes
+no output bit: ``standard_normal(out=)`` and ``standard_gamma(out=)`` take
+the same Philox draws as a fresh call, every block is overwritten before
+it is read (a steady target's block is refilled with ones, so no sign bit
+survives from the previous replicate), and the arithmetic is the same.
+Every drawing helper takes its blocks as arguments: ``simulate_returns``
+makes its own ``_workspace``, and there is no fresh-block path.
 """
 
 from __future__ import annotations
@@ -84,10 +85,9 @@ def _workspace(n, M):
     return [np.empty((n, 2, M)) for _ in range(3)]
 
 
-def _clutter_speckle(rng, n, M, spec_c, eig_c, X=None, out=None):
+def _clutter_speckle(rng, n, M, spec_c, eig_c, X, out):
     """(n, 2, M) unit-variance correlated clutter quadratures: the normals
-    are drawn into ``X`` and a Toeplitz row colours them into ``out``
-    (fresh blocks where None)."""
+    are drawn into ``X`` and a Toeplitz row colours them into ``out``."""
     X = rng.standard_normal((n, 2, M), out=X)
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
@@ -102,13 +102,10 @@ def _clutter_speckle(rng, n, M, spec_c, eig_c, X=None, out=None):
     return np.matmul(X, loading_matrix(eig_c), out=out)
 
 
-def _target_quadrature(rng, n, M, kappa, L_s, Y=None, out=None):
+def _target_quadrature(rng, n, M, kappa, L_s, Y, out):
     """(n, 2, M) two-sided-Nakagami target quadratures colored by L_s: the
-    magnitudes are drawn into ``Y`` and coloured into ``out`` (fresh blocks
-    where None)."""
+    magnitudes are drawn into ``Y`` and coloured into ``out``."""
     flip = rng.integers(0, 2, size=(n, 2, M))
-    if Y is None:
-        Y = np.empty((n, 2, M))
     if kappa == KAPPA_INF:
         Y.fill(1.0)
     else:
@@ -123,12 +120,9 @@ def _target_quadrature(rng, n, M, kappa, L_s, Y=None, out=None):
 
 
 def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
-                work=None) -> np.ndarray:
-    """n draws of the averaged power, worked out in ``work`` (a fresh
-    ``_workspace`` where None)."""
+                work) -> np.ndarray:
+    """n draws of the averaged power, worked out in ``work``, a _workspace."""
     M, S, q, nu = params.M, params.S, params.q, params.nu
-    if work is None:
-        work = _workspace(n, M)
     if nu == math.inf:
         U = np.ones(n)
     else:
@@ -163,6 +157,7 @@ def simulate_returns(config: McConfig, stream: int = 0,
     if ctx is None:
         ctx = ScenarioContext(config.params)
     rng = _rng(config.seed, stream)
-    z = _draw_block(rng, config.n_samples, config.params, ctx)
+    z = _draw_block(rng, config.n_samples, config.params, ctx,
+                    _workspace(config.n_samples, config.params.M))
     z.sort()
     return z

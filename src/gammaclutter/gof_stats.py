@@ -19,12 +19,14 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import kolmogorov, ndtri
 
-from .errors import InvalidScenario, NonMonotoneSF, check_integer
+from .errors import (InvalidScenario, NoConvergence, NonMonotoneSF,
+                     check_integer)
 from .fpm_mc import _draw_block, _rng, _workspace
 from .mgf_core import ScenarioContext, ScenarioParams
 
@@ -69,7 +71,7 @@ class PerturbedSF:
 def epsilon_from_delta(delta: float) -> float:
     """The tilt eps whose peak difference
     sup_x |sf - sf^(1+eps)| = eps (1/(1+eps))^(1+1/eps) is delta, exactly
-    by Newton, seeded with eps ~ e * delta."""
+    by Newton on its log (slope log1p(eps) / eps^2) from eps ~ e * delta."""
     if delta == 0.0:
         return 0.0
     if not 0.0 < delta < 0.3:
@@ -78,13 +80,11 @@ def epsilon_from_delta(delta: float) -> float:
     target = math.log(delta)
     for _ in range(60):
         h = math.log(eps) - (1.0 + 1.0 / eps) * math.log1p(eps) - target
-        dh = 1.0 / eps + math.log1p(eps) / (eps * eps) \
-            - (1.0 + 1.0 / eps) / (1.0 + eps)
-        step = h / dh
+        step = h / (math.log1p(eps) / eps / eps)
         eps -= step
         if abs(step) < 1e-15 * eps:
-            break
-    return eps
+            return eps
+    raise NoConvergence(f"no tilt found for delta {delta}")
 
 
 # --- replicated-ensemble machinery -------------------------------------------
@@ -130,8 +130,8 @@ def _replicate_stats(params, sfs, K, n, seed, first_stream):
 
     Replicate r is stream first_stream + r of ``seed``, drawn and sorted
     as ``simulate_returns`` draws it, in one workspace that every
-    replicate of the call reuses (see ``fpm_mc``); a threaded ensemble
-    makes one call per worker process."""
+    replicate of the call reuses (see ``fpm_mc``); a threaded ensemble's
+    pool maps it over chunks of the replicates."""
     out = np.empty((len(sfs), K))
     ctx = ScenarioContext(params)
     work = _workspace(n, params.M)
@@ -143,35 +143,26 @@ def _replicate_stats(params, sfs, K, n, seed, first_stream):
     return out
 
 
-def _stats_worker(args):
-    params, sfs, k_lo, k_hi, n, seed, first_stream = args
-    return _replicate_stats(params, sfs, k_hi - k_lo, n, seed,
-                            first_stream + k_lo)
-
-
 def _ensemble_stats(params, sfs, K, n, seed, first_stream, threads):
     """_replicate_stats, with the replicates split over ``threads`` worker
     processes when threads > 1; a replicate's stream does not depend on
     the split."""
     if not threads or threads <= 1:
         return _replicate_stats(params, sfs, K, n, seed, first_stream)
-    chunks = np.array_split(np.arange(K), threads)
-    jobs = [(params, sfs, int(ch[0]), int(ch[-1]) + 1, n, seed, first_stream)
-            for ch in chunks if ch.size]
+    chunks = [ch for ch in np.array_split(range(K), threads) if ch.size]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(_stats_worker, jobs)), axis=1)
+        parts = pool.map(_replicate_stats, repeat(params), repeat(sfs),
+                         [ch.size for ch in chunks], repeat(n), repeat(seed),
+                         [first_stream + int(ch[0]) for ch in chunks])
+        return np.concatenate(list(parts), axis=1)
 
 
 def rejection_scan(dkw_curve, band_lo) -> bool:
     """White-space rule: theory-side DKW curve under the ensemble's lower
     envelope on >= CONSECUTIVE_EXITS adjacent grid points."""
-    exits = dkw_curve < band_lo
-    run = 0
-    for e in exits:
-        run = run + 1 if e else 0
-        if run >= CONSECUTIVE_EXITS:
-            return True
-    return False
+    seen = np.cumsum(np.concatenate(([0], dkw_curve < band_lo)))
+    window = seen[CONSECUTIVE_EXITS:] - seen[:-CONSECUTIVE_EXITS]
+    return bool(np.any(window == CONSECUTIVE_EXITS))
 
 
 def check_ensemble(K: int, n: int, alpha: float, seed: int) -> None:
@@ -215,16 +206,23 @@ def _greenwood(stats, n, alpha):
 
 def _ensemble(stats, n, seed, alpha, config_echo) -> KSEnsemble:
     """The bands, curves and rejection decision of K replicate statistics;
-    the bootstrap stream is keyed by (seed, 2^31)."""
+    one call draws every resample's K indices from the stream (seed, 2^31).
+    A resampled statistic is at or below a grid point when its rank among
+    the replicates is at or below the point's, so the cumulative sum of a
+    resample's rank counts, read at the points' ranks, gives its counts."""
     K = stats.size
     grid, ens_sf, green_lo, green_hi, dkw, rejected = _greenwood(stats, n,
                                                                  alpha)
     rng = Generator(Philox(key=np.uint64(seed),
                            counter=[0, 0, 1, np.uint64(2 ** 31)]))
-    boot = np.empty((BOOTSTRAP_RESAMPLES, grid.size))
-    for b in range(BOOTSTRAP_RESAMPLES):
-        res = np.sort(stats[rng.integers(0, K, K)])
-        boot[b] = (K - np.searchsorted(res, grid, side="right")) / K
+    ranked = np.sort(stats)
+    idx = rng.integers(0, K, (BOOTSTRAP_RESAMPLES, K))
+    np.take(np.searchsorted(ranked, stats, side="right"), idx, out=idx)
+    idx += (K + 1) * np.arange(BOOTSTRAP_RESAMPLES)[:, None]
+    below = np.bincount(idx.ravel(), minlength=BOOTSTRAP_RESAMPLES * (K + 1))
+    below = below.reshape(BOOTSTRAP_RESAMPLES, K + 1)
+    np.cumsum(below, axis=1, out=below)
+    boot = (K - below[:, np.searchsorted(ranked, grid, side="right")]) / K
     boot_lo = np.quantile(boot, alpha / 2.0, axis=0)
     boot_hi = np.quantile(boot, 1.0 - alpha / 2.0, axis=0)
     return KSEnsemble(stats, grid, ens_sf, boot_lo, boot_hi, green_lo,

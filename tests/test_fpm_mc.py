@@ -121,7 +121,8 @@ _BRANCH_DRAWS = {
 @pytest.mark.parametrize("case", sorted(_BRANCH_CASES))
 def test_draw_block_frozen_per_branch(case):
     p = mc.scenario(**{**_BRANCH_BASE, **_BRANCH_CASES[case]})
-    got = fp._draw_block(fp._rng(2024, 3), 4, p, mc.ScenarioContext(p))
+    got = fp._draw_block(fp._rng(2024, 3), 4, p, mc.ScenarioContext(p),
+                         fp._workspace(4, p.M))
     assert np.array_equal(got, np.array(_BRANCH_DRAWS[case]))
 
 
@@ -139,7 +140,8 @@ def test_reused_workspace_draws_as_fresh(case):
     work = fp._workspace(n, p.M)
     for stream in range(4):
         reused = fp._draw_block(fp._rng(2024, stream), n, p, ctx, work)
-        fresh = fp._draw_block(fp._rng(2024, stream), n, p, ctx)
+        fresh = fp._draw_block(fp._rng(2024, stream), n, p, ctx,
+                               fp._workspace(n, p.M))
         assert np.array_equal(reused, fresh), stream
 
 
@@ -177,7 +179,8 @@ def test_gaussian_channel_requires_kappa_one():
 def test_target_quadrature_sign_symmetry_and_unit_power():
     rng = fp._rng(7, 0)
     n = 250000
-    Y = fp._target_quadrature(rng, n, 4, 3, np.eye(4))
+    Y = fp._target_quadrature(rng, n, 4, 3, np.eye(4),
+                              *fp._workspace(n, 4)[:2])
     flat = Y.ravel()
     assert abs(flat.mean()) < 4.0 / math.sqrt(flat.size)
     m2 = flat ** 2
@@ -189,7 +192,8 @@ def test_ar1_lag_one_autocorrelation():
     from gammaclutter.corrmodel import CorrelationSpec
     spec = CorrelationSpec.gauss_markov(rho, 64)
     rng = fp._rng(11, 0)
-    X = fp._clutter_speckle(rng, 1600, 64, spec, None).reshape(-1, 64)
+    X = fp._clutter_speckle(rng, 1600, 64, spec, None,
+                           *fp._workspace(1600, 64)[:2]).reshape(-1, 64)
     x0 = X[:, :-1].ravel()
     x1 = X[:, 1:].ravel()
     r = np.mean(x0 * x1)
@@ -202,7 +206,8 @@ def test_target_covariance_matches_spec():
     ctx = mc.ScenarioContext(p)
     rng = fp._rng(13, 0)
     n = 100000
-    X = fp._target_quadrature(rng, n, 8, 2, ctx.loading_s).reshape(-1, 8)
+    X = fp._target_quadrature(rng, n, 8, 2, ctx.loading_s,
+                              *fp._workspace(n, 8)[:2]).reshape(-1, 8)
     C = (X.T @ X) / X.shape[0]
     want = np.array([[0.75 ** abs(i - j) for j in range(8)]
                      for i in range(8)])

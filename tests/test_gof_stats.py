@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy.special import kolmogi
 
 import gammaclutter.gof_stats as gs
 import gammaclutter.mgf_core as mc
-from gammaclutter.errors import InvalidScenario, NonMonotoneSF
+from gammaclutter.errors import (GammaClutterError, InvalidScenario,
+                                 NonMonotoneSF)
 from oracles import delta_max
 
 
@@ -71,6 +73,17 @@ def test_perturbation_identities():
     assert np.all(np.diff(out) <= 0) and out[-1] < 1e-5
 
 
+def test_tiny_delta_gives_the_seed_tilt():
+    # eps * eps underflows to zero at such deltas, where eps = e * delta;
+    # a subnormal delta has no finite Newton slope and must fail as a
+    # library error
+    for delta in (1e-300, 1e-200, 1e-163):
+        eps = gs.epsilon_from_delta(delta)
+        assert eps == pytest.approx(math.e * delta, rel=1e-15)
+    with pytest.raises(GammaClutterError):
+        gs.epsilon_from_delta(1e-310)
+
+
 def test_ensemble_null_coverage_and_json():
     # null-true synthetic: pure-noise scenario against its exact survival
     from scipy.special import gammaincc
@@ -115,6 +128,44 @@ def test_ensemble_threaded_matches_serial():
     b = gs.ks_ensemble(p, sf, K=24, n=500, seed=2, alpha=0.01, threads=2)
     assert np.array_equal(a.statistics, b.statistics)
     assert a.rejected == b.rejected
+
+
+@pytest.mark.parametrize("K, threads", [(3, 4), (10, 3)])
+def test_pooled_statistics_equal_serial(K, threads):
+    # chunks of the replicates go to the pool with their own first
+    # streams; workers beyond K get no chunk
+    p = mc.scenario(M=3, kappa=1, S=0.0, q=0.0, nu=np.inf)
+    sfs = [ErlangSF(3), ErlangSF(2)]
+    serial = gs._ensemble_stats(p, sfs, K, 200, 6, 5, 0)
+    pooled = gs._ensemble_stats(p, sfs, K, 200, 6, 5, threads)
+    assert serial.shape == (2, K)
+    assert pooled.tobytes() == serial.tobytes()
+
+
+def _per_resample_band(stats, seed, alpha, grid):
+    # the band one resample at a time: K index draws, a sort and a
+    # search per resample
+    K = stats.size
+    rng = Generator(Philox(key=np.uint64(seed),
+                           counter=[0, 0, 1, np.uint64(2 ** 31)]))
+    boot = np.empty((gs.BOOTSTRAP_RESAMPLES, grid.size))
+    for b in range(gs.BOOTSTRAP_RESAMPLES):
+        res = np.sort(stats[rng.integers(0, K, K)])
+        boot[b] = (K - np.searchsorted(res, grid, side="right")) / K
+    return (np.quantile(boot, alpha / 2.0, axis=0),
+            np.quantile(boot, 1.0 - alpha / 2.0, axis=0))
+
+
+@pytest.mark.parametrize("K", [1, 7, 50, 400])
+@pytest.mark.parametrize("tied", [False, True])
+def test_bootstrap_band_matches_per_resample_draws(K, tied):
+    stats = np.random.default_rng(K).uniform(0.005, 0.03, K)
+    if tied:
+        stats = np.round(stats, 2)    # a handful of distinct values
+    ens = gs._ensemble(stats, 1000, 9, 0.01, {})
+    lo, hi = _per_resample_band(stats, 9, 0.01, ens.grid)
+    assert ens.boot_lo.tobytes() == lo.tobytes()
+    assert ens.boot_hi.tobytes() == hi.tobytes()
 
 
 def test_ensemble_draws_do_not_page_fault_per_replicate():
@@ -219,4 +270,19 @@ def test_rejection_scan_consecutive_rule():
     # exactly the calibrated run length triggers
     lo = below.copy()
     lo[2:2 + need] = 0.6
+    assert gs.rejection_scan(dkw, lo)
+    # a run that ends at the last grid point
+    lo = below.copy()
+    lo[-need:] = 0.6
+    assert gs.rejection_scan(dkw, lo)
+    # grids too short for a run, every point an exit
+    for size in range(need):
+        assert not gs.rejection_scan(np.full(size, 0.5),
+                                     np.full(size, 0.6))
+    # two runs one short, split by one non-exit
+    lo = below.copy()
+    lo[1:1 + need - 1] = 0.6
+    lo[need + 1:2 * need] = 0.6
+    assert not gs.rejection_scan(dkw, lo)
+    lo[need] = 0.6
     assert gs.rejection_scan(dkw, lo)
