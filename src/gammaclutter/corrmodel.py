@@ -2,14 +2,18 @@
 
 Correlation matrices here are unit-diagonal symmetric Toeplitz (trace M).
 The Gauss-Markov family [C]_mn = rho^|m-n| is the default; an arbitrary
-first row is also accepted.  The effective and diagonal models and the
-sampler consume the eigen decomposition C = R^T diag(gamma) R with rows of
-R as eigenvectors, plus a loading matrix L = sqrt(diag(gamma)) R with
-C = L^T L; the DMG model needs only the effective looks.
+first row is also accepted.  The effective and diagonal models read only
+spectra, which ``toeplitz_spectra`` computes from first rows by a
+half-size split without eigenvectors.  The eigen decomposition
+C = R^T diag(gamma) R, rows of R eigenvectors, is formed only where a
+rotation is read: the steady-target weights and the sampler's loading
+matrix L = sqrt(diag(gamma)) R with C = L^T L.  The DMG model needs only
+the effective looks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +30,8 @@ from .errors import (
 
 # Eigenvalues above -PSD_TOL*M are treated as rounding noise and clamped to 0.
 PSD_TOL = 1e-10
+# Matrix entries per stacked eigvalsh call of toeplitz_spectra.
+_EIG_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,42 @@ def eigen_decompose(matrix: np.ndarray) -> EigenSystem:
             f"min eigenvalue {vals[0]:.3e} below clamping tolerance")
     vals = np.clip(vals, 0.0, None)
     return EigenSystem(vals, _fix_signs(vecs.T))
+
+
+@functools.lru_cache(maxsize=8)
+def _split(M):
+    """m = M // 2 and the index arrays and border weights of the split."""
+    m, i = M // 2, np.arange((M + 1) // 2)[:, None]
+    w = np.where(i < m, 1.0, math.sqrt(0.5))   # odd M: the border
+    return m, np.abs(i - i.T), M - 1 - i - i.T, w * w.T
+
+
+def toeplitz_spectra(rows) -> np.ndarray:
+    """Ascending eigenvalues, clipped at 0, of the symmetric Toeplitz
+    matrices with unit-diagonal first rows ``rows``, a (count, M) stack; no
+    eigenvectors.
+
+    With m = M // 2, A_ij = r_|i-j| and H_ij = r_(M-1-i-j), the spectrum of
+    first row r is that of the m x m blocks A - H and A + H, the latter
+    bordered for odd M by sqrt(2) r_(m-i) and r_0 (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976, on centrosymmetric matrices).  The identity and
+    the all-ones matrix get the exact spectra ``eigen_decompose`` gives.
+    """
+    rows = np.asarray(rows, dtype=float)
+    M = rows.shape[1]
+    m, A, H, w = _split(M)
+    per = max(1, _EIG_CHUNK // A.size)
+    got = np.empty(rows.shape)
+    for k in range(0, rows.shape[0], per):
+        a, h = rows[k:k + per, A], rows[k:k + per, H]
+        got[k:k + per, :m] = np.linalg.eigvalsh((a - h)[:, :m, :m])
+        got[k:k + per, m:] = np.linalg.eigvalsh((a + h) * w)
+    got = np.clip(np.sort(got, axis=1), 0.0, None)
+    got[~rows[:, 1:].any(axis=1)] = 1.0
+    ones = (rows == 1.0).all(axis=1)
+    got[ones] = 0.0
+    got[ones, -1] = M
+    return got
 
 
 def loading_matrix(es: EigenSystem) -> np.ndarray:

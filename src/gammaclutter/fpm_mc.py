@@ -85,9 +85,10 @@ def _workspace(n, M):
     return [np.empty((n, 2, M)) for _ in range(3)]
 
 
-def _clutter_speckle(rng, n, M, spec_c, eig_c, X, out):
+def _clutter_speckle(rng, n, M, spec_c, ctx, X, out):
     """(n, 2, M) unit-variance correlated clutter quadratures: the normals
-    are drawn into ``X`` and a Toeplitz row colours them into ``out``."""
+    are drawn into ``X`` and a Toeplitz row colours them into ``out`` with
+    the loading of ``ctx.eig_c``, the only branch that reads it."""
     X = rng.standard_normal((n, 2, M), out=X)
     if spec_c.kind == "gauss-markov":
         rho = spec_c.rho
@@ -99,7 +100,7 @@ def _clutter_speckle(rng, n, M, spec_c, eig_c, X, out):
             X[..., m] *= fac
             X[..., m] += rho * X[..., m - 1]
         return X
-    return np.matmul(X, loading_matrix(eig_c), out=out)
+    return np.matmul(X, loading_matrix(ctx.eig_c), out=out)
 
 
 def _target_quadrature(rng, n, M, kappa, L_s, Y, out):
@@ -132,7 +133,7 @@ def _draw_block(rng, n, params: ScenarioParams, ctx: ScenarioContext,
         total = rng.standard_normal((n, 2, M), out=work[0])
         total *= math.sqrt(1.0 - q)
     if q > 0.0:
-        Xc = _clutter_speckle(rng, n, M, params.spec_c, ctx.eig_c, work[1],
+        Xc = _clutter_speckle(rng, n, M, params.spec_c, ctx, work[1],
                               work[2])
         Xc *= np.sqrt(q * U)[:, None, None]
         if total is None:

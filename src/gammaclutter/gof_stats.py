@@ -31,6 +31,8 @@ from .fpm_mc import _draw_block, _rng, _workspace
 from .mgf_core import ScenarioContext, ScenarioParams
 
 BOOTSTRAP_RESAMPLES = 1000
+# (resample x replicate) entries of one block of the bootstrap band.
+_BAND_BLOCK = 1 << 16
 BAND_GRID_POINTS = 200
 CONSECUTIVE_EXITS = 4
 
@@ -205,24 +207,32 @@ def _greenwood(stats, n, alpha):
 
 
 def _ensemble(stats, n, seed, alpha, config_echo) -> KSEnsemble:
-    """The bands, curves and rejection decision of K replicate statistics;
-    one call draws every resample's K indices from the stream (seed, 2^31).
-    A resampled statistic is at or below a grid point when its rank among
-    the replicates is at or below the point's, so the cumulative sum of a
-    resample's rank counts, read at the points' ranks, gives its counts."""
+    """The bands, curves and rejection decision of K replicate statistics.
+    Every resample's K indices come from the stream (seed, 2^31), drawn in
+    blocks of at most _BAND_BLOCK (resample x index) entries, which draw
+    the same bits as one call.  A resampled statistic is at or below a grid
+    point when its rank among the replicates is at or below the point's,
+    so the cumulative sum of a resample's rank counts, read at the points'
+    ranks, gives its counts."""
     K = stats.size
     grid, ens_sf, green_lo, green_hi, dkw, rejected = _greenwood(stats, n,
                                                                  alpha)
     rng = Generator(Philox(key=np.uint64(seed),
                            counter=[0, 0, 1, np.uint64(2 ** 31)]))
     ranked = np.sort(stats)
-    idx = rng.integers(0, K, (BOOTSTRAP_RESAMPLES, K))
-    np.take(np.searchsorted(ranked, stats, side="right"), idx, out=idx)
-    idx += (K + 1) * np.arange(BOOTSTRAP_RESAMPLES)[:, None]
-    below = np.bincount(idx.ravel(), minlength=BOOTSTRAP_RESAMPLES * (K + 1))
-    below = below.reshape(BOOTSTRAP_RESAMPLES, K + 1)
-    np.cumsum(below, axis=1, out=below)
-    boot = (K - below[:, np.searchsorted(ranked, grid, side="right")]) / K
+    rank = np.searchsorted(ranked, stats, side="right")
+    at = np.searchsorted(ranked, grid, side="right")
+    boot = np.empty((BOOTSTRAP_RESAMPLES, grid.size))
+    per = max(1, _BAND_BLOCK // (K + 1))
+    for r in range(0, BOOTSTRAP_RESAMPLES, per):
+        idx = rng.integers(0, K, (min(per, BOOTSTRAP_RESAMPLES - r), K))
+        np.take(rank, idx, out=idx)
+        idx += (K + 1) * np.arange(len(idx))[:, None]
+        below = np.bincount(idx.ravel(), minlength=len(idx) * (K + 1))
+        below = below.reshape(-1, K + 1)
+        np.cumsum(below, axis=1, out=below)
+        rows = np.subtract(K, below[:, at], out=boot[r:r + len(idx)])
+        rows /= K
     boot_lo = np.quantile(boot, alpha / 2.0, axis=0)
     boot_hi = np.quantile(boot, 1.0 - alpha / 2.0, axis=0)
     return KSEnsemble(stats, grid, ens_sf, boot_lo, boot_hi, green_lo,

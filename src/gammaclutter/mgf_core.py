@@ -20,9 +20,11 @@ only MGF type the saddle-point engine reads; ``speckle_coeffs`` and
 ``steady_coeffs`` are its one-row calls.
 
 Three schemes: the full effective model (aggregated eigenvalues per (S, u)
-pair, each from Cantoni & Butler's centrosymmetric split), the commuting
-"diagonal" approximation, and the one-spike DMG spectra, which come from
-the effective looks alone and decompose no matrix.
+pair), the commuting "diagonal" approximation, and the one-spike DMG
+spectra, which come from the effective looks alone and decompose no
+matrix.  Every spectrum comes from ``corrmodel.toeplitz_spectra``
+(Cantoni & Butler's centrosymmetric split, no eigenvectors); only the
+steady effective model's weights read eigenvectors.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .corrmodel import CorrelationSpec, EigenSystem, loading_matrix
 from .errors import DegenerateMix, InvalidScenario, PoleHit, check_integer
 
 KAPPA_INF = math.inf
-# Matrix entries per stacked eigvalsh call of the effective model.
-_EIG_CHUNK = 1 << 16
 
 
 class Scheme(Enum):
@@ -110,10 +110,11 @@ class ScenarioContext:
 
     Every field is built on first read and cached, so a method pays only
     for what it reads: DMG reads the looks (O(M^2) sums over the matrices),
-    the diagonal scheme and the finite-kappa effective model the
-    eigenvalues, the steady effective model and the MC sampler the
-    rotations.  Each spec's matrix is built once and its eigensystem
-    decomposes that matrix.
+    the diagonal scheme and the finite-kappa effective model the spectra
+    gamma_c and gamma_s (``corrmodel.toeplitz_spectra``, no eigenvectors),
+    and only the steady effective model and the MC sampler the rotations
+    of the eigensystems eig_c and eig_s.  Each spec's matrix is built once
+    (a Toeplitz row is checked there) and every field derives from it.
     """
 
     def __init__(self, params: ScenarioParams):
@@ -134,6 +135,14 @@ class ScenarioContext:
     @cached_property
     def eig_s(self) -> EigenSystem:
         return corrmodel.eigen_decompose(self.C_s)
+
+    @cached_property
+    def gamma_c(self) -> np.ndarray:
+        return corrmodel.toeplitz_spectra(self.C_c[:1])[0]
+
+    @cached_property
+    def gamma_s(self) -> np.ndarray:
+        return corrmodel.toeplitz_spectra(self.C_s[:1])[0]
 
     @cached_property
     def clutter_looks(self) -> float:
@@ -185,25 +194,12 @@ class ScenarioContext:
         """Ascending eigenvalues of C_sc at every pair (S[i], u[i]).
 
         Decomposed afresh for every pair, the effective model's defining
-        cost.  C_sc is symmetric Toeplitz with first row r (mixed in O(M)):
-        with m = M // 2, A_ij = r_|i-j| and H_ij = r_(M-1-i-j), its spectrum
-        is that of the m x m blocks A - H and A + H, the latter bordered for
-        odd M by sqrt(2) r_(m-i) and r_0 (Cantoni & Butler, Linear Algebra
-        Appl. 13, 1976, on centrosymmetric matrices).
+        cost; C_sc is symmetric Toeplitz with a first row mixed in O(M).
         """
         p = self.params
-        m, i = p.M // 2, np.arange((p.M + 1) // 2)[:, None]
-        A, H = np.abs(i - i.T), p.M - 1 - i - i.T
-        w = np.where(i < m, 1.0, math.sqrt(0.5))   # odd M: the border
-        r = aggregated_corr(self.C_c[:1], self.C_s[:1], p.q, np.atleast_1d(u),
-                            np.atleast_1d(S), p.kappa)[:, 0]
-        per = max(1, _EIG_CHUNK // i.size ** 2)
-        got = np.empty((r.shape[0], p.M))
-        for k in range(0, r.shape[0], per):
-            a, h = r[k:k + per, A], r[k:k + per, H]
-            got[k:k + per, :m] = np.linalg.eigvalsh((a - h)[:, :m, :m])
-            got[k:k + per, m:] = np.linalg.eigvalsh((a + h) * (w * w.T))
-        return np.clip(np.sort(got, axis=1), 0.0, None)
+        return corrmodel.toeplitz_spectra(aggregated_corr(
+            self.C_c[:1], self.C_s[:1], p.q, np.atleast_1d(u),
+            np.atleast_1d(S), p.kappa)[:, 0])
 
 
 def aggregated_corr(Cc, Cs, q, u, S, kappa) -> np.ndarray:
@@ -229,8 +225,8 @@ def _pulse_rows(params: ScenarioParams, S, u, scheme, ctx):
     """
     M, q, kap = params.M, params.q, params.kappa
     dmg = scheme is Scheme.DMG
-    gam_c = ctx.dmg_gamma_c if dmg else ctx.eig_c.eigenvalues
-    gam_s = ctx.dmg_gamma_s if dmg else ctx.eig_s.eigenvalues
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
     qu = q * u
     aq = (1.0 - q + qu[:, None] * gam_c) / M
     if params.steady:

@@ -19,53 +19,49 @@ Review 56(3), 2014).  z(tau) comes from damped complex Newton on the upper
 branch.  Below the mean the same machinery runs on the positive saddle of
 the CDF phase (ln(-s) -> ln(s)) and the complement is returned.
 
-A texture-averaged curve needs one inversion per (power level, texture
-node) pair, and ``survival_pairs`` does all of them in one vectorized pass:
+``survival_pairs`` does all inversions of a texture-averaged curve, one
+per (power level, texture node) pair, in one vectorized pass:
 
-- The MGFs come as one ``mgf_core.PoleMgf`` table, as the coefficient
-  builder returns it: (pairs, width) arrays of
-  ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
-  which holds the rational form (beta = 0) and the steady form alike, one
-  left-packed, zero-padded row per MGF.  A block of pairs gathers its rows
-  (``PoleMgf.take``), which also give ln M and its first two derivatives,
-  and the mean, largest pole and support shift are row reductions.
+- The MGFs come as one ``mgf_core.PoleMgf`` table: (pairs, width) arrays
+  of ln M(s) = sum_j alpha_j ln(1 + a_j s) + beta_j s / (1 + a_j s),
+  the rational (beta = 0) and steady forms alike, one left-packed,
+  zero-padded row per MGF.  A block of pairs gathers its rows
+  (``PoleMgf.take``); ln M, its derivatives, the mean, largest pole and
+  support shift are row reductions.
 - The saddle bracket search and the bisection-safeguarded Newton run on
-  all pairs at once; a pair leaves the active set when it converges.  The
-  Newton step cancels the phase derivative's nearest poles first.
+  all pairs at once, each pair until it converges.  The Newton step
+  cancels the phase derivative's nearest poles first.
 - Each pair's phase becomes a row
   tau(z) = lam z + sum_j w_j ln(1 - c_j z) - sum_j g_j z / (1 - c_j z),
-  evaluated in full at every (pair, tau node) element.
+  evaluated at every (pair, tau node) element.
 - The tau-Newton runs on all (pair, tau node) elements with per-element
   backtracking, in two passes: every fourth node from the series
-  reversion at the saddle, then the others from a Hermite interpolant
-  through those, taking the steps a curvature bound proves converged
-  unevaluated.  It stops at the row's own rounding floor, and an element
-  it cannot solve raises NoConvergence with its pair.
+  reversion at the saddle, then the others from the Hermite interpolant
+  through the 4 nearest solved nodes, taking the steps a curvature bound
+  proves converged unevaluated (~2.3 evaluations per element).  It
+  stops at the row's rounding floor, and an element it cannot solve
+  raises NoConvergence with its pair.
 
 Padding entries (a = alpha = beta = 0, c = w = g = 0) contribute exactly
-zero.  Two bounds keep the working arrays small however many pairs a
-call has.  The evaluator takes its elements in chunks of at most
-_BLOCK_ELEMENTS (element x table column) entries, and a saddle solve
-takes at most _BLOCK_ELEMENTS (pair x column) entries.  The evaluator's
-chunk-sized arrays are per-block buffers: allocated once per block of
-pairs and written in place by every call, so no call allocates (element
-x column) temporaries: at 128 KiB, glibc malloc's mmap threshold, fresh
-ones page-fault on every call.  Both Newton
-passes run on groups of at most _NEWTON_ELEMENTS (pair x tau node)
-elements whatever the row width, so wide rows do not shrink a pass to a
-few pairs.  ln(1 - c z) is computed in real arithmetic as
-ln|1 - c z| + i arg(1 - c z): about ten times cheaper than numpy's
-complex log of 1 - c z (26 vs 244 ns per element on a 2-vCPU Xeon), on
-the same principal branch and with the same signed zeros.
+zero.  The evaluator takes its elements in chunks of at most
+_BLOCK_ELEMENTS (element x table column) entries, as does a saddle solve
+(pair x column), into per-block buffers written in place by every call:
+fresh (element x column) temporaries of 128 KiB, glibc malloc's mmap
+threshold, page-fault on every call.  Both Newton passes run on groups of
+at most _NEWTON_ELEMENTS (pair x tau node) elements whatever the row
+width.  ln(1 - c z) is computed in real arithmetic as
+ln|1 - c z| + i arg(1 - c z), ten times cheaper than numpy's complex log
+(26 vs 244 ns per element on a 2-vCPU Xeon), on the same principal branch
+and with the same signed zeros.
 
-``solve_saddle``, ``survival_sdp`` and ``survival_sp`` are one-pair calls
-of the same engine; ``solve_saddle`` returns the saddle, r2 and the tail.
-Each pair's saddle s0 can come back next to its survival
-(``survival_pairs``), for the slope of the texture sum.
+``solve_saddle`` (saddle, r2, tail), ``survival_sdp`` and ``survival_sp``
+are one-pair calls of the engine; ``survival_pairs`` can return each
+pair's saddle s0 too, for the slope of the texture sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,18 +77,14 @@ _BLOCK_ELEMENTS = 1 << 14
 # (pair x tau node) elements of one Newton group: its per-element state,
 # not the table width, is what this bounds.
 _NEWTON_ELEMENTS = 1 << 12
-# Every _COARSE_STRIDE-th tau node is solved first (see _invert_nodes).
+# Every _COARSE_STRIDE-th tau node is solved first (``_invert_nodes``).
 _COARSE_STRIDE = 4
 
 
 def support_shift(mgf):
-    """Deterministic offset of the distribution's lower support bound, per
-    row of an MGF table.
-
-    Zero-eigenvalue poles of the steady-target MGF contribute pure
-    exp(beta s) factors, i.e. an additive constant; survival is exactly 1
-    at or below the total shift.
-    """
+    """Offset of the lower support bound, per row of an MGF table: the
+    steady target's zero poles are exp(beta s) factors, an additive
+    constant; survival is exactly 1 at or below their total."""
     return -np.where(mgf.a == 0.0, mgf.beta, 0.0).sum(axis=-1)
 
 
@@ -118,11 +110,10 @@ def _cross(a, b, e, f, op, out, tmp):
 
 
 def _log1m(c, x, y, out):
-    """1 - c z for z = x + i y, as real part xp, imaginary part yp and
-    squared modulus d, then twice the real part lr and the imaginary part li
-    of ln(1 - c z), written into the arrays out = (xp, yp, d, lr, li).
-    0.0 - c y gives the imaginary part numpy's complex product gives,
-    signed zero included."""
+    """Into out = (xp, yp, d, lr, li): the real and imaginary parts and the
+    squared modulus of 1 - c z, z = x + i y, then 2 Re and Im of
+    ln(1 - c z).  0.0 - c y is the imaginary part numpy's complex product
+    gives, signed zero included."""
     xp, yp, d, lr, li = out
     np.subtract(1.0, np.multiply(c, x, out=xp), out=xp)
     np.subtract(0.0, np.multiply(c, y, out=yp), out=yp)
@@ -206,9 +197,8 @@ class _TauRows:
 
     with c_j = a_j / (v (1 + a_j s0)), w_j = -alpha_j,
     g_j = -beta_j / (v (1 + a_j s0)^2), plus c = 1/(s0 v) with w = 1 from
-    ln(-+s); zero poles are linear in z and folded into lam.  The (element
-    x column) temporaries of every call live in work arrays allocated once,
-    with the instance.
+    ln(-+s); zero poles are linear in z and folded into lam.  Every call
+    works in the instance's work arrays.
     """
 
     def __init__(self, v, tab, s0):
@@ -310,13 +300,13 @@ def _newton(taus, z0, ev, p, unconfirmed=False):
     Element e belongs to pair p[e]; ``ev(z, p)`` returns tau and tau', and
     ``ev.floor`` each pair's rounding floor.  An element is solved at
     |tau(z) - taus| <= _tol(taus, z), or by one step taken from within the
-    floor.  A sweep works on the unsolved elements only, and each step
-    halving (at most 30 trials) only on the elements whose trial left the
-    upper half plane or raised |residual|.  With ``unconfirmed``, a step
-    is taken unevaluated where _step_bound plus the floor is within the
-    tolerance and the bound is below |residual| (so no halving).  Returns
-    z and tau' at z (stale after an unevaluated step); an element unsolved
-    after NEWTON_MAX_ITER sweeps raises NoConvergence with its pair.
+    floor.  A sweep works on the unsolved elements, and a step halving (at
+    most 30 trials) on those whose trial left Im z > 0 or raised
+    |residual|.  With ``unconfirmed``, a step is taken unevaluated where
+    _step_bound plus the floor is within the tolerance and the bound is
+    below |residual| (so no halving).  Returns z and tau' at z (stale
+    after an unevaluated step); an element unsolved after NEWTON_MAX_ITER
+    sweeps raises NoConvergence with its pair.
     """
     z = np.array(z0, dtype=complex)
     tau, dtau = ev(z, p)
@@ -382,44 +372,57 @@ def _series_start(ev, t, r2, pairs):
                     z0, zeta)
 
 
+@functools.lru_cache(maxsize=4)
+def _fill_rule(nodes):
+    """Coarse nodes k, fill nodes f of the tau nodes in bytes ``nodes``,
+    and weights [A; B], (2 knots x fill nodes), on the values and slopes at
+    the knots, sigma = 0 and the coarse nodes, of the Hermite interpolant
+    in sigma through the 4 knots nearest a fill node: h_i = [1 - 2 (x - x_i)
+    L_i'(x_i)] L_i^2, k_i = (x - x_i) L_i^2 with the Lagrange basis L_i."""
+    sig = np.sqrt(np.frombuffer(nodes))
+    n = sig.size
+    k = np.arange((n - 1) % _COARSE_STRIDE, n, _COARSE_STRIDE)
+    f = np.setdiff1d(np.arange(n), k)
+    ks, x = np.concatenate(([0.0], sig[k])), sig[f]
+    q = min(4, ks.size)
+    win = np.clip(np.searchsorted(ks, x) - q // 2, 0, ks.size - q) \
+        + np.arange(q)[:, None]
+    xi, off = ks[win], ~np.eye(q, dtype=bool)[:, :, None]
+    d = np.where(off, xi[:, None] - xi[None], 1.0)
+    L = np.prod(np.where(off, (x - xi[None]) / d, 1.0), axis=1)
+    dL = np.where(off, 1.0 / d, 0.0).sum(axis=1)
+    AB = np.zeros((2 * ks.size, f.size))
+    AB[win, np.arange(f.size)] = (1.0 - 2.0 * (x - xi) * dL) * L * L
+    AB[win + ks.size, np.arange(f.size)] = (x - xi) * L * L
+    return k, f, AB
+
+
 def _invert_nodes(ev, t, r2, pairs):
     """z(tau) at every (pair, node t) element, shape (pairs, nodes).
 
     Two Newton passes run on all pairs at once.  The coarse pass solves
-    every _COARSE_STRIDE-th node, counted back from the last one, from
+    every _COARSE_STRIDE-th node, counted back from the last, from
     ``_series_start``, evaluating every step: its tau' gives the slopes
-    below.  The fill pass starts each other node from the cubic Hermite
-    interpolant in sigma = sqrt(tau) through the solved nodes, with slope
-    dz/dsigma = 2 sigma / tau'(z) there and the anchor z = 0,
-    dz/dsigma = i sqrt(2 / r2) at sigma = 0, and takes proven steps
-    unevaluated.  An element either pass leaves unsolved raises
-    NoConvergence with its pair (``_newton``).
+    dz/dsigma = 2 sigma / tau'(z), sigma = sqrt(tau).  The fill pass starts
+    the other nodes from ``_fill_rule``'s interpolant through the solved
+    nodes and the anchor z = 0, dz/dsigma = i sqrt(2 / r2), and takes
+    proven steps unevaluated.  An unsolved element raises NoConvergence
+    with its pair.
     """
-    n, m = t.size, pairs.size
-    sig = np.sqrt(t)
-    z = np.empty((m, n), dtype=complex)
-    k = np.arange((n - 1) % _COARSE_STRIDE, n, _COARSE_STRIDE)
-    f = np.setdiff1d(np.arange(n), k)
+    m = pairs.size
+    k, f, AB = _fill_rule(t.tobytes())
+    z = np.empty((m, t.size), dtype=complex)
     z0 = _series_start(ev, t[k], r2, pairs)
     zk, dk = _newton(np.tile(t[k], m), z0.ravel(), ev,
                      np.repeat(pairs, k.size))
     z[:, k] = zk.reshape(m, -1)
-    if f.size:
-        # knots: the anchor, then the coarse nodes
-        ks = np.concatenate(([0.0], sig[k]))
-        kz = np.concatenate((np.zeros((m, 1)), z[:, k]), axis=1)
-        kd = np.concatenate((1j * np.sqrt(2.0 / r2[pairs])[:, None],
-                             2.0 * sig[k] / dk.reshape(m, -1)), axis=1)
-        j = np.searchsorted(ks, sig[f])
-        h = ks[j] - ks[j - 1]
-        x = (sig[f] - ks[j - 1]) / h
-        y = 1.0 - x
-        start = (y * y * ((1.0 + 2.0 * x) * kz[:, j - 1]
-                          + x * h * kd[:, j - 1])
-                 + x * x * ((1.0 + 2.0 * y) * kz[:, j] - y * h * kd[:, j]))
-        zf, _ = _newton(np.tile(t[f], m), start.ravel(), ev,
-                        np.repeat(pairs, f.size), unconfirmed=True)
-        z[:, f] = zf.reshape(m, -1)
+    # knot values, then slopes; einsum pages in no complex BLAS
+    kv = np.concatenate((np.zeros((m, 1)), z[:, k],
+                         1j * np.sqrt(2.0 / r2[pairs])[:, None],
+                         2.0 * np.sqrt(t[k]) / dk.reshape(m, -1)), axis=1)
+    zf, _ = _newton(np.tile(t[f], m), np.einsum("pk,kf->pf", kv, AB).ravel(),
+                    ev, np.repeat(pairs, f.size), unconfirmed=True)
+    z[:, f] = zf.reshape(m, -1)
     return z
 
 
@@ -450,9 +453,8 @@ def survival_pairs(v, table, rows, integrator: str = "sdp", saddles=None):
 
     ``integrator`` is "sdp" (steepest-descent path, numerically exact) or
     "sp" (basic saddle-point approximation).  Survival is exactly 1 at or
-    below an MGF's support shift.  A non-finite v raises DegenerateV.  A
-    DegenerateV or NoConvergence carries the index i of its pair as
-    ``exc.pair``.
+    below an MGF's support shift.  A non-finite v raises DegenerateV; it
+    and NoConvergence carry the index i of their pair as ``exc.pair``.
     """
     v = np.asarray(v, dtype=float)
     bad = np.flatnonzero(~np.isfinite(v))

@@ -628,7 +628,7 @@ def simulate_gaussian_target_channel(config: fpm_mc.McConfig,
     if p.q < 1.0:
         total += math.sqrt(1.0 - p.q) * rng.standard_normal((n, 2, M))
     if p.q > 0.0:
-        Xc = fpm_mc._clutter_speckle(rng, n, M, p.spec_c, ctx.eig_c,
+        Xc = fpm_mc._clutter_speckle(rng, n, M, p.spec_c, ctx,
                                      *fpm_mc._workspace(n, M)[:2])
         total += np.sqrt(p.q * U)[:, None, None] * Xc
     if p.S > 0.0:

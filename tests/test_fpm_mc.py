@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import gammaclutter.corrmodel as cm
 import gammaclutter.fpm_mc as fp
 import gammaclutter.mgf_core as mc
 from gammaclutter.corrmodel import CorrelationSpec
@@ -143,6 +144,30 @@ def test_reused_workspace_draws_as_fresh(case):
         fresh = fp._draw_block(fp._rng(2024, stream), n, p, ctx,
                                fp._workspace(n, p.M))
         assert np.array_equal(reused, fresh), stream
+
+
+def test_gauss_markov_draw_builds_no_eigensystem(monkeypatch):
+    # AR(1) clutter never reads the clutter eigensystem, and an S = 0 draw
+    # has no target loading, so nothing is decomposed; a Toeplitz row's
+    # clutter is coloured by its loading, one decomposition
+    calls = []
+    original = cm.eigen_decompose
+
+    def counting(C):
+        calls.append(C.shape)
+        return original(C)
+
+    monkeypatch.setattr(cm, "eigen_decompose", counting)
+    for rho_c in (0.0, 0.75, 1.0):
+        p = mc.scenario(M=10, kappa=2, S=0.0, q=0.5, nu=2.0, rho_c=rho_c)
+        fp._draw_block(fp._rng(5), 16, p, mc.ScenarioContext(p),
+                       fp._workspace(16, p.M))
+    assert calls == []
+    spec_c = CorrelationSpec.toeplitz([1.0, 0.5, 0.1, 0.0])
+    p = mc.scenario(M=4, kappa=2, S=0.0, q=0.5, nu=2.0, spec_c=spec_c)
+    fp._draw_block(fp._rng(5), 16, p, mc.ScenarioContext(p),
+                   fp._workspace(16, p.M))
+    assert calls == [(4, 4)]
 
 
 def test_non_integer_seed_or_count_is_rejected():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gammaclutter.mgf_core as mc
 import gammaclutter.saddlepoint as sp
 import gammaclutter.texture as tx
-from gammaclutter.corrmodel import CorrelationSpec
+from gammaclutter.corrmodel import CorrelationSpec, eigen_decompose
 from gammaclutter.errors import DegenerateMix, InvalidScenario
 
 from oracles import (cgf_moment_check, decimal_rational_mgf,
@@ -130,8 +130,8 @@ def _node_row(p, S, u, scheme, ctx):
     np.unique."""
     M, q, k = p.M, p.q, p.kappa
     dmg = scheme is mc.Scheme.DMG
-    gam_c = ctx.dmg_gamma_c if dmg else ctx.eig_c.eigenvalues
-    gam_s = ctx.dmg_gamma_s if dmg else ctx.eig_s.eigenvalues
+    gam_c = ctx.dmg_gamma_c if dmg else ctx.gamma_c
+    gam_s = ctx.dmg_gamma_s if dmg else ctx.gamma_s
     aq = (1.0 - q + q * u * gam_c) / M
     if p.steady:
         b = ctx.b_weights if scheme is mc.Scheme.EFFECTIVE else gam_s / M
@@ -185,7 +185,9 @@ def test_pole_table_rows_equal_per_node_rows():
 def test_aggregated_eigenvalues_match_full_decomposition():
     # the centrosymmetric split gives the spectrum of the full aggregated
     # matrix, ascending, at even and odd M, at the rho = 0 / 1 extremes and
-    # for a first row outside the Gauss-Markov family
+    # for a first row outside the Gauss-Markov family; so it does for the
+    # scenario spectra, exactly eigen_decompose's at rho = 0 and 1, where
+    # pole merges rest on exact values
     row = [1.0, 0.6, 0.1, -0.2, -0.1, 0.05, 0.0, 0.02, 0.0, 0.0]
     for M in (1, 2, 3, 10, 11, 100, 101):
         specs = [(CorrelationSpec.gauss_markov(rs, M),
@@ -207,6 +209,14 @@ def test_aggregated_eigenvalues_match_full_decomposition():
                     ctx.C_c, ctx.C_s, p.q, u, S, kappa)), 0.0, None)
                 assert np.all(np.diff(got, axis=1) >= 0.0)
                 assert np.abs(got - want).max() <= 1e-13 * want.max()
+                for spec, C, gam in ((spec_c, ctx.C_c, ctx.gamma_c),
+                                     (spec_s, ctx.C_s, ctx.gamma_s)):
+                    want = np.clip(np.linalg.eigvalsh(C), 0.0, None)
+                    assert np.all(np.diff(gam) >= 0.0)
+                    assert np.abs(gam - want).max() <= 1e-13 * want.max()
+                    if spec.is_identity or spec.is_all_ones:
+                        assert np.array_equal(
+                            gam, eigen_decompose(C).eigenvalues)
 
 
 def test_mgf_eval_normalization_and_kappa1():

@@ -162,6 +162,33 @@ def test_effective_curve_decomposes_once_per_pair(monkeypatch):
     assert {S for S, _ in calls} == {1.0, 3.0}
 
 
+def test_finite_kappa_curves_build_no_eigensystem(monkeypatch):
+    # the diagonal scheme and the finite-kappa effective model read only
+    # spectra, which need no eigenvectors; the steady effective model's
+    # weights read both rotations
+    calls = []
+    original = cm.eigen_decompose
+
+    def counting(C):
+        calls.append(C.shape)
+        return original(C)
+
+    monkeypatch.setattr(cm, "eigen_decompose", counting)
+    rule = tx.gamma_texture_rule(2.0, 8)
+    grid = np.array([0.5, 2.0, 6.0])
+    base = dict(M=100, S=3.0, q=0.8, nu=2.0, rho_c=0.75, rho_s=0.95)
+    for kappa, methods in ((2, ("diag-sp", "diag-sdp", "eff-sp", "eff-sdp")),
+                           (np.inf, ("diag-sp", "diag-sdp"))):
+        p = mc.scenario(kappa=kappa, **base)
+        for method in methods:
+            vals = tx.survival_curve(grid, p, method, rule=rule)
+            assert np.all((0.0 < vals) & (vals < 1.0))
+    assert calls == []
+    tx.survival_curve(grid, mc.scenario(kappa=np.inf, **base), "eff-sp",
+                      rule=rule)
+    assert calls == [(100, 100), (100, 100)]
+
+
 def test_dmg_curves_build_no_eigensystem(monkeypatch):
     # DMG spectra come from the effective looks alone, so neither the
     # scenario eigensystems nor an aggregated matrix are decomposed (the
