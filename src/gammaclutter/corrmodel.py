@@ -97,10 +97,10 @@ def build_matrix(spec: CorrelationSpec) -> np.ndarray:
     idx = np.abs(np.subtract.outer(np.arange(spec.M), np.arange(spec.M)))
     C = row[idx]
     if spec.kind == "toeplitz" and not (spec.is_identity or spec.is_all_ones):
-        w = np.linalg.eigvalsh(C)
-        if w[0] < -PSD_TOL * spec.M:
+        low = _split_eigvalsh(row[None]).min()
+        if low < -PSD_TOL * spec.M:
             raise InvalidCorrelation(
-                f"toeplitz row produces min eigenvalue {w[0]:.3e} (not PSD)")
+                f"toeplitz row produces min eigenvalue {low:.3e} (not PSD)")
     return C
 
 
@@ -179,6 +179,21 @@ def _split(M):
     return m, np.abs(i - i.T), M - 1 - i - i.T, w * w.T
 
 
+def _split_eigvalsh(rows) -> np.ndarray:
+    """The eigenvalues, unsorted and unclipped, of the symmetric Toeplitz
+    matrices with first rows ``rows``, a (count, M) stack, by the split
+    described in ``toeplitz_spectra``."""
+    M = rows.shape[1]
+    m, A, H, w = _split(M)
+    per = max(1, _EIG_CHUNK // A.size)
+    got = np.empty(rows.shape)
+    for k in range(0, rows.shape[0], per):
+        a, h = rows[k:k + per, A], rows[k:k + per, H]
+        got[k:k + per, :m] = np.linalg.eigvalsh((a - h)[:, :m, :m])
+        got[k:k + per, m:] = np.linalg.eigvalsh((a + h) * w)
+    return got
+
+
 def toeplitz_spectra(rows) -> np.ndarray:
     """Ascending eigenvalues, clipped at 0, of the symmetric Toeplitz
     matrices with unit-diagonal first rows ``rows``, a (count, M) stack; no
@@ -192,14 +207,7 @@ def toeplitz_spectra(rows) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=float)
     M = rows.shape[1]
-    m, A, H, w = _split(M)
-    per = max(1, _EIG_CHUNK // A.size)
-    got = np.empty(rows.shape)
-    for k in range(0, rows.shape[0], per):
-        a, h = rows[k:k + per, A], rows[k:k + per, H]
-        got[k:k + per, :m] = np.linalg.eigvalsh((a - h)[:, :m, :m])
-        got[k:k + per, m:] = np.linalg.eigvalsh((a + h) * w)
-    got = np.clip(np.sort(got, axis=1), 0.0, None)
+    got = np.clip(np.sort(_split_eigvalsh(rows), axis=1), 0.0, None)
     got[~rows[:, 1:].any(axis=1)] = 1.0
     ones = (rows == 1.0).all(axis=1)
     got[ones] = 0.0

@@ -205,32 +205,114 @@ def survival_curve(v_grid, params: ScenarioParams, method="eff-sdp",
     return out
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The one-sided three-point end slope, set to 0 where its sign is
+    not the end secant's and to 3 m0 where it overshoots a sign change."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h, m):
+    """PCHIP's knot slopes from the interval widths h and secants m: 0 at a
+    flat secant or a sign change, otherwise the harmonic mean of the two
+    secants weighted by 2 h_k + h_(k-1) and h_k + 2 h_(k-1); one secant is
+    a line."""
+    if m.size == 1:
+        return np.repeat(m, 2)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    return np.concatenate((
+        [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+        np.where(flat, 0.0, mean),
+        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+
+
 class SurvivalInterpolator:
     """Monotone log-survival interpolant of a compound survival curve.
 
-    Evaluating the saddle-point survival at every MC sample is wasteful; a
-    PCHIP fit of ln F on a dense grid reproduces it to ~1e-8 and evaluates
-    vectorized.  Beyond the grid the exponential tail is extended with the
-    final slope.  A non-finite power level raises DegenerateV.
+    Evaluating the saddle-point survival at every MC sample is wasteful, so
+    ln F on a grid is interpolated by PCHIP, the monotone piecewise cubic
+    Hermite of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980) with the
+    weighted harmonic-mean slopes of Fritsch & Butland (SIAM J. Sci. Stat.
+    Comput. 5, 1984).  It is scipy's ``PchipInterpolator`` bit for bit: the
+    same slopes, cubic coefficients, intervals x_i <= v < x_(i+1) (the last
+    knot in the last) and evaluation order; grids it rejects raise
+    ValueError.  With survival_interpolator's default 400 points on the
+    README scenario, F is off by up to 1.1e-5 (kappa 2) and 6.1e-5 (kappa
+    1) at the low-v shoulder, where F ~ 0.99, and by 2.1e-6 at v >= 4.
+    Below the first knot the first knot's value holds; beyond the last the
+    exponential tail is extended with the final slope.  A non-finite power
+    level raises DegenerateV.
+
+    The interval lookup buckets v by b(v) = floor((v - x_0) / w + 1/2), w
+    = (x_end - x_0) / (n - 1), in floating point.  Rounding keeps b
+    monotone in v, so a knot in a lower bucket than v's lies below v and
+    one in a higher bucket above it.  v's interval starts at the last knot
+    before its bucket, stepped past each knot of its bucket at or below v:
+    one step on a uniform grid, and on any grid as many as its fullest
+    bucket holds.
     """
 
     def __init__(self, v_grid: np.ndarray, log_sf: np.ndarray):
-        from scipy.interpolate import PchipInterpolator
-        self.v_max = float(v_grid[-1])
-        self._pchip = PchipInterpolator(v_grid, log_sf, extrapolate=False)
-        self._tail_value = float(log_sf[-1])
-        self._tail_slope = float((log_sf[-1] - log_sf[-2])
-                                 / (v_grid[-1] - v_grid[-2]))
+        x, y = np.asarray(v_grid), np.asarray(log_sf)
+        if np.iscomplexobj(x) or np.iscomplexobj(y):
+            raise ValueError("the grid and ln F must be real")
+        x, y = x.astype(float), y.astype(float)
+        if x.ndim != 1 or y.shape != x.shape or x.size < 2:
+            raise ValueError("the grid and ln F must be 1-D, of one length "
+                             f">= 2; got shapes {x.shape} and {y.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("the grid and ln F must be finite")
+        h = np.diff(x)
+        if np.any(h <= 0.0):
+            raise ValueError("the grid must be strictly increasing")
+        m = np.diff(y) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._coef = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])
+        self._x = x
+        self.v_max = float(x[-1])
+        # interval i's upper knot, none for the last
+        self._upper = np.append(x[1:-1], np.inf)
+        self._scale = (x.size - 1) / (x[-1] - x[0])
+        self._lo = x[0] - 0.5 / self._scale
+        bucket = self._bucket(x)
+        self._before = np.maximum(
+            np.searchsorted(bucket, np.arange(bucket[-1] + 1)) - 1, 0)
+        self._per_bucket = int(np.bincount(bucket).max())
+        self._tail_value = float(y[-1])
+        self._tail_slope = float(m[-1])
+
+    def _bucket(self, v):
+        return ((v - self._lo) * self._scale).astype(np.intp)
+
+    def _ln_sf(self, v):
+        """The cubic of v's interval at v, for v in [x_0, v_max]."""
+        i = self._before[self._bucket(v)]
+        for _ in range(self._per_bucket):
+            i += v >= self._upper[i]
+        c0, c1, c2, c3 = (c[i] for c in self._coef)
+        s = v - self._x[i]
+        s2 = s * s
+        return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         if not np.all(np.isfinite(v)):
             raise DegenerateV("power level v must be finite")
-        inside = np.clip(v, 0.0, self.v_max)
-        out = np.exp(self._pchip(inside))
-        tail = self._tail_value + self._tail_slope * (v - self.v_max)
-        out = np.where(v > self.v_max, np.exp(tail), out)
-        return np.where(v <= 0.0, 1.0, out)
+        out = np.asarray(np.exp(self._ln_sf(np.clip(v, self._x[0],
+                                                    self.v_max))))
+        tail = v > self.v_max
+        out[tail] = np.exp(self._tail_value
+                           + self._tail_slope * (v[tail] - self.v_max))
+        out[v <= 0.0] = 1.0
+        return out
 
 
 def _floor_rung(params, method, rule, ctx) -> float:

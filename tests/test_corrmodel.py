@@ -42,6 +42,46 @@ def test_invalid_specs_rejected():
         cm.build_matrix(cm.CorrelationSpec.toeplitz([1.0, 0.9, 0.0]))
 
 
+def test_psd_check_agrees_with_full_eigvalsh():
+    # build_matrix checks a Toeplitz row by the half-size split; away from
+    # the -PSD_TOL*M threshold it must decide as a full eigvalsh does.  The
+    # rows are autocorrelations (PSD) perturbed by up to 1e-6 to 0.3.
+    rng = np.random.default_rng(11)
+    decided = {True: 0, False: 0}
+    for M in range(2, 101):
+        for scale in (1e-6, 1e-3, 0.03, 0.3):
+            g = rng.standard_normal(M + rng.integers(0, 4))
+            acf = np.correlate(g, g, "full")[g.size - 1:][:M] / (g @ g)
+            row = np.clip(acf + scale * rng.standard_normal(M), -1.0, 1.0)
+            row[0] = 1.0
+            spec = cm.CorrelationSpec.toeplitz(row)
+            k = np.arange(M)
+            low = np.linalg.eigvalsh(row[np.abs(k[:, None] - k)])[0]
+            margin = low + cm.PSD_TOL * M
+            if abs(margin) < 1e-8:
+                continue
+            try:
+                cm.build_matrix(spec)
+                accepted = True
+            except InvalidCorrelation:
+                accepted = False
+            assert accepted == (margin >= 0.0), (M, scale, low)
+            decided[accepted] += 1
+    assert min(decided.values()) > 50
+    # (1 + delta) cos(k) off the diagonal is (1 + delta) times a rank-two PSD
+    # matrix less delta I: min eigenvalue -delta, within -PSD_TOL*M at
+    # delta = 1e-12 and beyond it at 1e-7
+    for delta, accepted in ((1e-12, True), (1e-7, False)):
+        row = (1.0 + delta) * np.cos(np.arange(10.0))
+        row[0] = 1.0
+        spec = cm.CorrelationSpec.toeplitz(row)
+        if accepted:
+            cm.build_matrix(spec)
+        else:
+            with pytest.raises(InvalidCorrelation, match="-1.000e-07"):
+                cm.build_matrix(spec)
+
+
 def test_eigen_identity_convention():
     es = cm.eigen_decompose(np.eye(4))
     assert np.array_equal(es.eigenvalues, np.ones(4))

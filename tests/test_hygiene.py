@@ -242,9 +242,14 @@ def test_cli_reads_no_private_name_of_another_module():
 
 
 def test_cli_import_loads_only_the_scipy_it_needs():
-    # start-up dominates the commands: scipy.special is all they import, and
-    # scipy.interpolate loads only when an interpolator is built
-    code = "import sys, gammaclutter.cli; print(*sorted(sys.modules))"
+    # start-up dominates the commands: scipy.special is all they import,
+    # also once compare's interpolator is built and evaluated
+    code = ("import sys, gammaclutter.cli\n"
+            "from gammaclutter import mgf_core, texture\n"
+            "p = mgf_core.scenario(M=2, kappa=1, S=1.0, q=0.5, nu=2.0)\n"
+            "sf = texture.survival_interpolator(p, n_points=5)\n"
+            "assert sf([0.0, 1.0, 2.0]).shape == (3,)\n"
+            "print(*sorted(sys.modules))")
     loaded = subprocess.run(
         [sys.executable, "-c", code], check=True, text=True,
         capture_output=True,

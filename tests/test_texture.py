@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import gammaclutter.corrmodel as cm
 import gammaclutter.detector as det
@@ -326,6 +329,81 @@ def test_survival_interpolator_rejects_non_finite_level(v):
     assert sf([0.0, 3.0]) == pytest.approx([1.0, math.exp(-3.0)])
     with pytest.raises(DegenerateV, match="finite"):
         sf([1.0, v, 3.0])
+
+
+@st.composite
+def _ln_sf_grids(draw):
+    """A grid from v = 0, uniform or not, of 2 to 60 knots, and ln F on it
+    from 0: decreasing, with flat runs (zero secants), or changing sign."""
+    n = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        x = np.linspace(0.0, draw(st.floats(0.01, 100.0)), n)
+    else:
+        gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1,
+                             max_size=n - 1))
+        x = np.concatenate(([0.0], np.cumsum(gaps)))
+    step = {"decreasing": st.floats(-5.0, -1e-6),
+            "flat runs": st.sampled_from([0.0, -0.5, -1e-9]),
+            "sign changes": st.floats(-5.0, 5.0)}[
+        draw(st.sampled_from(["decreasing", "flat runs", "sign changes"]))]
+    y = np.concatenate(([0.0], np.cumsum(
+        draw(st.lists(step, min_size=n - 1, max_size=n - 1)))))
+    return x, y, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _assert_pchip_bits(x, y, sf, rng):
+    """sf equals exp of scipy's PCHIP of (x, y) bit for bit on [0, x_end]:
+    at random points, at every knot and the floats on either side."""
+    v = np.concatenate((rng.uniform(0.0, x[-1], 500), x,
+                        np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        [0.0, sf.v_max]))
+    v = np.clip(v, 0.0, x[-1])
+    want = np.exp(PchipInterpolator(x, y, extrapolate=False)(v))
+    assert np.array_equal(sf(v), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ln_sf_grids())
+@example((np.array([0.0, 1.0]), np.array([0.0, -1.0]), 0))
+@example((np.array([0.0, 0.5, 2.0]), np.array([0.0, -1.0, -1.0]), 1))
+@example((np.array([0.0, 0.5, 2.0]), np.array([0.0, -1.0, 3.0]), 2))
+def test_pchip_matches_scipy_bit_for_bit(grid):
+    x, y, seed = grid
+    _assert_pchip_bits(x, y, tx.SurvivalInterpolator(x, y),
+                       np.random.default_rng(seed))
+
+
+def test_pchip_matches_scipy_on_the_readme_scenario(monkeypatch):
+    built = []
+
+    class Recorded(tx.SurvivalInterpolator):
+        def __init__(self, v_grid, log_sf):
+            built.append((v_grid, log_sf))
+            super().__init__(v_grid, log_sf)
+
+    monkeypatch.setattr(tx, "SurvivalInterpolator", Recorded)
+    p = mc.scenario(M=10, kappa=2, S=5.0, q=0.5, nu=2.0,
+                    rho_c=0.75, rho_s=0.9)
+    sf = tx.survival_interpolator(p, "eff-sdp", n_points=50)
+    (x, y), = built
+    assert x.size == 50
+    _assert_pchip_bits(x, y, sf, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("grid, log_sf", [
+    ([0.0, 2.0, 1.0], [0.0, -1.0, -2.0]),            # not increasing
+    ([0.0, 1.0, 1.0], [0.0, -1.0, -2.0]),            # a repeated knot
+    ([0.0, 1.0, math.inf], [0.0, -1.0, -2.0]),       # a non-finite knot
+    ([0.0, 1.0, math.nan], [0.0, -1.0, -2.0]),
+    ([0.0, 1.0, 2.0], [0.0, -1.0, -math.inf]),       # a non-finite value
+    ([0.0], [0.0]),                                  # one point
+    ([0.0, 1.0, 2.0], [0.0, -1.0]),                  # lengths differ
+])
+def test_survival_interpolator_rejects_what_pchip_rejects(grid, log_sf):
+    with pytest.raises(ValueError):
+        PchipInterpolator(grid, log_sf)
+    with pytest.raises(ValueError):
+        tx.SurvivalInterpolator(np.array(grid), np.array(log_sf))
 
 
 def test_bromwich_oracle_raises_when_unconverged(monkeypatch):
